@@ -3,7 +3,8 @@
 Thin, sequential shell over the library: every subcommand parses flags, calls
 one library entry point, and renders its result in a deterministic format
 (JSONL, CSV, plain text, rule dump, or PGM).  Exit codes: 0 success,
-1 bad flags or unreadable input, 2 trajectory undetermined within caps,
+1 bad flags or unreadable input, 2 trajectory undetermined within caps
+(for `verify`: a row cap ran out, with every computed row correct),
 3 verification or rule-consistency mismatch, 4 shared-grid collision.
 """
 
@@ -20,7 +21,7 @@ from .engine import (
     RunConfig,
     TrajectoryRecord,
     run_batch,
-    run_grid,
+    run_single,
     verify_against_oracle,
 )
 from .grid import Grid, init_grid, step_frontier
@@ -107,7 +108,7 @@ def cmd_run(args) -> int:
         tick_cap=args.tick_cap,
         mode=args.mode,
     )
-    _, rec = run_grid(args.n, cfg)
+    rec = run_single(args.n, cfg)
     if args.format == "jsonl":
         print(_record_json(rec))
     elif args.format == "csv":
@@ -126,21 +127,25 @@ def cmd_verify(args) -> int:
         print(f"bad range [{args.lo}, {args.hi}]", file=sys.stderr)
         return 1
     cfg_caps = dict(max_rows=args.max_rows, tick_cap=args.tick_cap)
-    checked = mismatches = 0
+    checked = mismatches = capped = 0
     for variant in variants:
         cfg = RunConfig(variant=variant, **cfg_caps)
         for n in range(args.lo, args.hi + 1):
             report = verify_against_oracle(n, variant, cfg)
             checked += 1
-            if not report.matched:
+            if report.cap_reached:
+                capped += 1
+                print(f"cap reached n={n} variant={variant.value} rows={report.rows_checked}")
+            elif not report.matched:
                 mismatches += 1
                 where = report.first_divergence
                 detail = (
                     f" row={where[0]} grid={where[1]} oracle={where[2]}" if where else ""
                 )
                 print(f"mismatch n={n} variant={variant.value}{detail}")
-    print(f"checked {checked} runs: {mismatches} mismatches")
-    return 3 if mismatches else 0
+    capped_note = f", {capped} reached the row cap" if capped else ""
+    print(f"checked {checked} runs: {mismatches} mismatches{capped_note}")
+    return 3 if mismatches else 2 if capped else 0
 
 
 def cmd_efficiency(args) -> int:

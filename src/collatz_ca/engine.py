@@ -1,8 +1,10 @@
 """Trajectory drivers: single runs, verification, batches, and shared grids.
 
-`run_single` advances one grid until the first row equal to 1 plus one
-confirmation row.  Batches either stack independent grids (optionally across
-a process pool, sized by the COLLATZ_CA_THREADS environment variable) or
+`run_single` steps one input until the first row equal to 1 plus one
+confirmation row, keeping only the current row; `run_grid` does the same
+while building the whole grid.  Batches either stack independent grids
+(optionally across a process pool, sized by the COLLATZ_CA_THREADS
+environment variable) or
 place several inputs on one shared grid, where non-interference is enforced
 by a guard gap between adjacent active regions and violations abort with a
 collision error rather than ever computing entangled rows.
@@ -13,18 +15,18 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .digits import apply_map, oracle_trajectory
 from .grid import (
     DEFAULT_TICK_CAP,
+    KERNELS,
     Grid,
-    cells_value,
     extract_row,
-    frontier_row_cells,
-    frontier_top_cells,
     init_grid,
     initial_row,
     row_cells,
+    row_string,
     run_until_rows_stable,
     step_frontier,
 )
@@ -93,15 +95,34 @@ class BatchConfig:
             raise ValueError("guard gap must be positive")
 
 
-def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
-    """Run one input to the stop condition and return the grid with its record."""
-    g = init_grid(n, cfg.variant)
-    iterates = [extract_row(g, 0)]
-    first_one = 0 if iterates[0] == 1 else None
+def _trajectory(
+    n: int, cfg: RunConfig, first: int | None, next_value: Callable[[int], int | None]
+) -> TrajectoryRecord:
+    """Row values until one row past the first 1 or max_rows; one tick per row."""
+    iterates = [first]
+    first_one = 0 if first == 1 else None
     while len(iterates) < cfg.max_rows:
         if first_one is not None and len(iterates) >= first_one + 2:
             break
-        i = len(iterates)
+        v = next_value(len(iterates))
+        iterates.append(v)
+        if first_one is None and v == 1:
+            first_one = len(iterates) - 1
+    return TrajectoryRecord(
+        input=n,
+        variant=cfg.variant,
+        iterates=iterates,
+        reached_one=first_one is not None,
+        ca_steps_to_one=first_one,
+        ticks_used=len(iterates) - 1,
+    )
+
+
+def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
+    """Run one input to the stop condition and return the grid with its record."""
+    g = init_grid(n, cfg.variant)
+
+    def next_value(i: int) -> int | None:
         if cfg.mode == "frontier":
             step_frontier(g)
         else:
@@ -109,22 +130,27 @@ def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
             if remaining <= 0:
                 raise RuntimeError(f"tick cap {cfg.tick_cap} exhausted at row {i}")
             run_until_rows_stable(g, i, remaining)
-        v = extract_row(g, i)
-        iterates.append(v)
-        if first_one is None and v == 1:
-            first_one = i
-    return g, TrajectoryRecord(
-        input=n,
-        variant=cfg.variant,
-        iterates=iterates,
-        reached_one=first_one is not None,
-        ca_steps_to_one=first_one,
-        ticks_used=g.ticks,
-    )
+        return extract_row(g, i)
+
+    record = _trajectory(n, cfg, extract_row(g, 0), next_value)
+    record.ticks_used = g.ticks
+    return g, record
 
 
 def run_single(n: int, cfg: RunConfig) -> TrajectoryRecord:
-    return run_grid(n, cfg)[1]
+    """Run one input to the stop condition; the frontier engine keeps one row."""
+    if cfg.mode != "frontier":
+        return run_grid(n, cfg)[1]
+    kernel = KERNELS[cfg.variant]
+    step, value = kernel.step, kernel.value
+    row = row_string(row_cells(initial_row(n, cfg.variant), cfg.variant))[1]
+
+    def next_value(i: int) -> int | None:
+        nonlocal row
+        row = step(row)[1]
+        return value(row)
+
+    return _trajectory(n, cfg, value(row), next_value)
 
 
 @dataclass
@@ -135,6 +161,8 @@ class VerifyReport:
     rows_checked: int
     # (row index, grid value, oracle value) at the first disagreement
     first_divergence: tuple[int, int | None, int | None] | None
+    # every computed row agreed, but the row cap ran out before the first 1
+    cap_reached: bool = False
 
 
 def verify_against_oracle(n: int, variant: CAVariant, cfg: RunConfig | None = None) -> VerifyReport:
@@ -155,8 +183,7 @@ def verify_against_oracle(n: int, variant: CAVariant, cfg: RunConfig | None = No
         if record.iterates[i] != oracle.iterates[i]:
             return VerifyReport(n, variant, False, i + 1, (i, record.iterates[i], oracle.iterates[i]))
     if oracle.reached_one and len(record.iterates) < len(oracle.iterates):
-        i = len(record.iterates)
-        return VerifyReport(n, variant, False, rows, (i, None, oracle.iterates[i]))
+        return VerifyReport(n, variant, False, rows, None, cap_reached=True)
     matched = record.reached_one == oracle.reached_one
     return VerifyReport(n, variant, matched, rows, None)
 
@@ -221,20 +248,20 @@ def run_batch_stacked(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryReco
 @dataclass
 class _SharedRun:
     input: int
-    bottom: dict[int, int]
-    top: dict[int, int] | None
+    lo: int  # column of the row's first (least significant) cell
+    row: str
     values: list[int] = field(default_factory=list)
     first_one: int | None = None
 
 
 def _check_gaps(runs: list[_SharedRun], row: int, guard: int) -> None:
     for run in runs:
-        if not run.bottom:
+        if not run.row:
             raise RuntimeError(f"run of input {run.input} vanished at row {row}")
     for r in range(len(runs) - 1):
         right, left = runs[r], runs[r + 1]  # columns grow leftward
-        hi_right = max(right.bottom)
-        lo_left = min(left.bottom)
+        hi_right = right.lo + len(right.row) - 1
+        lo_left = left.lo
         if lo_left - hi_right - 1 < guard:
             raise CollisionError(row, left.input, right.input, (hi_right, lo_left))
 
@@ -243,15 +270,15 @@ def _shared_attempt(
     inputs: list[int], spacings: list[int], cfg: RunConfig, guard: int
 ) -> list[TrajectoryRecord]:
     variant = cfg.variant
+    kernel = KERNELS[variant]
     runs: list[_SharedRun] = []
     k = 0
     for idx, n in enumerate(inputs):
         if idx > 0:
             k += spacings[idx - 1]
         row0 = initial_row(n, variant, k)
-        cells = row_cells(row0, variant)
-        top = frontier_top_cells(cells) if variant is CAVariant.CA1 else None
-        runs.append(_SharedRun(input=n, bottom=cells, top=top))
+        lo, row = row_string(row_cells(row0, variant))
+        runs.append(_SharedRun(input=n, lo=lo, row=row))
         runs[-1].values.append(row0.value())
         if runs[-1].values[0] == 1:
             runs[-1].first_one = 0
@@ -264,10 +291,9 @@ def _shared_attempt(
             break
         row += 1
         for r in runs:
-            r.bottom = frontier_row_cells(variant, r.bottom, r.top)
-            if variant is CAVariant.CA1:
-                r.top = frontier_top_cells(r.bottom)
-            v = cells_value(r.bottom, variant)
+            shift, r.row = kernel.step(r.row)
+            r.lo += shift
+            v = kernel.value(r.row)
             r.values.append(v)
             if r.first_one is None and v == 1:
                 r.first_one = row

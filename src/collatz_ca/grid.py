@@ -14,7 +14,9 @@ Two engines advance a grid:
   is tick-for-tick identical to the naive sweep because transitions are
   deterministic functions of the neighborhood.
 * frontier stepping finalizes one full row per step in dependency order,
-  touching each cell once.  It is the default engine.
+  touching each cell once.  It is the default engine.  A compiled row kernel
+  per automaton (`KERNELS`) does the work on row strings; `step_frontier`
+  converts from and to the grid's dict rows around it.
 
 `row_oracle` mirrors one row-placement step with plain integer arithmetic and
 is the ground truth the engines are tested against.
@@ -22,7 +24,9 @@ is the ground truth the engines are tested against.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import product
 
 from .digits import DigitString, odd_part, to_digits
 from .rules import (
@@ -225,66 +229,208 @@ def oracle_rows(
     return rows
 
 
+# --- row kernels -------------------------------------------------------------
+#
+# The frontier engine works on row strings: one character per cell, least
+# significant (lowest) column first, EMPTY for the empty or unknown state and
+# the decimal digit of any other state.  A string row is paired with the
+# column of its first character wherever columns matter.
+
+EMPTY = "."
+_CHAR = {None: EMPTY, **{s: str(s) for s in range(2 * ATTR_ODD)}}  # every state is below 8
+_STATE = {c: s for s, c in _CHAR.items()}
+_CA2_DIGITS = str.maketrans("4567", "0123")  # drop the parity attribute
+
+
+def _compile_ca3() -> dict[str, str]:
+    """(right, above-right-right, above-right, above) -> cell, from transition_ca3."""
+    return {
+        _CHAR[d] + _CHAR[c] + _CHAR[b] + _CHAR[a]: _CHAR[transition_ca3((a, b, c, d))]
+        for d, c, b, a in product((None, 0, 1), repeat=4)
+    }
+
+
+def _compile_ca2() -> dict[str, str]:
+    """(right, above-right, above) -> cell, from transition_ca2."""
+    return {
+        _CHAR[d] + _CHAR[b] + _CHAR[a]: _CHAR[transition_ca2((a, b, d))]
+        for d, b, a in product((None, *range(2 * ATTR_ODD)), repeat=3)
+    }
+
+
+def _compile_ca1() -> dict[str, str]:
+    """(parity one column left, digit) -> new digit + this column's parity.
+
+    The base-3 halving reads only the digit above and its parity, so one
+    most-significant-first sweep gives both layers.  That is checked here
+    against transition_ca1_bottom rather than assumed.
+    """
+    digits, tops = (None, 0, 1, 2), (None, EVEN, ODD_NORMAL, ODD_SPECIAL)
+    right = list(product(digits, tops, digits))
+    for b, f in product(digits, tops):
+        q = transition_ca1_bottom((b, f, None, None, None))
+        for c, etop, d in right:
+            nb = (b, f, c, etop, d)
+            if transition_ca1_bottom(nb) != q:
+                raise AssertionError(f"ca1 halving reads its right-hand cells: {nb}")
+    cell = {}
+    for left, b in product(tops, digits):
+        f = transition_ca1_top((b, left))
+        q = transition_ca1_bottom((b, f, None, None, None))
+        cell[_CHAR[left] + _CHAR[b]] = _CHAR[q] + _CHAR[f]
+    return cell
+
+
+class RowKernel:
+    """One automaton's frontier step over a whole row, `block` columns per lookup.
+
+    `cell` is the single-cell table: its key is the carried cell followed by
+    `reach` + 1 cells of the row above, and its value is the new cell (for the
+    base-3 automaton, the new digit followed by the parity layer of the row
+    above in that column).  `table` is the
+    macro-cell table: its key is the carried cell followed by `block` + `reach`
+    cells above, its value the `block` outputs, filled on first use by
+    composing `cell`.  The carried cell of the next block is the last
+    character of an entry.  The tables are memos of pure functions, so every
+    run can share them.
+
+    The base-4 and base-2 automata sweep from the lowest column up, carrying
+    the new cell on the right.  The base-3 automaton sweeps from the highest
+    column down, carrying the parity of the digits to the left, and its entries
+    interleave (digit, parity) per column, highest column first.
+    """
+
+    def __init__(self, variant: CAVariant, cell: dict[str, str], block: int, reach: int,
+                 max_entries: int):
+        self.base = variant.base
+        self.falling = variant is CAVariant.CA1
+        self.cell = cell
+        self.block = block
+        self.reach = reach
+        self.max_entries = max_entries
+        self.table: dict[str, str] = {}
+
+    def compose(self, key: str) -> str:
+        """The macro-cell entry for `key`, by the single-cell table alone."""
+        cell, width = self.cell, self.reach + 1
+        carry, above = key[0], key[1:]
+        cols = range(self.block - 1, -1, -1) if self.falling else range(self.block)
+        out = []
+        for p in cols:
+            new = cell[carry + above[p:p + width]]
+            out.append(new)
+            carry = new[-1]
+        return "".join(out)
+
+    def _fill(self, key: str) -> str:
+        # many keys share one output: interning stores each output string once
+        entry = self.table[key] = sys.intern(self.compose(key))
+        return entry
+
+    def sweep(self, row: str) -> str:
+        """Raw kernel output below `row`, padding included.
+
+        Rising kernels cover the row's columns plus `reach` above it, starting
+        at its lowest column.  The base-3 kernel covers one column below the
+        row up to its top digit, highest column first.
+        """
+        k, table, fill = self.block, self.table, self._fill
+        if self.falling:
+            blocks = len(row) // k + 1
+            above = EMPTY + row + EMPTY * (blocks * k - len(row) - 1)
+            starts = range((blocks - 1) * k, -1, -k)
+        else:
+            blocks = (len(row) + self.reach + k - 1) // k
+            above = EMPTY * self.reach + row + EMPTY * (blocks * k - len(row))
+            starts = range(0, blocks * k, k)
+        width = k + self.reach
+        carry = EMPTY
+        parts = []
+        for p in starts:
+            key = carry + above[p:p + width]
+            entry = table.get(key) or fill(key)
+            parts.append(entry)
+            carry = entry[-1]
+        return "".join(parts)
+
+    def step(self, row: str) -> tuple[int, str]:
+        """The row below `row`, and its lowest column minus `row`'s.
+
+        Empty cells at either end are dropped; an empty cell inside the new
+        row is kept, for `value` or the caller to reject.
+        """
+        raw = self.sweep(row)
+        if self.falling:
+            return _trim(-1, raw[-2::-2])
+        return _trim(0, raw)
+
+    def tops(self, row: str) -> tuple[int, str]:
+        """Base-3 parity layer over `row`, and its lowest column minus `row`'s."""
+        return _trim(-1, self.sweep(row)[::-2])
+
+    def value(self, row: str) -> int | None:
+        """Integer held by a row string; None for an empty row."""
+        if not row:
+            return None
+        if EMPTY in row:
+            raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
+        msd = row[::-1]
+        if self.base == 4:
+            msd = msd.translate(_CA2_DIGITS)
+        return _parse(msd, self.base)
+
+
+def _trim(shift: int, raw: str) -> tuple[int, str]:
+    high = raw.rstrip(EMPTY)
+    row = high.lstrip(EMPTY)
+    return shift + len(high) - len(row), row
+
+
+def _parse(msd: str, base: int) -> int:
+    # int() refuses long strings in bases that are not powers of two
+    # (sys.get_int_max_str_digits), and base-3 rows keep leading zeros
+    msd = msd.lstrip("0") or "0"
+    if len(msd) <= 4000:
+        return int(msd, base)
+    half = len(msd) // 2
+    return _parse(msd[:-half], base) * base**half + _parse(msd[-half:], base)
+
+
+# Each block size lets its table saturate within a few MiB.  max_entries
+# bounds the table: for base 3 it counts every key a gap-free row can
+# produce; for base 4 and base 2 it is the saturated size measured over random
+# inputs of 8 to 200 bits (10.75k and 3.56k entries), with headroom.
+KERNELS = {
+    CAVariant.CA1: RowKernel(CAVariant.CA1, _compile_ca1(), block=6, reach=0, max_entries=3400),
+    CAVariant.CA2: RowKernel(CAVariant.CA2, _compile_ca2(), block=4, reach=1, max_entries=11500),
+    CAVariant.CA3: RowKernel(CAVariant.CA3, _compile_ca3(), block=8, reach=2, max_entries=3800),
+}
+
+
+def row_string(cells: dict[int, int]) -> tuple[int, str]:
+    """(lowest column, row string) of a dict row; gaps become EMPTY."""
+    if not cells:
+        return 0, ""
+    lo, hi = min(cells), max(cells)
+    return lo, "".join(map(_CHAR.__getitem__, map(cells.get, range(lo, hi + 1))))
+
+
+def string_cells(lo: int, row: str) -> dict[int, int]:
+    """The dict row of a row string whose first character sits at column lo."""
+    cells = dict(zip(range(lo, lo + len(row)), map(_STATE.__getitem__, row)))
+    if EMPTY in row:
+        cells = {j: s for j, s in cells.items() if s is not None}
+    return cells
+
+
 # --- frontier engine ---------------------------------------------------------
 
 
-def frontier_row_cells(
-    variant: CAVariant,
-    prev_bottom: dict[int, int],
-    prev_top: dict[int, int] | None = None,
-) -> dict[int, int]:
-    """Compute a full successor row from a finalized previous row.
-
-    Cells are visited right to left so same-row right neighbors are already
-    final when read.  The scanned range covers every column the new row can
-    reach from the previous one.
-    """
-    out: dict[int, int] = {}
-    if not prev_bottom:
-        return out
-    lo = min(prev_bottom)
-    hi = max(prev_bottom)
-    if variant is CAVariant.CA3:
-        for j in range(lo, hi + 3):
-            st = transition_ca3(
-                (prev_bottom.get(j), prev_bottom.get(j - 1), prev_bottom.get(j - 2), out.get(j - 1))
-            )
-            if st is not None:
-                out[j] = st
-    elif variant is CAVariant.CA2:
-        for j in range(lo, hi + 2):
-            st = transition_ca2((prev_bottom.get(j), prev_bottom.get(j - 1), out.get(j - 1)))
-            if st is not None:
-                out[j] = st
-    else:
-        if prev_top is None:
-            raise ValueError("base-3 rows need the previous row's parity layer")
-        for j in range(lo - 1, hi + 1):
-            st = transition_ca1_bottom(
-                (
-                    prev_bottom.get(j),
-                    prev_top.get(j),
-                    prev_bottom.get(j - 1),
-                    prev_top.get(j - 1),
-                    out.get(j - 1),
-                )
-            )
-            if st is not None:
-                out[j] = st
-    return out
-
-
 def frontier_top_cells(bottom: dict[int, int]) -> dict[int, int]:
-    """Parity sweep over a finalized base-3 row, left to right."""
-    out: dict[int, int] = {}
-    if not bottom:
-        return out
-    lo, hi = min(bottom), max(bottom)
-    for j in range(hi, lo - 2, -1):
-        st = transition_ca1_top((bottom.get(j), out.get(j + 1)))
-        if st is not None:
-            out[j] = st
-    return out
+    """Parity layer over a finalized base-3 row."""
+    lo, row = row_string(bottom)
+    shift, tops = KERNELS[CAVariant.CA1].tops(row)
+    return string_cells(lo + shift, tops)
 
 
 def _check_window(g: Grid, i: int, cells: dict[int, int]) -> None:
@@ -307,9 +453,9 @@ def step_frontier(g: Grid) -> StepStats:
             if g.check_windows:
                 _check_window(g, k, g.top[k])
             g._tops_swept = k
-        new = frontier_row_cells(g.variant, g.bottom[i - 1], g.top[i - 1])
-    else:
-        new = frontier_row_cells(g.variant, g.bottom[i - 1])
+    lo, row = row_string(g.bottom[i - 1])
+    shift, row = KERNELS[g.variant].step(row)
+    new = string_cells(lo + shift, row)
     if g.check_windows:
         _check_window(g, i, new)
     g.bottom.append(new)
@@ -455,19 +601,7 @@ def run_until_rows_stable(g: Grid, m: int, tick_cap: int = DEFAULT_TICK_CAP) -> 
 
 def cells_value(cells: dict[int, int], variant: CAVariant) -> int | None:
     """Integer represented by one contiguous run of digit cells."""
-    if not cells:
-        return None
-    cols = sorted(cells)
-    if cols[-1] - cols[0] + 1 != len(cols):
-        raise NonContiguousRowError(f"cells at columns {cols} are not contiguous")
-    base = variant.base
-    v = 0
-    for j in reversed(cols):
-        d = cells[j]
-        if variant is CAVariant.CA2:
-            d &= 3
-        v = v * base + d
-    return v
+    return KERNELS[variant].value(row_string(cells)[1])
 
 
 def extract_row(g: Grid, i: int) -> int | None:

@@ -401,14 +401,9 @@ def dump_rule_table(table: RuleTable) -> list[str]:
     """One line per entry, `<variant> <cells> -> <cell>`, stably ordered."""
     lines = []
     for nb, successor in table.entries.items():
-        succ_variant = (
-            TableVariant.CA1_TOP if table.variant is TableVariant.CA1_TOP else table.variant
-        )
-        if table.variant is TableVariant.CA1_BOTTOM:
-            succ_variant = TableVariant.CA1_BOTTOM
         lines.append(
             f"{table.variant.value} {format_neighborhood(table.variant, nb)}"
-            f" -> {format_cell(succ_variant, successor)}"
+            f" -> {format_cell(table.variant, successor)}"
         )
     lines.sort()
     return lines

@@ -65,6 +65,36 @@ def test_verify_range(capsys):
     assert main(["verify", "--from", "5", "--to", "2"]) == 1
 
 
+def test_verify_cap_reached_exit_code(capsys):
+    # every computed row is right; only the row cap ran out before the first 1
+    args = ["verify", "--from", "27", "--to", "27", "--variant", "ca3", "--max-rows", "10"]
+    assert main(args) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "cap reached n=27 variant=ca3 rows=10",
+        "checked 1 runs: 0 mismatches, 1 reached the row cap",
+    ]
+
+
+def test_verify_divergence_exit_code(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from collatz_ca import engine
+
+    real = engine.run_single
+
+    def doctored(n, cfg):
+        rec = real(n, cfg)
+        return replace(rec, iterates=[rec.iterates[0], 99, *rec.iterates[2:]])
+
+    monkeypatch.setattr(engine, "run_single", doctored)
+    assert main(["verify", "--from", "7", "--to", "7", "--variant", "ca3"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "mismatch n=7 variant=ca3 row=1 grid=99 oracle=11",
+        "checked 1 runs: 1 mismatches",
+    ]
+
+
 def test_efficiency_csv(capsys):
     assert main(["efficiency", "--from", "2", "--to", "8", "--variant", "ca1"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -112,6 +112,13 @@ def test_verify_reports_divergence(monkeypatch):
     assert report.first_divergence == (2, 99, 17)
 
 
+def test_verify_cap_reached_is_not_a_divergence():
+    report = verify_against_oracle(27, CAVariant.CA3, RunConfig(variant=CAVariant.CA3, max_rows=10))
+    assert report.cap_reached and not report.matched
+    assert report.first_divergence is None and report.rows_checked == 10
+    assert not verify_against_oracle(27, CAVariant.CA3).cap_reached
+
+
 def test_verify_coerces_config_variant():
     cfg = RunConfig(variant=CAVariant.CA1)
     report = verify_against_oracle(7, CAVariant.CA3, cfg)

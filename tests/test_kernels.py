@@ -1,0 +1,155 @@
+"""Compiled row kernels: single-cell tables, lazily composed macro cells, sizes."""
+
+import random
+
+import pytest
+
+from collatz_ca.engine import RunConfig, run_single
+from collatz_ca.grid import EMPTY, KERNELS, NonContiguousRowError
+from collatz_ca.rules import (
+    ATTR_ODD,
+    EVEN,
+    ODD_NORMAL,
+    ODD_SPECIAL,
+    CAVariant,
+    transition_ca1_bottom,
+    transition_ca1_top,
+    transition_ca2,
+    transition_ca3,
+)
+
+VARIANTS = list(CAVariant)
+DIGITS = {
+    CAVariant.CA1: [None, 0, 1, 2],
+    CAVariant.CA2: [None, *range(2 * ATTR_ODD)],
+    CAVariant.CA3: [None, 0, 1],
+}
+TOPS = [None, EVEN, ODD_NORMAL, ODD_SPECIAL]
+
+
+def ch(state):
+    return EMPTY if state is None else str(state)
+
+
+def st(char):
+    return None if char == EMPTY else int(char)
+
+
+def reference_cell(variant, carry, window):
+    """One cell by the closed forms: window is the cells above, lowest column first."""
+    if variant is CAVariant.CA3:
+        c, b, a = window
+        return ch(transition_ca3((a, b, c, carry)))
+    if variant is CAVariant.CA2:
+        b, a = window
+        return ch(transition_ca2((a, b, carry)))
+    (b,) = window
+    f = transition_ca1_top((b, carry))
+    return ch(transition_ca1_bottom((b, f, None, None, None))) + ch(f)
+
+
+def reference_entry(variant, key):
+    """A macro-cell entry composed cell by cell from the closed forms."""
+    kernel = KERNELS[variant]
+    width = kernel.reach + 1
+    carry, above = st(key[0]), [st(c) for c in key[1:]]
+    cols = range(kernel.block)
+    if variant is CAVariant.CA1:
+        cols = reversed(cols)  # the base-3 sweep runs from the highest column down
+    out = ""
+    for p in cols:
+        new = reference_cell(variant, carry, above[p:p + width])
+        out += new
+        carry = st(new[-1])
+    return out
+
+
+@pytest.mark.parametrize("variant", [CAVariant.CA2, CAVariant.CA3])
+def test_single_cell_table_is_closed_form(variant):
+    kernel = KERNELS[variant]
+    alphabet = DIGITS[variant]
+    width = kernel.reach + 1
+    keys = [[d] for d in alphabet]
+    for _ in range(width):
+        keys = [k + [s] for k in keys for s in alphabet]
+    assert len(kernel.cell) == len(keys)
+    for key in keys:
+        text = "".join(map(ch, key))
+        assert kernel.cell[text] == reference_cell(variant, key[0], key[1:]), text
+
+
+def test_ca1_single_cell_table_is_closed_form():
+    # the halving must not depend on the cells to its right, whatever they hold
+    cell = KERNELS[CAVariant.CA1].cell
+    assert len(cell) == len(TOPS) * len(DIGITS[CAVariant.CA1])
+    for left in TOPS:
+        for b in DIGITS[CAVariant.CA1]:
+            f = transition_ca1_top((b, left))
+            for c in DIGITS[CAVariant.CA1]:
+                for etop in TOPS:
+                    for d in DIGITS[CAVariant.CA1]:
+                        q = transition_ca1_bottom((b, f, c, etop, d))
+                        assert cell[ch(left) + ch(b)] == ch(q) + ch(f)
+
+
+def test_macro_entries_compose_single_cells():
+    cfg = {v: RunConfig(variant=v) for v in VARIANTS}
+    for n in (27, 97, 2**64 - 1, 3**40, (4**30 - 1) // 3):
+        for v in VARIANTS:
+            run_single(n, cfg[v])
+    for v in VARIANTS:
+        kernel = KERNELS[v]
+        assert kernel.table
+        for key, entry in kernel.table.items():
+            assert len(key) == 1 + kernel.block + kernel.reach
+            assert entry == reference_entry(v, key), (v, key)
+
+
+def test_tables_stay_within_saturation_bound():
+    rng = random.Random(20240601)
+    for v in VARIANTS:
+        kernel = KERNELS[v]
+        for _ in range(300):
+            row = _random_row(rng, v)
+            for _ in range(10):
+                row = kernel.step(row)[1]
+        assert len(kernel.table) <= kernel.max_entries, v
+
+
+def _random_row(rng, variant):
+    """A wide row the automaton can hold: random digits, a nonzero top digit."""
+    bits = rng.choice([64, 128, 200])
+    n = rng.getrandbits(bits) | (1 << bits)
+    base = variant.base
+    if variant is CAVariant.CA3:
+        n |= 1
+    digits = []
+    while n:
+        n, d = divmod(n, base)
+        digits.append(d)
+    if variant is CAVariant.CA2:
+        while digits[0] == 0:
+            digits.pop(0)
+        attr = ATTR_ODD if digits[0] & 1 else 0
+        digits = [d | attr for d in digits]
+    return "".join(map(str, digits))
+
+
+def test_row_value_rejects_inner_gap():
+    kernel = KERNELS[CAVariant.CA3]
+    assert kernel.value("1101") == 11
+    assert kernel.value("") is None
+    with pytest.raises(NonContiguousRowError):
+        kernel.value("1" + EMPTY + "1")
+
+
+def test_row_value_beyond_int_string_limit():
+    # base-3 rows keep leading zeros; int() alone refuses over 4300 digits
+    kernel = KERNELS[CAVariant.CA1]
+    n = 3**5000 + 12345
+    digits = []
+    m = n
+    while m:
+        m, d = divmod(m, 3)
+        digits.append(str(d))
+    assert kernel.value("".join(digits) + "0" * 2000) == n
