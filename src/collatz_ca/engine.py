@@ -250,20 +250,24 @@ class _SharedRun:
     input: int
     lo: int  # column of the row's first (least significant) cell
     row: str
+    hi: int  # top column of row 0, where a base-3 run's zero-padded extent ends
     values: list[int] = field(default_factory=list)
     first_one: int | None = None
 
 
-def _check_gaps(runs: list[_SharedRun], row: int, guard: int) -> None:
+def _check_gaps(runs: list[_SharedRun], row: int, guard: int, fixed_hi: bool) -> None:
+    """Raise on a run that vanished or on two runs closer than `guard`.
+
+    With `fixed_hi` (base 3) a run extends to its row-0 top column: its rows
+    keep that width on the grid, as leading zeros the kernel does not hold.
+    """
     for run in runs:
         if not run.row:
             raise RuntimeError(f"run of input {run.input} vanished at row {row}")
-    for r in range(len(runs) - 1):
-        right, left = runs[r], runs[r + 1]  # columns grow leftward
-        hi_right = right.lo + len(right.row) - 1
-        lo_left = left.lo
-        if lo_left - hi_right - 1 < guard:
-            raise CollisionError(row, left.input, right.input, (hi_right, lo_left))
+    for right, left in zip(runs, runs[1:]):  # columns grow leftward
+        hi_right = right.hi if fixed_hi else right.lo + len(right.row) - 1
+        if left.lo - hi_right - 1 < guard:
+            raise CollisionError(row, left.input, right.input, (hi_right, left.lo))
 
 
 def _shared_attempt(
@@ -278,12 +282,13 @@ def _shared_attempt(
             k += spacings[idx - 1]
         row0 = initial_row(n, variant, k)
         lo, row = row_string(row_cells(row0, variant))
-        runs.append(_SharedRun(input=n, lo=lo, row=row))
+        runs.append(_SharedRun(input=n, lo=lo, row=row, hi=lo + len(row) - 1))
         runs[-1].values.append(row0.value())
         if runs[-1].values[0] == 1:
             runs[-1].first_one = 0
         k += len(row0) - 1  # next input is placed relative to this one's top digit
-    _check_gaps(runs, 0, guard)
+    fixed_hi = kernel.falling
+    _check_gaps(runs, 0, guard, fixed_hi)
     row = 0
     while row < cfg.max_rows:
         done = all(r.first_one is not None for r in runs)
@@ -297,7 +302,7 @@ def _shared_attempt(
             r.values.append(v)
             if r.first_one is None and v == 1:
                 r.first_one = row
-        _check_gaps(runs, row, guard)
+        _check_gaps(runs, row, guard, fixed_hi)
     records = []
     for r in runs:
         stop = r.first_one + 2 if r.first_one is not None else len(r.values)

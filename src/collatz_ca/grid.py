@@ -16,7 +16,8 @@ Two engines advance a grid:
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
   per automaton (`KERNELS`) does the work on row strings; `step_frontier`
-  converts from and to the grid's dict rows around it.
+  converts from and to the grid's dict rows around it, and puts back the
+  leading zeros that the base-3 kernel drops.
 
 `row_oracle` mirrors one row-placement step with plain integer arithmetic and
 is the ground truth the engines are tested against.
@@ -77,7 +78,8 @@ class Grid:
     check_windows: bool = False
     ticks: int = 0
     _dirty: set | None = None
-    _tops_swept: int = -1
+    _tops_swept: int = -1  # last base-3 row whose parity layer is swept
+    _below: tuple[int, str] | None = None  # (lowest column, string) of the row it gave
 
     @property
     def rows(self) -> int:
@@ -357,16 +359,21 @@ class RowKernel:
         """The row below `row`, and its lowest column minus `row`'s.
 
         Empty cells at either end are dropped; an empty cell inside the new
-        row is kept, for `value` or the caller to reject.
+        row is kept, for `value` or the caller to reject.  The base-3 kernel
+        also drops the zero digits above the top nonzero digit, so its rows
+        hold only significant digits; grids put those zeros back up to their
+        fixed high column (`step_frontier`).
         """
         raw = self.sweep(row)
         if self.falling:
-            return _trim(-1, raw[-2::-2])
+            return _ca1_below(raw)
         return _trim(0, raw)
 
-    def tops(self, row: str) -> tuple[int, str]:
-        """Base-3 parity layer over `row`, and its lowest column minus `row`'s."""
-        return _trim(-1, self.sweep(row)[::-2])
+    def step_tops(self, row: str) -> tuple[tuple[int, str], tuple[int, str]]:
+        """Base-3 only: `step(row)`, and the parity layer over `row` with its
+        lowest column minus `row`'s, both from one sweep."""
+        raw = self.sweep(row)
+        return _ca1_below(raw), _trim(-1, raw[::-2])
 
     def value(self, row: str) -> int | None:
         """Integer held by a row string; None for an empty row."""
@@ -386,9 +393,19 @@ def _trim(shift: int, raw: str) -> tuple[int, str]:
     return shift + len(high) - len(row), row
 
 
+def _ca1_below(raw: str) -> tuple[int, str]:
+    # A zero with only zeros to its left has EVEN parity, which acts as no
+    # parity at all, so it stays 0 on every later row and can be dropped.
+    # Zeros go after the empty padding, never with it, so that an empty cell
+    # under leading zeros stays inside the row for `value` to reject.
+    shift, row = _trim(-1, raw[-2::-2])
+    return shift, row.rstrip("0")
+
+
 def _parse(msd: str, base: int) -> int:
     # int() refuses long strings in bases that are not powers of two
-    # (sys.get_int_max_str_digits), and base-3 rows keep leading zeros
+    # (sys.get_int_max_str_digits); base-3 rows read back from a grid's dict
+    # rows (`cells_value`) still carry the leading zeros the kernel drops
     msd = msd.lstrip("0") or "0"
     if len(msd) <= 4000:
         return int(msd, base)
@@ -429,7 +446,7 @@ def string_cells(lo: int, row: str) -> dict[int, int]:
 def frontier_top_cells(bottom: dict[int, int]) -> dict[int, int]:
     """Parity layer over a finalized base-3 row."""
     lo, row = row_string(bottom)
-    shift, tops = KERNELS[CAVariant.CA1].tops(row)
+    shift, tops = KERNELS[CAVariant.CA1].step_tops(row)[1]
     return string_cells(lo + shift, tops)
 
 
@@ -443,27 +460,46 @@ def _check_window(g: Grid, i: int, cells: dict[int, int]) -> None:
             )
 
 
+def _ca1_cells(g: Grid, lo: int, row: str) -> dict[int, int]:
+    """Dict row of a base-3 digit or parity string, with the zeros the kernel
+    dropped put back up to the grid's fixed high column (EVEN is 0 too)."""
+    return string_cells(lo, row + "0" * (g.row0_hi + 1 - lo - len(row)))
+
+
+def _sweep_ca1(g: Grid, k: int, lo: int, row: str) -> dict[int, int]:
+    """Parity layer of row k from one sweep of its string `row` at column lo;
+    the same sweep gives row k + 1, kept for the next `step_frontier`."""
+    (shift, below), (top_shift, tops) = KERNELS[CAVariant.CA1].step_tops(row)
+    top = _ca1_cells(g, lo + top_shift, tops)
+    if g.check_windows:
+        _check_window(g, k, top)
+    g._below = (lo + shift, below)
+    g._tops_swept = k
+    return top
+
+
 def step_frontier(g: Grid) -> StepStats:
-    """Finalize the next row (and, for base 3, its parity layer)."""
+    """Finalize the next row (and, for base 3, its parity layer).
+
+    A base-3 row is swept once: that sweep gives its parity layer and the
+    row below it, which the next step appends.
+    """
     i = len(g.bottom)
     if g.variant is CAVariant.CA1:
-        while g._tops_swept < i - 1:
-            k = g._tops_swept + 1
-            g.top[k] = frontier_top_cells(g.bottom[k])
-            if g.check_windows:
-                _check_window(g, k, g.top[k])
-            g._tops_swept = k
-    lo, row = row_string(g.bottom[i - 1])
-    shift, row = KERNELS[g.variant].step(row)
-    new = string_cells(lo + shift, row)
+        # rows not swept yet: row 0, or rows another engine built
+        for k in range(g._tops_swept + 1, i):
+            g.top[k] = _sweep_ca1(g, k, *row_string(g.bottom[k]))
+        lo, row = g._below
+        new = _ca1_cells(g, lo, row)
+    else:
+        lo, row = row_string(g.bottom[i - 1])
+        shift, row = KERNELS[g.variant].step(row)
+        new = string_cells(lo + shift, row)
     if g.check_windows:
         _check_window(g, i, new)
     g.bottom.append(new)
     if g.variant is CAVariant.CA1:
-        g.top.append(frontier_top_cells(new))
-        if g.check_windows:
-            _check_window(g, i, g.top[i])
-        g._tops_swept = i
+        g.top.append(_sweep_ca1(g, i, lo, row))
     g.ticks += 1
     return StepStats(tick=g.ticks, cells_changed=len(new), rows_stable=len(g.bottom))
 

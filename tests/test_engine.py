@@ -164,9 +164,10 @@ def test_worker_count(monkeypatch):
         worker_count()
 
 
-def test_stacked_matches_sequential(monkeypatch):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stacked_matches_sequential(monkeypatch, variant):
     inputs = list(range(2, 40))
-    cfg = RunConfig(variant=CAVariant.CA3)
+    cfg = RunConfig(variant=variant)
     monkeypatch.delenv("COLLATZ_CA_THREADS", raising=False)
     sequential = run_batch(BatchConfig(inputs=inputs), cfg)
     assert sequential == [run_single(n, cfg) for n in inputs]
@@ -227,6 +228,19 @@ def test_shared_explicit_tight_spacing_collides_later():
     with pytest.raises(CollisionError) as err:
         run_shared_grid(batch, RunConfig(variant=CAVariant.CA3))
     assert err.value.row > 0
+
+
+def test_shared_ca1_collides_on_leading_zero_columns():
+    # base-3 rows keep their row-0 width on the grid; the columns holding only
+    # leading zeros count for the guard gap, though the kernel drops them
+    cfg = RunConfig(variant=CAVariant.CA1)
+    batch = BatchConfig(inputs=[27, 27], mode="shared", spacings=[44])
+    with pytest.raises(CollisionError) as err:
+        run_shared_grid(batch, cfg)
+    assert (err.value.row, err.value.columns) == (71, (3, 5))
+    assert (err.value.left_input, err.value.right_input) == (27, 27)
+    batch = BatchConfig(inputs=[27, 27], mode="shared", spacings=[45])
+    assert_same_trajectories(run_shared_grid(batch, cfg), [run_single(27, cfg)] * 2)
 
 
 def test_shared_empty_and_validation():

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_ca.digits import DigitString, to_digits
+from collatz_ca.engine import RunConfig, run_grid
 from collatz_ca.grid import (
     GROWTH_MARGIN,
     Grid,
     NonContiguousRowError,
+    RowKernel,
     WindowViolationError,
     ca1_top_states,
     cells_value,
@@ -171,6 +173,27 @@ def test_frontier_matches_oracle_cells(variant):
             assert g.bottom[i] == row_cells(r, variant), (n, i)
             if variant is CAVariant.CA1:
                 assert g.top[i] == ca1_top_states(r), (n, i)
+
+
+def test_ca1_frontier_sweeps_each_row_once(monkeypatch):
+    sweeps = 0
+    sweep = RowKernel.sweep
+
+    def counted(self, row):
+        nonlocal sweeps
+        sweeps += 1
+        return sweep(self, row)
+
+    monkeypatch.setattr(RowKernel, "sweep", counted)
+    g = run_grid(27, RunConfig(variant=CAVariant.CA1))[0]
+    assert sweeps <= g.rows + 1, (sweeps, g.rows)
+    # the parity layer is complete after every step, not one step late
+    rows = oracle_rows(27, CAVariant.CA1, extra_rows=3)
+    g = init_grid(27, CAVariant.CA1, check_windows=True)
+    for i in range(1, len(rows)):
+        step_frontier(g)
+        assert g.bottom[i] == row_cells(rows[i], CAVariant.CA1), i
+        assert g.top == [ca1_top_states(r) for r in rows[: i + 1]], i
 
 
 def test_frontier_top_cells_matches_sweep():

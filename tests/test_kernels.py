@@ -153,3 +153,39 @@ def test_row_value_beyond_int_string_limit():
         m, d = divmod(m, 3)
         digits.append(str(d))
     assert kernel.value("".join(digits) + "0" * 2000) == n
+
+
+def _ca1_row(n):
+    """Base-3 digits of n, least significant first."""
+    out = ""
+    while n:
+        n, d = divmod(n, 3)
+        out += str(d)
+    return out
+
+
+def test_ca1_step_drops_leading_zeros():
+    kernel = KERNELS[CAVariant.CA1]
+    rng = random.Random(7)
+    values = [1, 2, 7, 27, 3**20, 3**20 + 1]
+    values += [rng.getrandbits(rng.choice([8, 64, 128])) | 1 for _ in range(40)]
+    for n in values:
+        for zeros in (0, 1, 13):
+            row = _ca1_row(n) + "0" * zeros
+            shift, below = kernel.step(row)
+            assert below and not below.endswith("0"), row
+            # the sweep that keeps the width: same lowest column, same value
+            digits = kernel.sweep(row)[-2::-2].rstrip(EMPTY)
+            full = digits.lstrip(EMPTY)
+            assert full.endswith("0" * zeros)
+            assert shift == len(digits) - len(full) - 1
+            halved = (3 * n + 1) // 2 if n & 1 else n // 2
+            assert kernel.value(below) == kernel.value(full) == halved
+
+
+def test_ca1_gap_under_leading_zeros_still_rejected():
+    kernel = KERNELS[CAVariant.CA1]
+    for row in ("1" + EMPTY + "0", "21" + EMPTY + "00"):
+        below = kernel.step(row)[1]
+        with pytest.raises(NonContiguousRowError):
+            kernel.value(below)
