@@ -26,7 +26,7 @@ from .engine import (
 )
 from .grid import Grid, init_grid, step_frontier
 from .metrics import n_efficiency
-from .rules import CAVariant, TableVariant, check_rule_consistency, dump_rule_table, learn_rule_table
+from .rules import LAYERS, CAVariant, check_rule_consistency, dump_rule_table, learn_rule_table
 
 _VARIANTS = {v.value: v for v in CAVariant}
 
@@ -202,14 +202,9 @@ def cmd_batch(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    tables = {
-        "ca1": (TableVariant.CA1_BOTTOM, TableVariant.CA1_TOP),
-        "ca2": (TableVariant.CA2,),
-        "ca3": (TableVariant.CA3,),
-    }[args.variant]
     lines: list[str] = []
     bad = 0
-    for tv in tables:
+    for tv in LAYERS[_VARIANTS[args.variant]]:
         table = learn_rule_table(tv, args.n_max)
         report = check_rule_consistency(table)
         lines.extend(dump_rule_table(table))

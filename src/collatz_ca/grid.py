@@ -31,18 +31,20 @@ from itertools import product
 
 from .digits import DigitString, odd_part, to_digits
 from .rules import (
+    ALPHABETS,
     ATTR_ODD,
-    CAVariant,
-    Cell,
     EVEN,
+    LAYERS,
+    NEIGHBORHOODS,
     ODD_NORMAL,
     ODD_SPECIAL,
+    TRANSITIONS,
+    CAVariant,
+    Cell,
     TableVariant,
     format_cell,
     transition_ca1_bottom,
     transition_ca1_top,
-    transition_ca2,
-    transition_ca3,
 )
 
 # Cells just outside a row's active window may be evaluated (they must come
@@ -244,19 +246,19 @@ _STATE = {c: s for s, c in _CHAR.items()}
 _CA2_DIGITS = str.maketrans("4567", "0123")  # drop the parity attribute
 
 
-def _compile_ca3() -> dict[str, str]:
-    """(right, above-right-right, above-right, above) -> cell, from transition_ca3."""
-    return {
-        _CHAR[d] + _CHAR[c] + _CHAR[b] + _CHAR[a]: _CHAR[transition_ca3((a, b, c, d))]
-        for d, c, b, a in product((None, 0, 1), repeat=4)
-    }
+def _compile_rising(tv: TableVariant) -> dict[str, str]:
+    """Single-cell table of a base-4 or base-2 kernel, from the closed form.
 
-
-def _compile_ca2() -> dict[str, str]:
-    """(right, above-right, above) -> cell, from transition_ca2."""
+    A key holds the table's neighborhood ordered by (-row offset, column
+    offset): the cell to the right, which the sweep carries, then the cells
+    above, lowest column first.
+    """
+    reads = NEIGHBORHOODS[tv]
+    order = sorted(range(len(reads)), key=lambda k: (-reads[k][1], reads[k][2]))
+    rule = TRANSITIONS[tv]
     return {
-        _CHAR[d] + _CHAR[b] + _CHAR[a]: _CHAR[transition_ca2((a, b, d))]
-        for d, b, a in product((None, *range(2 * ATTR_ODD)), repeat=3)
+        "".join(_CHAR[nb[k]] for k in order): _CHAR[rule(nb)]
+        for nb in product(ALPHABETS[tv], repeat=len(reads))
     }
 
 
@@ -267,7 +269,7 @@ def _compile_ca1() -> dict[str, str]:
     most-significant-first sweep gives both layers.  That is checked here
     against transition_ca1_bottom rather than assumed.
     """
-    digits, tops = (None, 0, 1, 2), (None, EVEN, ODD_NORMAL, ODD_SPECIAL)
+    digits, tops = ALPHABETS[TableVariant.CA1_BOTTOM], ALPHABETS[TableVariant.CA1_TOP]
     right = list(product(digits, tops, digits))
     for b, f in product(digits, tops):
         q = transition_ca1_bottom((b, f, None, None, None))
@@ -287,12 +289,12 @@ class RowKernel:
     """One automaton's frontier step over a whole row, `block` columns per lookup.
 
     `cell` is the single-cell table: its key is the carried cell followed by
-    `reach` + 1 cells of the row above, and its value is the new cell (for the
-    base-3 automaton, the new digit followed by the parity layer of the row
-    above in that column).  `table` is the
-    macro-cell table: its key is the carried cell followed by `block` + `reach`
-    cells above, its value the `block` outputs, filled on first use by
-    composing `cell`.  The carried cell of the next block is the last
+    `reach` + 1 cells of the row above (so the key's width gives `reach`), and
+    its value is the new cell (for the base-3 automaton, the new digit
+    followed by the parity layer of the row above in that column).  `table`
+    is the macro-cell table: its key is the carried cell followed by `block` +
+    `reach` cells above, its value the `block` outputs, filled on first use
+    by composing `cell`.  The carried cell of the next block is the last
     character of an entry.  The tables are memos of pure functions, so every
     run can share them.
 
@@ -302,13 +304,12 @@ class RowKernel:
     interleave (digit, parity) per column, highest column first.
     """
 
-    def __init__(self, variant: CAVariant, cell: dict[str, str], block: int, reach: int,
-                 max_entries: int):
+    def __init__(self, variant: CAVariant, cell: dict[str, str], block: int, max_entries: int):
         self.base = variant.base
         self.falling = variant is CAVariant.CA1
         self.cell = cell
         self.block = block
-        self.reach = reach
+        self.reach = len(next(iter(cell))) - 2
         self.max_entries = max_entries
         self.table: dict[str, str] = {}
 
@@ -359,10 +360,12 @@ class RowKernel:
         """The row below `row`, and its lowest column minus `row`'s.
 
         Empty cells at either end are dropped; an empty cell inside the new
-        row is kept, for `value` or the caller to reject.  The base-3 kernel
-        also drops the zero digits above the top nonzero digit, so its rows
-        hold only significant digits; grids put those zeros back up to their
-        fixed high column (`step_frontier`).
+        row is kept, for `value` or the caller to reject.  An empty cell
+        inside `row` itself can be closed by the sweep (`KERNELS[CA3]` steps
+        "1.1" to `(4, "1")`), so only gaps that survive one sweep reach
+        `value`.  The base-3 kernel also drops the zero digits above the top
+        nonzero digit, so its rows hold only significant digits; grids put
+        those zeros back up to their fixed high column (`step_frontier`).
         """
         raw = self.sweep(row)
         if self.falling:
@@ -418,9 +421,11 @@ def _parse(msd: str, base: int) -> int:
 # produce; for base 4 and base 2 it is the saturated size measured over random
 # inputs of 8 to 200 bits (10.75k and 3.56k entries), with headroom.
 KERNELS = {
-    CAVariant.CA1: RowKernel(CAVariant.CA1, _compile_ca1(), block=6, reach=0, max_entries=3400),
-    CAVariant.CA2: RowKernel(CAVariant.CA2, _compile_ca2(), block=4, reach=1, max_entries=11500),
-    CAVariant.CA3: RowKernel(CAVariant.CA3, _compile_ca3(), block=8, reach=2, max_entries=3800),
+    CAVariant.CA1: RowKernel(CAVariant.CA1, _compile_ca1(), block=6, max_entries=3400),
+    CAVariant.CA2: RowKernel(CAVariant.CA2, _compile_rising(TableVariant.CA2), block=4,
+                             max_entries=11500),
+    CAVariant.CA3: RowKernel(CAVariant.CA3, _compile_rising(TableVariant.CA3), block=8,
+                             max_entries=3800),
 }
 
 
@@ -441,13 +446,6 @@ def string_cells(lo: int, row: str) -> dict[int, int]:
 
 
 # --- frontier engine ---------------------------------------------------------
-
-
-def frontier_top_cells(bottom: dict[int, int]) -> dict[int, int]:
-    """Parity layer over a finalized base-3 row."""
-    lo, row = row_string(bottom)
-    shift, tops = KERNELS[CAVariant.CA1].step_tops(row)[1]
-    return string_cells(lo + shift, tops)
 
 
 def _check_window(g: Grid, i: int, cells: dict[int, int]) -> None:
@@ -507,58 +505,54 @@ def step_frontier(g: Grid) -> StepStats:
 # --- synchronous engine ------------------------------------------------------
 
 
-def _dependents(variant: CAVariant, layer: int, i: int, j: int) -> tuple:
-    if variant is CAVariant.CA3:
-        return ((0, i + 1, j), (0, i + 1, j + 1), (0, i + 1, j + 2), (0, i, j + 1))
-    if variant is CAVariant.CA2:
-        return ((0, i + 1, j), (0, i + 1, j + 1), (0, i, j + 1))
-    if layer == 0:
-        return ((0, i + 1, j), (0, i + 1, j + 1), (1, i, j), (0, i, j + 1))
-    return ((0, i + 1, j), (0, i + 1, j + 1), (1, i, j - 1))
+def _layer_specs(variant: CAVariant) -> tuple:
+    """Per layer: its transition, the (layer, row, column) offsets of the
+    cells it reads, and the offsets of the cells that read it, which are the
+    neighborhoods of `rules.NEIGHBORHOODS` inverted."""
+    tables = LAYERS[variant]
+    return tuple(
+        (
+            TRANSITIONS[tv],
+            NEIGHBORHOODS[tv],
+            tuple(
+                (reader, -dr, -dc)
+                for reader, reader_tv in enumerate(tables)
+                for source, dr, dc in NEIGHBORHOODS[reader_tv]
+                if source == layer
+            ),
+        )
+        for layer, tv in enumerate(tables)
+    )
+
+
+# Looked up once per tick: an Enum hashes at Python level, too slowly to do per cell.
+_LAYER_SPECS = {v: _layer_specs(v) for v in CAVariant}
+
+
+def _wake_row(g: Grid, i: int) -> None:
+    """Queue every cell that reads a cell of row i."""
+    dirty = g._dirty
+    for rows, (_, _, readers) in zip((g.bottom, g.top), _LAYER_SPECS[g.variant]):
+        for j in rows[i]:
+            for layer, di, dj in readers:
+                dirty.add((layer, i + di, j + dj))
 
 
 def _seed_dirty(g: Grid) -> None:
-    dirty = set()
-    for i, row in enumerate(g.bottom):
-        for j in row:
-            dirty.update(_dependents(g.variant, 0, i, j))
-    if g.top is not None:
-        for i, row in enumerate(g.top):
-            for j in row:
-                dirty.update(_dependents(g.variant, 1, i, j))
-    g._dirty = dirty
-
-
-def _evaluate(g: Grid, layer: int, i: int, j: int) -> Cell:
-    bottom = g.bottom
-    if g.variant is CAVariant.CA3:
-        prev = bottom[i - 1]
-        return transition_ca3((prev.get(j), prev.get(j - 1), prev.get(j - 2), bottom[i].get(j - 1)))
-    if g.variant is CAVariant.CA2:
-        prev = bottom[i - 1]
-        return transition_ca2((prev.get(j), prev.get(j - 1), bottom[i].get(j - 1)))
-    if layer == 1:
-        return transition_ca1_top((bottom[i].get(j), g.top[i].get(j + 1)))
-    prev, ptop = bottom[i - 1], g.top[i - 1]
-    return transition_ca1_bottom(
-        (prev.get(j), ptop.get(j), prev.get(j - 1), ptop.get(j - 1), bottom[i].get(j - 1))
-    )
+    g._dirty = set()
+    for i in range(len(g.bottom)):
+        _wake_row(g, i)
 
 
 def ensure_rows(g: Grid, count: int) -> None:
     """Materialize empty rows so the grid holds at least `count` rows."""
     while len(g.bottom) < count:
-        i = len(g.bottom)
         g.bottom.append({})
         if g.top is not None:
             g.top.append({})
         if g._dirty is not None:
             # wake the cells of the new row that can see the row above
-            for j in g.bottom[i - 1]:
-                g._dirty.update(_dependents(g.variant, 0, i - 1, j))
-            if g.top is not None:
-                for j in g.top[i - 1]:
-                    g._dirty.update(_dependents(g.variant, 1, i - 1, j))
+            _wake_row(g, len(g.bottom) - 2)
 
 
 def step_synchronous(g: Grid) -> StepStats:
@@ -573,6 +567,9 @@ def step_synchronous(g: Grid) -> StepStats:
     """
     if g._dirty is None:
         _seed_dirty(g)
+    layers = (g.bottom, g.top)
+    specs = _LAYER_SPECS[g.variant]
+    windows: dict[int, tuple[int, int]] = {}
     updates: list[tuple[int, int, int, Cell]] = []
     deferred = set()
     nrows = len(g.bottom)
@@ -582,14 +579,20 @@ def step_synchronous(g: Grid) -> StepStats:
             continue
         if layer == 0 and i == 0:
             continue  # the input row is immutable
-        if g.top is None and layer == 1:
-            continue
-        w_lo, w_hi = g.active_window(i)
+        window = windows.get(i)
+        if window is None:
+            window = windows[i] = g.active_window(i)
+        w_lo, w_hi = window
         if j < w_lo - GROWTH_MARGIN or j > w_hi + GROWTH_MARGIN:
             continue
-        new = _evaluate(g, layer, i, j)
-        rows = g.bottom if layer == 0 else g.top
-        if new != rows[i].get(j):
+        # a plain loop: a comprehension would make i and j closure cells (before
+        # Python 3.12), which slows every use of them in this loop
+        rule, reads, _ = specs[layer]
+        nb = []
+        for source, dr, dc in reads:
+            nb.append(layers[source][i + dr].get(j + dc))
+        new = rule(tuple(nb))
+        if new != layers[layer][i].get(j):
             if g.check_windows and new is not None and (j < w_lo or j > w_hi):
                 raise WindowViolationError(
                     f"{g.variant.value} row {i}: cell at column {j} left window [{w_lo}, {w_hi}]"
@@ -598,12 +601,12 @@ def step_synchronous(g: Grid) -> StepStats:
     dirty = deferred
     min_row = nrows
     for layer, i, j, new in updates:
-        rows = g.bottom if layer == 0 else g.top
         if new is None:
-            rows[i].pop(j, None)
+            layers[layer][i].pop(j, None)
         else:
-            rows[i][j] = new
-        dirty.update(_dependents(g.variant, layer, i, j))
+            layers[layer][i][j] = new
+        for reader, di, dj in specs[layer][2]:
+            dirty.add((reader, i + di, j + dj))
         dirty.add((layer, i, j))  # its own neighborhood includes same-row cells
         if i < min_row:
             min_row = i
@@ -654,25 +657,16 @@ def snapshot(g: Grid) -> str:
     lowest; the header's last field is that lowest (rightmost) column.  The
     base-3 automaton emits two lines per row: digits, then the parity layer.
     """
-    occupied = [row for row in g.bottom if row]
-    if g.top is not None:
-        occupied += [row for row in g.top if row]
+    layers = list(zip((g.bottom, g.top), LAYERS[g.variant]))
+    occupied = [row for rows, _ in layers for row in rows if row]
     if occupied:
         lo = min(min(row) for row in occupied)
         hi = max(max(row) for row in occupied)
     else:
         lo, hi = g.origin, g.origin
     cols = hi - lo + 1
-    tv = {CAVariant.CA1: TableVariant.CA1_BOTTOM, CAVariant.CA2: TableVariant.CA2,
-          CAVariant.CA3: TableVariant.CA3}[g.variant]
     lines = [f"{g.variant.value} {len(g.bottom)} {cols} {lo}"]
     for i in range(len(g.bottom)):
-        lines.append(" ".join(format_cell(tv, g.bottom[i].get(j)) for j in range(hi, lo - 1, -1)))
-        if g.top is not None:
-            lines.append(
-                " ".join(
-                    format_cell(TableVariant.CA1_TOP, g.top[i].get(j))
-                    for j in range(hi, lo - 1, -1)
-                )
-            )
+        for rows, tv in layers:
+            lines.append(" ".join(format_cell(tv, rows[i].get(j)) for j in range(hi, lo - 1, -1)))
     return "\n".join(lines) + "\n"

@@ -69,6 +69,34 @@ class TableVariant(Enum):
     CA3 = "ca3"
 
 
+# The one statement of each table's neighborhood: every cell its transition
+# reads, as (layer, row offset, column offset) in the order of its `nb` tuple.
+# Layer 0 holds the digits and layer 1 the base-3 parity layer; row -1 is the
+# row above and column -1 the column to the right.  The synchronous engine, the
+# rule learner and the row-kernel compilers all derive their reads from here.
+NEIGHBORHOODS = {
+    TableVariant.CA3: ((0, -1, 0), (0, -1, -1), (0, -1, -2), (0, 0, -1)),
+    TableVariant.CA2: ((0, -1, 0), (0, -1, -1), (0, 0, -1)),
+    TableVariant.CA1_BOTTOM: ((0, -1, 0), (1, -1, 0), (0, -1, -1), (1, -1, -1), (0, 0, -1)),
+    TableVariant.CA1_TOP: ((0, 0, 0), (1, 0, 1)),
+}
+
+# The table that updates each layer of an automaton, layer 0 first.
+LAYERS = {
+    CAVariant.CA1: (TableVariant.CA1_BOTTOM, TableVariant.CA1_TOP),
+    CAVariant.CA2: (TableVariant.CA2,),
+    CAVariant.CA3: (TableVariant.CA3,),
+}
+
+# Every state a table's cells can hold, the empty or unknown state first.
+ALPHABETS = {
+    TableVariant.CA3: (None, 0, 1),
+    TableVariant.CA2: (None, *range(2 * ATTR_ODD)),
+    TableVariant.CA1_BOTTOM: (None, 0, 1, 2),
+    TableVariant.CA1_TOP: (None, EVEN, ODD_NORMAL, ODD_SPECIAL),
+}
+
+
 def attr_of(value_digit: int) -> int:
     """Base-4 state for a new row's units digit: parity tag follows the digit."""
     return value_digit | (ATTR_ODD if value_digit & 1 else 0)
@@ -197,7 +225,7 @@ def transition_ca1_bottom(nb: tuple[Cell, Cell, Cell, Cell, Cell]) -> Cell:
     return None
 
 
-_TRANSITIONS = {
+TRANSITIONS = {
     TableVariant.CA3: transition_ca3,
     TableVariant.CA2: transition_ca2,
     TableVariant.CA1_TOP: transition_ca1_top,
@@ -206,7 +234,7 @@ _TRANSITIONS = {
 
 
 def transition(variant: TableVariant, nb: tuple) -> Cell:
-    return _TRANSITIONS[variant](nb)
+    return TRANSITIONS[variant](nb)
 
 
 class RuleConflictError(ValueError):
@@ -307,7 +335,8 @@ def learn_rule_table(variant: TableVariant, n_max: int = 4096) -> RuleTable:
 
     Lays out consecutive oracle rows for every input in [2, n_max] (plus two
     rows beyond the first 1 to expose the terminal cycle) and records the
-    realized (neighborhood -> successor) pairs.  Conflicting observations
+    realized (neighborhood -> successor) pairs at every column that the
+    table's neighborhood (`NEIGHBORHOODS`) reaches.  Conflicting observations
     raise RuleConflictError, since they would mean the rows are not locally
     determined.
     """
@@ -315,52 +344,25 @@ def learn_rule_table(variant: TableVariant, n_max: int = 4096) -> RuleTable:
         raise ValueError("n_max must be at least 2")
     from . import grid  # deferred: grid imports this module for transitions
 
+    ca, layer = next((v, tvs.index(variant)) for v, tvs in LAYERS.items() if variant in tvs)
+    reads = NEIGHBORHOODS[variant]
+    first = -min(dr for _, dr, _ in reads)  # the first row whose neighborhood exists
+    parity = any(source for source, _, _ in reads)  # reads the base-3 parity layer
+    empty = (None,) * len(reads)
     table = RuleTable(variant=variant)
-    ca = {
-        TableVariant.CA3: CAVariant.CA3,
-        TableVariant.CA2: CAVariant.CA2,
-        TableVariant.CA1_BOTTOM: CAVariant.CA1,
-        TableVariant.CA1_TOP: CAVariant.CA1,
-    }[variant]
     for n in range(2, n_max + 1):
         rows = grid.oracle_rows(n, ca, extra_rows=2)
-        cells = [grid.row_cells(r, ca) for r in rows]
-        if ca is CAVariant.CA1:
-            tops = [grid.ca1_top_states(r) for r in rows]
-        for i in range(len(rows) - 1):
-            prev, new = cells[i], cells[i + 1]
-            lo = min(new) - 1
-            hi = max(max(prev), max(new)) + 2
-            if variant is TableVariant.CA3:
-                for j in range(lo, hi + 1):
-                    nb = (prev.get(j), prev.get(j - 1), prev.get(j - 2), new.get(j - 1))
-                    if nb != (None, None, None, None):
-                        table.record(nb, new.get(j))
-            elif variant is TableVariant.CA2:
-                for j in range(lo, hi + 1):
-                    nb = (prev.get(j), prev.get(j - 1), new.get(j - 1))
-                    if nb != (None, None, None):
-                        table.record(nb, new.get(j))
-            elif variant is TableVariant.CA1_BOTTOM:
-                ptop = tops[i]
-                for j in range(lo, hi + 1):
-                    nb = (
-                        prev.get(j),
-                        ptop.get(j),
-                        prev.get(j - 1),
-                        ptop.get(j - 1),
-                        new.get(j - 1),
-                    )
-                    if any(x is not None for x in nb):
-                        table.record(nb, new.get(j))
-        if variant is TableVariant.CA1_TOP:
-            for i, r in enumerate(rows):
-                bot = cells[i]
-                top = tops[i]
-                for j in range(min(bot) - 2, max(bot) + 2):
-                    nb = (bot.get(j), top.get(j + 1))
-                    if nb != (None, None):
-                        table.record(nb, top.get(j))
+        cells = [(grid.row_cells(r, ca), grid.ca1_top_states(r) if parity else None) for r in rows]
+        for t in range(first, len(rows)):
+            # every column whose neighborhood reaches a non-empty cell
+            spans = [(cells[t + dr][source], dc) for source, dr, dc in reads]
+            lo = min(min(row) - dc for row, dc in spans)
+            hi = max(max(row) - dc for row, dc in spans)
+            reads_at = [map(row.get, range(lo + dc, hi + dc + 1)) for row, dc in spans]
+            news = map(cells[t][layer].get, range(lo, hi + 1))
+            for nb, new in zip(zip(*reads_at), news):
+                if nb != empty:
+                    table.record(nb, new)
     return table
 
 
@@ -379,21 +381,12 @@ def format_cell(variant: TableVariant, cell: Cell) -> str:
     return str(cell)
 
 
-def _mixed_tokens(nb: tuple) -> list[str]:
-    # ca1-bottom neighborhoods interleave digit and top-layer cells
-    kinds = (
-        TableVariant.CA1_BOTTOM,
-        TableVariant.CA1_TOP,
-        TableVariant.CA1_BOTTOM,
-        TableVariant.CA1_TOP,
-        TableVariant.CA1_BOTTOM,
-    )
-    return [format_cell(k, c) for k, c in zip(kinds, nb)]
-
-
 def format_neighborhood(variant: TableVariant, nb: tuple) -> str:
     if variant is TableVariant.CA1_BOTTOM:
-        return ",".join(_mixed_tokens(nb))
+        # ca1-bottom neighborhoods interleave digit and top-layer cells; a ca1-top
+        # neighborhood prints both of its cells as top-layer states
+        kinds = [LAYERS[CAVariant.CA1][layer] for layer, _, _ in NEIGHBORHOODS[variant]]
+        return ",".join(format_cell(k, c) for k, c in zip(kinds, nb))
     return ",".join(format_cell(variant, c) for c in nb)
 
 

@@ -15,7 +15,6 @@ from collatz_ca.grid import (
     ca1_top_states,
     cells_value,
     extract_row,
-    frontier_top_cells,
     init_grid,
     initial_row,
     oracle_rows,
@@ -188,18 +187,13 @@ def test_ca1_frontier_sweeps_each_row_once(monkeypatch):
     g = run_grid(27, RunConfig(variant=CAVariant.CA1))[0]
     assert sweeps <= g.rows + 1, (sweeps, g.rows)
     # the parity layer is complete after every step, not one step late
-    rows = oracle_rows(27, CAVariant.CA1, extra_rows=3)
-    g = init_grid(27, CAVariant.CA1, check_windows=True)
-    for i in range(1, len(rows)):
-        step_frontier(g)
-        assert g.bottom[i] == row_cells(rows[i], CAVariant.CA1), i
-        assert g.top == [ca1_top_states(r) for r in rows[: i + 1]], i
-
-
-def test_frontier_top_cells_matches_sweep():
-    for n in (5, 7, 26, 80):
-        row = to_digits(n, 3)
-        assert frontier_top_cells(row_cells(row, CAVariant.CA1)) == ca1_top_states(row)
+    for n in (5, 7, 26, 27, 80):
+        rows = oracle_rows(n, CAVariant.CA1, extra_rows=3)
+        g = init_grid(n, CAVariant.CA1, check_windows=True)
+        for i in range(1, len(rows)):
+            step_frontier(g)
+            assert g.bottom[i] == row_cells(rows[i], CAVariant.CA1), (n, i)
+            assert g.top == [ca1_top_states(r) for r in rows[: i + 1]], (n, i)
 
 
 def test_extract_row_and_stats():
@@ -257,7 +251,7 @@ def naive_tick(g: Grid, bottom, top):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("n", [5, 7, 12])
+@pytest.mark.parametrize("n", [5, 7, 12, 27])
 def test_synchronous_equals_naive_sweep(variant, n):
     from collatz_ca.grid import ensure_rows
 
