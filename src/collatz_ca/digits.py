@@ -3,6 +3,11 @@
 Everything here is plain integer arithmetic.  The cellular automata elsewhere
 in the package are checked row by row against these functions, so this module
 must stay independent of the grid machinery.
+
+`apply_map` is the one-step definition of each map.  `oracle_trajectory`
+iterates the maps through one plain loop per variant, and
+`total_stopping_time` through one loop for T; the tests check those loops
+against repeated `apply_map` steps.
 """
 
 from __future__ import annotations
@@ -80,13 +85,39 @@ def oracle_trajectory(variant: MapVariant, n: int, cap: int = DEFAULT_STEP_CAP) 
         raise ValueError("trajectory start must be positive")
     if cap <= 0:
         raise ValueError("cap must be positive")
-    start = odd_part(n) if variant is MapVariant.T3 else n
-    iterates = [start]
-    x = start
-    while x != 1 and len(iterates) < cap:
-        x = apply_map(variant, x)
-        iterates.append(x)
-    reached = iterates[-1] == 1
+    x = odd_part(n) if variant is MapVariant.T3 else n
+    iterates = [x]
+    append = iterates.append
+    steps = cap - 1  # applications of the map that still fit under cap
+    # one loop per variant, each the map of apply_map written out
+    if variant is MapVariant.T:
+        while x != 1 and steps:
+            x = 3 * x + 1 if x & 1 else x >> 1
+            append(x)
+            steps -= 1
+    elif variant is MapVariant.T1:
+        while x != 1 and steps:
+            x = (3 * x + 1) >> 1 if x & 1 else x >> 1
+            append(x)
+            steps -= 1
+    elif variant is MapVariant.T2:
+        while x != 1 and steps:
+            if x & 1:
+                x = 3 * x + 1
+                p = x & -x  # the power of two dividing 3x+1
+                # a power of four is 1 mod 3; otherwise one factor of two stays
+                x //= p if p % 3 == 1 else p >> 1
+            else:
+                x >>= 1
+            append(x)
+            steps -= 1
+    else:  # T3: every iterate is odd
+        while x != 1 and steps:
+            x = 3 * x + 1
+            x //= x & -x
+            append(x)
+            steps -= 1
+    reached = x == 1
     return TrajectoryReport(
         input=n,
         variant=variant,
@@ -101,12 +132,18 @@ def total_stopping_time(n: int, cap: int = DEFAULT_STEP_CAP) -> int | None:
     """Least k with T^k(n) = 1, or None if not seen within cap steps."""
     if n <= 0:
         raise ValueError("n must be positive")
-    x = n
-    for k in range(cap + 1):
+    x, k = n, 0
+    while True:
+        # all the halvings at once: no iterate between x and its odd part is 1
+        p = x & -x
+        x //= p
+        k += p.bit_length() - 1
+        if k > cap:
+            return None
         if x == 1:
             return k
-        x = apply_map(MapVariant.T, x)
-    return None
+        x = 3 * x + 1
+        k += 1
 
 
 def stopping_time(n: int, cap: int = DEFAULT_STEP_CAP) -> int | None:

@@ -95,19 +95,9 @@ class BatchConfig:
             raise ValueError("guard gap must be positive")
 
 
-def _trajectory(
-    n: int, cfg: RunConfig, first: int | None, next_value: Callable[[int], int | None]
-) -> TrajectoryRecord:
-    """Row values until one row past the first 1 or max_rows; one tick per row."""
-    iterates = [first]
-    first_one = 0 if first == 1 else None
-    while len(iterates) < cfg.max_rows:
-        if first_one is not None and len(iterates) >= first_one + 2:
-            break
-        v = next_value(len(iterates))
-        iterates.append(v)
-        if first_one is None and v == 1:
-            first_one = len(iterates) - 1
+def _record(n: int, cfg: RunConfig, iterates: list[int | None]) -> TrajectoryRecord:
+    """The record of a run whose rows held `iterates`; one tick per row."""
+    first_one = iterates.index(1) if 1 in iterates else None
     return TrajectoryRecord(
         input=n,
         variant=cfg.variant,
@@ -116,6 +106,20 @@ def _trajectory(
         ca_steps_to_one=first_one,
         ticks_used=len(iterates) - 1,
     )
+
+
+def _trajectory(
+    n: int, cfg: RunConfig, first: int | None, next_value: Callable[[int], int | None]
+) -> TrajectoryRecord:
+    """Row values until one row past the first 1 or max_rows."""
+    iterates = [first]
+    stop = min(cfg.max_rows, 2) if first == 1 else cfg.max_rows
+    while len(iterates) < stop:
+        v = next_value(len(iterates))
+        iterates.append(v)
+        if v == 1:
+            stop = min(stop, len(iterates) + 1)
+    return _record(n, cfg, iterates)
 
 
 def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
@@ -138,19 +142,12 @@ def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
 
 
 def run_single(n: int, cfg: RunConfig) -> TrajectoryRecord:
-    """Run one input to the stop condition; the frontier engine keeps one row."""
+    """Run one input to the stop condition; the frontier engine keeps one row,
+    stepped by one `RowKernel.run` loop."""
     if cfg.mode != "frontier":
         return run_grid(n, cfg)[1]
-    kernel = KERNELS[cfg.variant]
-    step, value = kernel.step, kernel.value
     row = row_string(row_cells(initial_row(n, cfg.variant), cfg.variant))[1]
-
-    def next_value(i: int) -> int | None:
-        nonlocal row
-        row = step(row)[1]
-        return value(row)
-
-    return _trajectory(n, cfg, value(row), next_value)
+    return _record(n, cfg, KERNELS[cfg.variant].run(row, cfg.max_rows))
 
 
 @dataclass

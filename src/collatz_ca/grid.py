@@ -389,6 +389,36 @@ class RowKernel:
             msd = msd.translate(_CA2_DIGITS)
         return _parse(msd, self.base)
 
+    def run(self, row: str, max_rows: int) -> list[int | None]:
+        """Values of `row` and of the rows below it, until one row past the
+        first 1 or max_rows values.
+
+        The same rows as repeated `step` and `value`, from one loop: each row
+        costs one `sweep` call, and the trim and parse are done inline.
+        """
+        sweep, base, falling = self.sweep, self.base, self.falling
+        values = [self.value(row)]
+        stop = min(max_rows, 2) if values[0] == 1 else max_rows
+        while len(values) < stop:
+            raw = sweep(row)
+            if falling:
+                row = raw[-2::-2].strip(EMPTY).rstrip("0")  # see `_ca1_below`
+            else:
+                row = raw.strip(EMPTY)
+            if not row:
+                v = None
+            elif EMPTY in row:
+                raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
+            else:
+                msd = row[::-1]
+                if base == 4:
+                    msd = msd.translate(_CA2_DIGITS)
+                v = int(msd, base) if len(msd) <= 4000 else _parse(msd, base)
+            values.append(v)
+            if v == 1:
+                stop = min(stop, len(values) + 1)
+        return values
+
 
 def _trim(shift: int, raw: str) -> tuple[int, str]:
     high = raw.rstrip(EMPTY)
@@ -510,6 +540,10 @@ def _layer_specs(variant: CAVariant) -> tuple:
     cells it reads, and the offsets of the cells that read it, which are the
     neighborhoods of `rules.NEIGHBORHOODS` inverted."""
     tables = LAYERS[variant]
+    for layer, tv in enumerate(tables):
+        if (layer, 0, 0) in NEIGHBORHOODS[tv]:
+            # step_synchronous re-queues only a changed cell's readers
+            raise AssertionError(f"{tv.value} reads its own cell")
     return tuple(
         (
             TRANSITIONS[tv],
@@ -607,7 +641,6 @@ def step_synchronous(g: Grid) -> StepStats:
             layers[layer][i][j] = new
         for reader, di, dj in specs[layer][2]:
             dirty.add((reader, i + di, j + dj))
-        dirty.add((layer, i, j))  # its own neighborhood includes same-row cells
         if i < min_row:
             min_row = i
     g._dirty = dirty

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_ca.digits import (
@@ -132,3 +132,88 @@ def test_variants_agree_on_even_and_odd_relations(n, variant):
             assert out % 4 != 0 and q % 3 != 0  # full power of four removed
         else:
             assert out % 2 == 1
+
+
+# --- the trajectory loops against repeated apply_map steps ---------------------
+
+
+def stepped_trajectory(variant, n, cap):
+    """Reference: apply_map one step at a time, stopping at 1 or cap entries."""
+    x = odd_part(n) if variant is MapVariant.T3 else n
+    iterates = [x]
+    while x != 1 and len(iterates) < cap:
+        x = apply_map(variant, x)
+        iterates.append(x)
+    return iterates
+
+
+def stepped_tst(n, cap):
+    x = n
+    for k in range(cap + 1):
+        if x == 1:
+            return k
+        x = apply_map(MapVariant.T, x)
+    return None
+
+
+def assert_matches_steps(variant, n, cap):
+    r = oracle_trajectory(variant, n, cap)
+    expected = stepped_trajectory(variant, n, cap)
+    assert r.iterates == expected, (variant, n, cap)
+    reached = expected[-1] == 1
+    assert r.input == n and r.variant is variant
+    assert r.reached_one is reached
+    assert r.steps_to_one == (len(expected) - 1 if reached else None)
+    assert r.classification == ("convergent" if reached else "undetermined")
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=2**200),
+    st.sampled_from(list(MapVariant)),
+    st.integers(min_value=1, max_value=3000),
+)
+def test_trajectory_loops_match_apply_map(n, variant, cap):
+    assert_matches_steps(variant, n, cap)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=2**200), st.integers(min_value=-1, max_value=3000))
+def test_total_stopping_time_matches_apply_map(n, cap):
+    assert total_stopping_time(n, cap) == stepped_tst(n, cap)
+
+
+@pytest.mark.parametrize("variant", list(MapVariant))
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 27, 40, 2**64, 3**40 + 2])
+def test_trajectory_cap_edges(variant, n):
+    steps = len(stepped_trajectory(variant, n, 10**6)) - 1
+    for cap in {1, 2, steps, steps + 1, steps + 2} - {0}:
+        assert_matches_steps(variant, n, cap)
+    assert oracle_trajectory(variant, n, cap=steps + 1).reached_one
+    if steps:
+        # the 1 needs steps + 1 entries, so a cap of steps stops short of it
+        assert not oracle_trajectory(variant, n, cap=steps).reached_one
+
+
+def test_t3_even_start_runs_from_odd_part():
+    for n in (2, 40, 96, 2**70 * 27):
+        assert_matches_steps(MapVariant.T3, n, 10**6)
+        assert oracle_trajectory(MapVariant.T3, n).iterates[0] == odd_part(n)
+
+
+def test_t2_keeps_one_factor_of_two_on_odd_valuations():
+    # 3x+1 = 10 (2^1), 40 (2^3), 22 (2^1), 160 (2^5): one factor of two stays
+    for x, out in ((3, 10), (13, 10), (7, 22), (53, 10)):
+        assert apply_map(MapVariant.T2, x) == out
+        assert oracle_trajectory(MapVariant.T2, x, cap=2).iterates == [x, out]
+        assert_matches_steps(MapVariant.T2, x, 10**6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 27, 97, 2**64, 2**100 + 1, 3**40])
+def test_total_stopping_time_cap_edges(n):
+    tst = stepped_tst(n, 10**6)
+    assert total_stopping_time(n, cap=tst) == tst
+    if tst:
+        assert total_stopping_time(n, cap=tst - 1) is None
+    for cap in (0, 1, tst + 1):
+        assert total_stopping_time(n, cap) == stepped_tst(n, cap)

@@ -1,5 +1,7 @@
 """Grids and engines: row placement, oracle agreement, engine equivalence."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from collatz_ca.rules import (
     ODD_NORMAL,
     ODD_SPECIAL,
     CAVariant,
+    TableVariant,
     transition_ca1_bottom,
     transition_ca1_top,
     transition_ca2,
@@ -251,7 +254,7 @@ def naive_tick(g: Grid, bottom, top):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("n", [5, 7, 12, 27])
+@pytest.mark.parametrize("n", [5, 7, 12, 27, *random.Random(606).sample(range(2**5, 2**10), 3)])
 def test_synchronous_equals_naive_sweep(variant, n):
     from collatz_ca.grid import ensure_rows
 
@@ -266,6 +269,16 @@ def test_synchronous_equals_naive_sweep(variant, n):
         assert g.bottom == bottom, (variant, n, tick)
         if top is not None:
             assert g.top == top, (variant, n, tick)
+
+
+def test_layer_specs_refuse_a_table_reading_its_own_cell(monkeypatch):
+    # step_synchronous re-queues a changed cell's readers, never the cell itself
+    from collatz_ca import grid
+
+    reads = grid.NEIGHBORHOODS[TableVariant.CA3]
+    monkeypatch.setitem(grid.NEIGHBORHOODS, TableVariant.CA3, reads + ((0, 0, 0),))
+    with pytest.raises(AssertionError, match="ca3 reads its own cell"):
+        grid._layer_specs(CAVariant.CA3)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

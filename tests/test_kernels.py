@@ -1,11 +1,13 @@
 """Compiled row kernels: single-cell tables, lazily composed macro cells, sizes."""
 
+import copy
 import random
 
 import pytest
 
 from collatz_ca.engine import RunConfig, run_single
-from collatz_ca.grid import EMPTY, KERNELS, NonContiguousRowError
+from collatz_ca.digits import apply_map
+from collatz_ca.grid import EMPTY, KERNELS, NonContiguousRowError, initial_row, row_cells, row_string
 from collatz_ca.rules import (
     ATTR_ODD,
     EVEN,
@@ -189,3 +191,100 @@ def test_ca1_gap_under_leading_zeros_still_rejected():
         below = kernel.step(row)[1]
         with pytest.raises(NonContiguousRowError):
             kernel.value(below)
+
+
+# --- RowKernel.run against the step/value chain --------------------------------
+
+
+def stepped_values(kernel, row, max_rows):
+    """Reference: `step` then `value` per row, until one row past the first 1."""
+    values = [kernel.value(row)]
+    first_one = 0 if values[0] == 1 else None
+    while len(values) < max_rows:
+        if first_one is not None and len(values) == first_one + 2:
+            break
+        row = kernel.step(row)[1]
+        values.append(kernel.value(row))
+        if first_one is None and values[-1] == 1:
+            first_one = len(values) - 1
+    return values
+
+
+def start_row(n, variant):
+    return row_string(row_cells(initial_row(n, variant), variant))[1]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_matches_step_value_chain(variant):
+    kernel = KERNELS[variant]
+    rng = random.Random(66)
+    inputs = [1, 2, 3, 7, 27, 97, 255, 1024, 3**20, 2**64 - 1]
+    inputs += [rng.getrandbits(rng.choice([16, 64, 200])) | 1 for _ in range(20)]
+    for n in inputs:
+        row = start_row(n, variant)
+        full = stepped_values(kernel, row, 10**5)
+        assert full[-2] == 1 and 1 not in full[:-2], n
+        for max_rows in (1, 2, 3, len(full) - 1, len(full), len(full) + 1):
+            assert kernel.run(row, max_rows) == stepped_values(kernel, row, max_rows), (n, max_rows)
+        assert kernel.run(row, 10**5) == full, n
+
+
+@pytest.mark.parametrize(
+    "variant, starts",
+    [
+        (CAVariant.CA1, [1]),
+        (CAVariant.CA2, [1, 4, 4**3, 4**40]),
+        (CAVariant.CA3, [1, 2, 2**7, 2**100]),
+    ],
+)
+def test_run_from_a_row_of_1(variant, starts):
+    kernel = KERNELS[variant]
+    mv = variant.map_variant
+    for n in starts:
+        row = start_row(n, variant)
+        assert len(row) == 1 and kernel.value(row) == 1
+        assert kernel.run(row, 1) == [1]
+        # one confirmation row, then stop: ca1 gives 2, the others 1 again
+        for max_rows in (2, 3, 100):
+            assert kernel.run(row, max_rows) == [1, apply_map(mv, 1)] == stepped_values(kernel, row, max_rows)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_first_one_on_last_allowed_row(variant):
+    kernel = KERNELS[variant]
+    for n in (7, 27, 97):
+        row = start_row(n, variant)
+        full = kernel.run(row, 10**5)
+        last = len(full) - 1  # the values up to and including the first 1
+        values = kernel.run(row, last)
+        assert values == full[:last] and values[-1] == 1, n
+        assert values == stepped_values(kernel, row, last)
+
+
+def test_run_ca1_row_beyond_int_string_limit():
+    kernel = KERNELS[CAVariant.CA1]
+    n = 3**5000 + 12345
+    row = _ca1_row(n)
+    assert len(row) > 4000
+    t1 = apply_map(CAVariant.CA1.map_variant, n)
+    assert kernel.run(row, 3) == [n, t1, apply_map(CAVariant.CA1.map_variant, t1)]
+    assert kernel.run(row, 3) == stepped_values(kernel, row, 3)
+
+
+def test_run_rejects_inner_gaps():
+    # gaps that survive one sweep: the chain's `value` rejects the row below
+    for variant, row in (
+        (CAVariant.CA1, "1" + EMPTY + "0"),
+        (CAVariant.CA1, "21" + EMPTY + "00"),
+        (CAVariant.CA3, "1" + EMPTY * 4 + "1"),
+    ):
+        kernel = KERNELS[variant]
+        with pytest.raises(NonContiguousRowError):
+            kernel.value(kernel.step(row)[1])
+        with pytest.raises(NonContiguousRowError):
+            kernel.run(row, 3)
+    # a gap the sweep itself leaves below a contiguous row
+    kernel = copy.copy(KERNELS[CAVariant.CA3])
+    kernel.sweep = lambda row: EMPTY + "1" + EMPTY + "1" + EMPTY
+    with pytest.raises(NonContiguousRowError):
+        kernel.run("1101", 3)
