@@ -4,17 +4,19 @@
 confirmation row, keeping only the current row; `run_grid` does the same
 while building the whole grid.  Batches either stack independent grids
 (optionally across a process pool, sized by the COLLATZ_CA_THREADS
-environment variable) or
-place several inputs on one shared grid, where non-interference is enforced
-by a guard gap between adjacent active regions and violations abort with a
-collision error rather than ever computing entangled rows.
+environment variable) or place several inputs on one shared grid.  There
+non-interference is enforced by a guard gap between adjacent active regions,
+and a violation aborts with a collision error rather than ever computing
+entangled rows.  Runs that never touch are independent, so a shared grid is
+one kernel loop per input plus a check of the columns each run's rows span.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import sub
 from typing import Callable
 
 from .digits import apply_map, oracle_trajectory
@@ -146,8 +148,12 @@ def run_single(n: int, cfg: RunConfig) -> TrajectoryRecord:
     stepped by one `RowKernel.run` loop."""
     if cfg.mode != "frontier":
         return run_grid(n, cfg)[1]
-    row = row_string(row_cells(initial_row(n, cfg.variant), cfg.variant))[1]
-    return _record(n, cfg, KERNELS[cfg.variant].run(row, cfg.max_rows))
+    return _record(n, cfg, KERNELS[cfg.variant].run(_start_row(n, cfg.variant), cfg.max_rows))
+
+
+def _start_row(n: int, variant: CAVariant) -> str:
+    """The kernel row string of n's row 0."""
+    return row_string(row_cells(initial_row(n, variant), variant))[1]
 
 
 @dataclass
@@ -242,111 +248,111 @@ def run_batch_stacked(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryReco
 # --- shared grids ------------------------------------------------------------
 
 
-@dataclass
-class _SharedRun:
-    input: int
-    lo: int  # column of the row's first (least significant) cell
-    row: str
-    hi: int  # top column of row 0, where a base-3 run's zero-padded extent ends
-    values: list[int] = field(default_factory=list)
-    first_one: int | None = None
+def _drift(variant: CAVariant, lows: list[int], highs: list[int], rows: int) -> None:
+    """Extend a run's row extents, which end at its confirmation row, to `rows` rows.
 
-
-def _check_gaps(runs: list[_SharedRun], row: int, guard: int, fixed_hi: bool) -> None:
-    """Raise on a run that vanished or on two runs closer than `guard`.
-
-    With `fixed_hi` (base 3) a run extends to its row-0 top column: its rows
-    keep that width on the grid, as leading zeros the kernel does not hold.
+    Past its first 1 a base-4 or base-2 run is one cell that moves up one or
+    two columns per row.  A base-3 run alternates 2 and 1 below its fixed high
+    column, and its lowest column falls by one on each row below a 1.
     """
-    for run in runs:
-        if not run.row:
-            raise RuntimeError(f"run of input {run.input} vanished at row {row}")
-    for right, left in zip(runs, runs[1:]):  # columns grow leftward
-        hi_right = right.hi if fixed_hi else right.lo + len(right.row) - 1
-        if left.lo - hi_right - 1 < guard:
-            raise CollisionError(row, left.input, right.input, (hi_right, left.lo))
+    extra = rows - len(lows)
+    if extra <= 0:
+        return
+    lo = lows[-1]
+    if variant is CAVariant.CA1:
+        lows.extend([lo - (j >> 1) for j in range(1, extra + 1)])
+        highs.extend([highs[-1]] * extra)
+    else:
+        d = 1 if variant is CAVariant.CA2 else 2
+        cols = range(lo + d, lo + d * extra + 1, d)
+        lows.extend(cols)
+        highs.extend(cols)
 
 
-def _shared_attempt(
-    inputs: list[int], spacings: list[int], cfg: RunConfig, guard: int
-) -> list[TrajectoryRecord]:
-    variant = cfg.variant
-    kernel = KERNELS[variant]
-    runs: list[_SharedRun] = []
-    k = 0
-    for idx, n in enumerate(inputs):
-        if idx > 0:
-            k += spacings[idx - 1]
-        row0 = initial_row(n, variant, k)
-        lo, row = row_string(row_cells(row0, variant))
-        runs.append(_SharedRun(input=n, lo=lo, row=row, hi=lo + len(row) - 1))
-        runs[-1].values.append(row0.value())
-        if runs[-1].values[0] == 1:
-            runs[-1].first_one = 0
-        k += len(row0) - 1  # next input is placed relative to this one's top digit
-    fixed_hi = kernel.falling
-    _check_gaps(runs, 0, guard, fixed_hi)
-    row = 0
-    while row < cfg.max_rows:
-        done = all(r.first_one is not None for r in runs)
-        if done and row >= max(r.first_one for r in runs) + 1:
-            break
-        row += 1
-        for r in runs:
-            shift, r.row = kernel.step(r.row)
-            r.lo += shift
-            v = kernel.value(r.row)
-            r.values.append(v)
-            if r.first_one is None and v == 1:
-                r.first_one = row
-        _check_gaps(runs, row, guard, fixed_hi)
-    records = []
-    for r in runs:
-        stop = r.first_one + 2 if r.first_one is not None else len(r.values)
-        records.append(
-            TrajectoryRecord(
-                input=r.input,
-                variant=variant,
-                iterates=r.values[:stop],
-                reached_one=r.first_one is not None,
-                ca_steps_to_one=r.first_one,
-                ticks_used=row,
-            )
-        )
-    return records
+def _check_placement(
+    records: list[TrajectoryRecord],
+    extents: list[tuple[list[int], list[int]]],
+    spacings: list[int],
+    guard: int,
+) -> None:
+    """Raise at the first row where a run vanished or two neighbours came
+    closer than `guard`; within a row, vanished runs first, each kind in
+    placement order.  Each input's row 0 starts `spacing` columns left of the
+    top column of its right-hand neighbour's row 0.
+    """
+    events = [
+        (r.iterates.index(None), 0, i) for i, r in enumerate(records) if None in r.iterates
+    ]
+    bases = [0]
+    for i, spacing in enumerate(spacings):  # columns grow leftward
+        lows, highs = extents[i + 1][0], extents[i][1]
+        bases.append(bases[i] + highs[0] + spacing)
+        # the gap at row r is bases[i + 1] + lows[r] - bases[i] - highs[r] - 1 columns
+        limit = guard + 1 - (bases[i + 1] - bases[i])
+        if min(map(sub, lows, highs)) < limit:
+            row = next(r for r, d in enumerate(map(sub, lows, highs)) if d < limit)
+            events.append((row, 1, i))
+    if not events:
+        return
+    row, kind, i = min(events)
+    if kind == 0:
+        raise RuntimeError(f"run of input {records[i].input} vanished at row {row}")
+    columns = (bases[i] + extents[i][1][row], bases[i + 1] + extents[i + 1][0][row])
+    raise CollisionError(row, records[i + 1].input, records[i].input, columns)
 
 
-def _auto_spacing(inputs: list[int], cfg: RunConfig, guard: int) -> int:
-    """Upper bound on leftward drift: at most one net column per computed row."""
+def _auto_spacing(records: list[TrajectoryRecord], cfg: RunConfig, guard: int) -> int:
+    """Upper bound on leftward drift: at most one net column per map step.
+
+    The steps are counted from the input itself, as the map takes them: the
+    base-4 automaton's row 0 has the factors of four divided out, which are
+    two halvings each.
+    """
     worst = 0
-    for n in inputs:
-        rep = oracle_trajectory(cfg.variant.map_variant, n, cap=cfg.max_rows)
-        if rep.steps_to_one is None:
-            raise RuntimeError(f"cannot estimate spacing: {n} did not reach 1")
-        worst = max(worst, rep.steps_to_one)
+    for r in records:
+        steps = r.ca_steps_to_one
+        if steps is not None and cfg.variant is CAVariant.CA2:
+            steps += (r.input // r.iterates[0]).bit_length() - 1
+        if steps is None or steps >= cfg.max_rows:
+            raise RuntimeError(f"cannot estimate spacing: {r.input} did not reach 1")
+        worst = max(worst, steps)
     return worst + 2 * guard + 2
 
 
 def run_shared_grid(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryRecord]:
     """All inputs on one grid, spaced so their active regions stay apart.
 
-    Explicit spacings are tried once and a collision propagates; automatic
+    Each input runs through its own kernel loop, which records the columns
+    its rows span; past its stop a run follows its closed-form drift.  The
+    records equal `run_single`'s except `ticks_used`, the shared row count.
+    Explicit spacings are checked once and a collision propagates; automatic
     spacing starts from a drift bound and doubles it on collision, up to
-    three retries.
+    three retries, none of which runs an input again.
     """
     if not batch.inputs:
         return []
     if any(n < 1 for n in batch.inputs):
         raise ValueError("inputs must be positive")
+    kernel = KERNELS[cfg.variant]
+    records, extents = [], []
+    for n in batch.inputs:
+        lows, highs = [], []
+        values = kernel.run(_start_row(n, cfg.variant), cfg.max_rows, (lows, highs))
+        records.append(_record(n, cfg, values))
+        extents.append((lows, highs))
+    rows = max(r.rows_computed for r in records)
+    for r, (lows, highs) in zip(records, extents):
+        r.ticks_used = rows - 1
+        _drift(cfg.variant, lows, highs, rows)
     if batch.spacings is not None:
-        return _shared_attempt(batch.inputs, batch.spacings, cfg, batch.guard_gap)
-    eps = _auto_spacing(batch.inputs, cfg, batch.guard_gap)
+        _check_placement(records, extents, batch.spacings, batch.guard_gap)
+        return records
+    eps = _auto_spacing(records, cfg, batch.guard_gap)
     attempts = 4
     for attempt in range(attempts):
         try:
-            return _shared_attempt(
-                batch.inputs, [eps] * (len(batch.inputs) - 1), cfg, batch.guard_gap
-            )
+            _check_placement(records, extents, [eps] * (len(records) - 1), batch.guard_gap)
+            return records
         except CollisionError:
             if attempt == attempts - 1:
                 raise

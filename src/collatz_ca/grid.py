@@ -389,22 +389,39 @@ class RowKernel:
             msd = msd.translate(_CA2_DIGITS)
         return _parse(msd, self.base)
 
-    def run(self, row: str, max_rows: int) -> list[int | None]:
+    def run(
+        self, row: str, max_rows: int, extents: tuple[list[int], list[int]] | None = None
+    ) -> list[int | None]:
         """Values of `row` and of the rows below it, until one row past the
         first 1 or max_rows values.
 
         The same rows as repeated `step` and `value`, from one loop: each row
-        costs one `sweep` call, and the trim and parse are done inline.
+        costs one `sweep` call, and the trim and parse are done inline.  With
+        `extents`, a pair of lists (lows, highs), each row's lowest and
+        highest column relative to `row`'s lowest column are appended to
+        them.  A base-3 row's highest column is `row`'s: its leading zeros,
+        which the kernel drops, keep that width on a grid.
         """
         sweep, base, falling = self.sweep, self.base, self.falling
         values = [self.value(row)]
+        if extents is not None:
+            add_low, add_high = extents[0].append, extents[1].append
+            lo, hi = 0, len(row) - 1
+            add_low(lo)
+            add_high(hi)
         stop = min(max_rows, 2) if values[0] == 1 else max_rows
         while len(values) < stop:
             raw = sweep(row)
             if falling:
-                row = raw[-2::-2].strip(EMPTY).rstrip("0")  # see `_ca1_below`
+                low = raw[-2::-2]  # the digits, from one column below `row`
+                row = low.strip(EMPTY).rstrip("0")  # see `_ca1_below`
             else:
+                low = raw
                 row = raw.strip(EMPTY)
+            if extents is not None:
+                lo += len(low) - len(low.lstrip(EMPTY)) - falling
+                add_low(lo)
+                add_high(hi if falling else lo + len(row) - 1)
             if not row:
                 v = None
             elif EMPTY in row:

@@ -1,20 +1,35 @@
 """Every frontier path against the oracle and against the synchronous engine.
 
 Inputs are random values plus edge cases whose rows stress carries and
-leading digits: 1, 2^k, 4^k, 3^k, 2^k - 1 and (4^k - 1) / 3.
+leading digits: 1, 2^k, 4^k, 3^k, 2^k - 1 and (4^k - 1) / 3.  The shared grid
+is also checked against a lockstep reference that steps every run row by row
+and checks the guard gap on every row.
 """
+
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collatz_ca import engine
 from collatz_ca.digits import apply_map, oracle_trajectory
-from collatz_ca.engine import BatchConfig, RunConfig, run_shared_grid, run_single
+from collatz_ca.engine import (
+    BatchConfig,
+    CollisionError,
+    RunConfig,
+    TrajectoryRecord,
+    run_shared_grid,
+    run_single,
+)
 from collatz_ca.grid import (
+    KERNELS,
     ca1_top_states,
     init_grid,
+    initial_row,
     oracle_rows,
     row_cells,
+    row_string,
     run_until_rows_stable,
     snapshot,
     step_frontier,
@@ -119,3 +134,116 @@ def test_shared_grid_edge_inputs(variant):
 )
 def test_shared_grid_matches_stacked(inputs, variant):
     assert_shared_matches_stacked(inputs, variant)
+
+
+# --- the shared grid against a lockstep reference --------------------------------
+
+
+def reference_gaps(runs, row, guard, fixed_hi):
+    """Raise on a run that vanished or on two runs closer than `guard`.
+
+    With `fixed_hi` (base 3) a run extends to its row-0 top column: its rows
+    keep that width on the grid, as leading zeros the kernel does not hold.
+    """
+    for run in runs:
+        if not run["row"]:
+            raise RuntimeError(f"run of input {run['input']} vanished at row {row}")
+    for right, left in zip(runs, runs[1:]):  # columns grow leftward
+        hi_right = right["hi"] if fixed_hi else right["lo"] + len(right["row"]) - 1
+        if left["lo"] - hi_right - 1 < guard:
+            raise CollisionError(row, left["input"], right["input"], (hi_right, left["lo"]))
+
+
+def reference_shared(inputs, spacings, cfg, guard=engine.GUARD_GAP):
+    """Every run on one grid, stepped in lockstep with `step` and `value`, the
+    gaps checked on every row, until each run is one row past its first 1 or
+    the grid holds max_rows rows."""
+    variant = cfg.variant
+    kernel = KERNELS[variant]
+    runs = []
+    k = 0
+    for idx, n in enumerate(inputs):
+        if idx > 0:
+            k += spacings[idx - 1]
+        row0 = initial_row(n, variant, k)
+        lo, row = row_string(row_cells(row0, variant))
+        value = row0.value()
+        runs.append({"input": n, "lo": lo, "row": row, "hi": lo + len(row) - 1,
+                     "values": [value], "first_one": 0 if value == 1 else None})
+        k += len(row0) - 1  # next input is placed relative to this one's top digit
+    reference_gaps(runs, 0, guard, kernel.falling)
+    row = 0
+    while row < cfg.max_rows - 1:
+        if all(r["first_one"] is not None for r in runs) and row > max(
+            r["first_one"] for r in runs
+        ):
+            break
+        row += 1
+        for r in runs:
+            shift, r["row"] = kernel.step(r["row"])
+            r["lo"] += shift
+            v = kernel.value(r["row"])
+            r["values"].append(v)
+            if r["first_one"] is None and v == 1:
+                r["first_one"] = row
+        reference_gaps(runs, row, guard, kernel.falling)
+    records = []
+    for r in runs:
+        first = r["first_one"]
+        iterates = r["values"][: first + 2] if first is not None else r["values"]
+        records.append(
+            TrajectoryRecord(r["input"], variant, iterates, first is not None, first, row)
+        )
+    return records
+
+
+def shared_outcome(run, inputs, spacings, cfg):
+    try:
+        return run(inputs, spacings, cfg)
+    except CollisionError as e:
+        return ("collision", e.row, e.left_input, e.right_input, e.columns, str(e))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_shared_grid_matches_lockstep_reference(variant):
+    def shared(inputs, spacings, cfg):
+        return run_shared_grid(BatchConfig(inputs=inputs, mode="shared", spacings=spacings), cfg)
+
+    rng = random.Random(f"shared-{variant.value}")
+    outcomes = set()
+    for _ in range(150):
+        top = rng.choice([64, 1000, 10**5, 2**40])
+        inputs = [rng.randint(1, top) for _ in range(rng.randint(2, 6))]
+        spacings = [rng.randint(0, rng.choice([10, 50, 200])) for _ in inputs[1:]]
+        cfg = RunConfig(variant=variant, max_rows=rng.choice([3, 20, 10**5, 10**5]))
+        expected = shared_outcome(reference_shared, inputs, spacings, cfg)
+        assert shared_outcome(shared, inputs, spacings, cfg) == expected, (inputs, spacings)
+        outcomes.add(type(expected))
+    assert outcomes == {list, tuple}  # both records and collisions were compared
+
+
+def drifted_extents(kernel, row, rows):
+    """(lows, highs) of `rows` rows from `row`, stepped by `kernel.step`; a
+    base-3 row extends to `row`'s top column."""
+    lo, lows, highs = 0, [0], [len(row) - 1]
+    for _ in range(rows - 1):
+        shift, row = kernel.step(row)
+        lo += shift
+        lows.append(lo)
+        highs.append(highs[0] if kernel.falling else lo + len(row) - 1)
+    return lows, highs
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_drift_past_the_stop_is_the_closed_form(variant):
+    kernel = KERNELS[variant]
+    rng = random.Random(f"drift-{variant.value}")
+    inputs = [1, 27, *(2**k for k in range(1, 20)), *(4**k for k in range(1, 12))]
+    inputs += [rng.getrandbits(rng.choice([8, 40, 128])) | 1 for _ in range(20)]
+    for n in inputs:
+        row = row_string(row_cells(initial_row(n, variant), variant))[1]
+        lows, highs = [], []
+        stop = len(kernel.run(row, 10**5, (lows, highs)))
+        assert (lows, highs) == drifted_extents(kernel, row, stop), n
+        engine._drift(variant, lows, highs, stop + 40)
+        assert (lows, highs) == drifted_extents(kernel, row, stop + 40), n

@@ -1,10 +1,13 @@
 """Trajectory runs, oracle verification, batches, and the shared grid."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_ca import engine
+from collatz_ca.digits import oracle_trajectory
 from collatz_ca.engine import (
     BatchConfig,
     CollisionError,
@@ -241,6 +244,39 @@ def test_shared_ca1_collides_on_leading_zero_columns():
     assert (err.value.left_input, err.value.right_input) == (27, 27)
     batch = BatchConfig(inputs=[27, 27], mode="shared", spacings=[45])
     assert_same_trajectories(run_shared_grid(batch, cfg), [run_single(27, cfg)] * 2)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_shared_capped_records_equal_run_single(variant):
+    # a capped shared run holds as many rows as a capped single run
+    for max_rows in (1, 2, 5, 12):
+        cfg = RunConfig(variant=variant, max_rows=max_rows)
+        shared = run_shared_grid(BatchConfig(inputs=[27, 31], mode="shared", spacings=[200]), cfg)
+        singles = [run_single(n, cfg) for n in (27, 31)]
+        rows = max(r.rows_computed for r in singles)
+        assert rows <= max_rows
+        assert shared == [replace(r, ticks_used=rows - 1) for r in singles], max_rows
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_auto_spacing_equals_oracle_bound(variant):
+    # the map's own steps to 1 from n, as the oracle counts them
+    guard = 2
+    cfg = RunConfig(variant=variant)
+    for n in range(1, 4097):
+        steps = oracle_trajectory(variant.map_variant, n).steps_to_one
+        got = engine._auto_spacing([run_single(n, cfg)], cfg, guard)
+        assert got == steps + 2 * guard + 2, n
+    for max_rows in (1, 2, 3, 4, 7, 20):
+        cfg = RunConfig(variant=variant, max_rows=max_rows)
+        for n in range(1, 300):
+            rep = oracle_trajectory(variant.map_variant, n, cap=max_rows)
+            record = run_single(n, cfg)
+            if rep.reached_one:
+                assert engine._auto_spacing([record], cfg, guard) == rep.steps_to_one + 6, n
+            else:
+                with pytest.raises(RuntimeError, match=f"cannot estimate spacing: {n} did"):
+                    engine._auto_spacing([record], cfg, guard)
 
 
 def test_shared_empty_and_validation():
