@@ -2,13 +2,14 @@
 
 `run_single` steps one input until the first row equal to 1 plus one
 confirmation row, keeping only the current row; `run_grid` does the same
-while building the whole grid.  Batches either stack independent grids
-(optionally across a process pool, sized by the COLLATZ_CA_THREADS
-environment variable) or place several inputs on one shared grid.  There
+while building the whole grid.  Batches either stack independent grids or
+place several inputs on one shared grid; both fan out across a process pool
+sized by the COLLATZ_CA_THREADS environment variable.  On a shared grid
 non-interference is enforced by a guard gap between adjacent active regions,
 and a violation aborts with a collision error rather than ever computing
 entangled rows.  Runs that never touch are independent, so a shared grid is
-one kernel loop per input plus a check of the columns each run's rows span.
+a stacked batch plus, for explicit spacings, a check of the columns each
+run's rows span; automatic spacing provably keeps the runs apart.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .grid import (
 from .rules import CAVariant
 
 DEFAULT_MAX_ROWS = 100_000
+# Empty columns kept between neighbouring runs on a shared grid: the base-2
+# rule reads two columns to the right.
 GUARD_GAP = 2
 MODES = ("frontier", "synchronous")
 
@@ -86,15 +89,12 @@ class BatchConfig:
     inputs: list[int]
     mode: str = "stacked"
     spacings: list[int] | None = None  # None = auto; else one gap per adjacent pair
-    guard_gap: int = GUARD_GAP
 
     def __post_init__(self):
         if self.mode not in ("stacked", "shared"):
             raise ValueError("batch mode must be 'stacked' or 'shared'")
         if self.spacings is not None and len(self.spacings) != max(len(self.inputs) - 1, 0):
             raise ValueError("need exactly one spacing per adjacent input pair")
-        if self.guard_gap < 1:
-            raise ValueError("guard gap must be positive")
 
 
 def _record(n: int, cfg: RunConfig, iterates: list[int | None]) -> TrajectoryRecord:
@@ -148,12 +148,8 @@ def run_single(n: int, cfg: RunConfig) -> TrajectoryRecord:
     stepped by one `RowKernel.run` loop."""
     if cfg.mode != "frontier":
         return run_grid(n, cfg)[1]
-    return _record(n, cfg, KERNELS[cfg.variant].run(_start_row(n, cfg.variant), cfg.max_rows))
-
-
-def _start_row(n: int, variant: CAVariant) -> str:
-    """The kernel row string of n's row 0."""
-    return row_string(row_cells(initial_row(n, variant), variant))[1]
+    row = row_string(row_cells(initial_row(n, cfg.variant), cfg.variant))[1]
+    return _record(n, cfg, KERNELS[cfg.variant].run(row, cfg.max_rows))
 
 
 @dataclass
@@ -248,25 +244,37 @@ def run_batch_stacked(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryReco
 # --- shared grids ------------------------------------------------------------
 
 
-def _drift(variant: CAVariant, lows: list[int], highs: list[int], rows: int) -> None:
-    """Extend a run's row extents, which end at its confirmation row, to `rows` rows.
+def _columns(
+    variant: CAVariant, iterates: list[int | None], rows: int
+) -> tuple[list[int], list[int]]:
+    """Lowest and highest column of a run's first `rows` rows, relative to row
+    0's lowest column, by the placement `row_oracle` uses.
 
-    Past its first 1 a base-4 or base-2 run is one cell that moves up one or
-    two columns per row.  A base-3 run alternates 2 and 1 below its fixed high
-    column, and its lowest column falls by one on each row below a 1.
+    A base-2 row moves up by the halvings it strips.  A base-4 row moves up by
+    its stripped factors of four, and by one column per halving.  A base-3
+    row keeps row 0's high column (its leading zeros keep that width on a
+    grid), and its low column falls by one below each odd row.  Past the last
+    iterate the map continues; a vanished run's columns end above its empty row.
     """
-    extra = rows - len(lows)
-    if extra <= 0:
-        return
-    lo = lows[-1]
-    if variant is CAVariant.CA1:
-        lows.extend([lo - (j >> 1) for j in range(1, extra + 1)])
-        highs.extend([highs[-1]] * extra)
-    else:
-        d = 1 if variant is CAVariant.CA2 else 2
-        cols = range(lo + d, lo + d * extra + 1, d)
-        lows.extend(cols)
-        highs.extend(cols)
+    x = iterates[0]
+    top = len(initial_row(x, variant)) - 1
+    bits = 2 if variant is CAVariant.CA2 else 1  # per digit, base 4 or base 2
+    lo, lows, highs = 0, [], []
+    for i in range(rows):
+        if i:
+            y = iterates[i] if i < len(iterates) else apply_map(variant.map_variant, x)
+            if y is None:
+                break
+            if variant is CAVariant.CA1:
+                lo -= x & 1
+            elif variant is CAVariant.CA2 and not x & 1:
+                lo += 1
+            else:  # 3x + 1 is y times the stripped power of two or of four
+                lo += ((3 * x + 1).bit_length() - y.bit_length()) // bits
+            x = y
+        lows.append(lo)
+        highs.append(top if variant is CAVariant.CA1 else lo + (x.bit_length() - 1) // bits)
+    return lows, highs
 
 
 def _check_placement(
@@ -301,63 +309,46 @@ def _check_placement(
     raise CollisionError(row, records[i + 1].input, records[i].input, columns)
 
 
-def _auto_spacing(records: list[TrajectoryRecord], cfg: RunConfig, guard: int) -> int:
-    """Upper bound on leftward drift: at most one net column per map step.
-
-    The steps are counted from the input itself, as the map takes them: the
-    base-4 automaton's row 0 has the factors of four divided out, which are
-    two halvings each.
-    """
-    worst = 0
-    for r in records:
-        steps = r.ca_steps_to_one
-        if steps is not None and cfg.variant is CAVariant.CA2:
-            steps += (r.input // r.iterates[0]).bit_length() - 1
-        if steps is None or steps >= cfg.max_rows:
-            raise RuntimeError(f"cannot estimate spacing: {r.input} did not reach 1")
-        worst = max(worst, steps)
-    return worst + 2 * guard + 2
-
-
 def run_shared_grid(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryRecord]:
     """All inputs on one grid, spaced so their active regions stay apart.
 
-    Each input runs through its own kernel loop, which records the columns
-    its rows span; past its stop a run follows its closed-form drift.  The
-    records equal `run_single`'s except `ticks_used`, the shared row count.
-    Explicit spacings are checked once and a collision propagates; automatic
-    spacing starts from a drift bound and doubles it on collision, up to
-    three retries, none of which runs an input again.
+    Runs that never touch are independent, so the records are
+    `run_batch_stacked`'s, with `ticks_used` set to the shared row count.
+    Explicit spacings come from outside the program: the columns of each
+    run's rows (`_columns`) are checked against them, and a collision
+    propagates.
+
+    Automatic spacing puts W + 2*GUARD_GAP + 2 columns between neighbouring
+    row 0s, where W is the most steps to 1 among the runs, and needs no
+    check, because every gap stays at or above 2*GUARD_GAP:
+
+    * On every automaton the gap between two neighbouring runs shrinks by at
+      most one column per row.  Base 2: a top column rises by at most 2, and
+      the left neighbour's lowest column rises by at least 1.  Base 4: a top
+      column rises by at most 1, and a lowest column never falls.  Base 3:
+      the top column is fixed, and the lowest column falls by at most 1.
+    * The gap on row 0 is the spacing less one.  If every run reaches 1, the
+      batch has at most W + 2 rows, so no row lies more than W + 1 rows below
+      row 0.
+
+    So automatic spacing raises only when a run vanished or did not reach 1.
     """
-    if not batch.inputs:
-        return []
     if any(n < 1 for n in batch.inputs):
         raise ValueError("inputs must be positive")
-    kernel = KERNELS[cfg.variant]
-    records, extents = [], []
-    for n in batch.inputs:
-        lows, highs = [], []
-        values = kernel.run(_start_row(n, cfg.variant), cfg.max_rows, (lows, highs))
-        records.append(_record(n, cfg, values))
-        extents.append((lows, highs))
-    rows = max(r.rows_computed for r in records)
-    for r, (lows, highs) in zip(records, extents):
+    records = run_batch_stacked(batch, cfg)
+    rows = max((r.rows_computed for r in records), default=0)
+    for r in records:
         r.ticks_used = rows - 1
-        _drift(cfg.variant, lows, highs, rows)
     if batch.spacings is not None:
-        _check_placement(records, extents, batch.spacings, batch.guard_gap)
+        extents = [_columns(cfg.variant, r.iterates, rows) for r in records]
+        _check_placement(records, extents, batch.spacings, GUARD_GAP)
         return records
-    eps = _auto_spacing(records, cfg, batch.guard_gap)
-    attempts = 4
-    for attempt in range(attempts):
-        try:
-            _check_placement(records, extents, [eps] * (len(records) - 1), batch.guard_gap)
-            return records
-        except CollisionError:
-            if attempt == attempts - 1:
-                raise
-            eps *= 2
-    raise AssertionError("unreachable")
+    for r in records:
+        if None in r.iterates:
+            raise RuntimeError(f"run of input {r.input} vanished at row {r.iterates.index(None)}")
+        if not r.reached_one:
+            raise RuntimeError(f"cannot estimate spacing: {r.input} did not reach 1")
+    return records
 
 
 def run_batch(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryRecord]:

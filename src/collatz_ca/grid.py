@@ -72,7 +72,6 @@ class StepStats:
 @dataclass
 class Grid:
     variant: CAVariant
-    origin: int
     bottom: list[dict[int, int]]
     top: list[dict[int, int]] | None  # parity layer, base-3 automaton only
     row0_lo: int
@@ -107,9 +106,7 @@ class Grid:
         return rows[i].get(j)
 
 
-def init_grid(
-    n: int, variant: CAVariant, origin_column: int = 0, check_windows: bool = False
-) -> Grid:
+def init_grid(n: int, variant: CAVariant, check_windows: bool = False) -> Grid:
     """Place the digits of n as row 0.
 
     The base-2 automaton stores the odd part of n (trailing zero bits are one
@@ -117,22 +114,21 @@ def init_grid(
     zero digits, so its row 0 holds n with every factor of four divided out.
     Parity attributes tag the value actually stored in the row.
     """
-    if n < 1:
-        raise ValueError("grid input must be a positive integer")
-    row0 = initial_row(n, variant, origin_column)
+    row0 = initial_row(n, variant)
     g = Grid(
         variant=variant,
-        origin=origin_column,
         bottom=[row_cells(row0, variant)],
         top=[{}] if variant is CAVariant.CA1 else None,
-        row0_lo=origin_column,
-        row0_hi=origin_column + len(row0) - 1,
+        row0_lo=0,
+        row0_hi=len(row0) - 1,
         check_windows=check_windows,
     )
     return g
 
 
 def initial_row(n: int, variant: CAVariant, origin_column: int = 0) -> DigitString:
+    if n < 1:
+        raise ValueError("grid input must be a positive integer")
     if variant is CAVariant.CA1:
         return to_digits(n, 3, origin_column)
     if variant is CAVariant.CA2:
@@ -389,39 +385,22 @@ class RowKernel:
             msd = msd.translate(_CA2_DIGITS)
         return _parse(msd, self.base)
 
-    def run(
-        self, row: str, max_rows: int, extents: tuple[list[int], list[int]] | None = None
-    ) -> list[int | None]:
+    def run(self, row: str, max_rows: int) -> list[int | None]:
         """Values of `row` and of the rows below it, until one row past the
         first 1 or max_rows values.
 
         The same rows as repeated `step` and `value`, from one loop: each row
-        costs one `sweep` call, and the trim and parse are done inline.  With
-        `extents`, a pair of lists (lows, highs), each row's lowest and
-        highest column relative to `row`'s lowest column are appended to
-        them.  A base-3 row's highest column is `row`'s: its leading zeros,
-        which the kernel drops, keep that width on a grid.
+        costs one `sweep` call, and the trim and parse are done inline.
         """
         sweep, base, falling = self.sweep, self.base, self.falling
         values = [self.value(row)]
-        if extents is not None:
-            add_low, add_high = extents[0].append, extents[1].append
-            lo, hi = 0, len(row) - 1
-            add_low(lo)
-            add_high(hi)
         stop = min(max_rows, 2) if values[0] == 1 else max_rows
         while len(values) < stop:
             raw = sweep(row)
             if falling:
-                low = raw[-2::-2]  # the digits, from one column below `row`
-                row = low.strip(EMPTY).rstrip("0")  # see `_ca1_below`
+                row = raw[-2::-2].strip(EMPTY).rstrip("0")  # see `_ca1_below`
             else:
-                low = raw
                 row = raw.strip(EMPTY)
-            if extents is not None:
-                lo += len(low) - len(low.lstrip(EMPTY)) - falling
-                add_low(lo)
-                add_high(hi if falling else lo + len(row) - 1)
             if not row:
                 v = None
             elif EMPTY in row:
@@ -713,7 +692,7 @@ def snapshot(g: Grid) -> str:
         lo = min(min(row) for row in occupied)
         hi = max(max(row) for row in occupied)
     else:
-        lo, hi = g.origin, g.origin
+        lo, hi = 0, 0
     cols = hi - lo + 1
     lines = [f"{g.variant.value} {len(g.bottom)} {cols} {lo}"]
     for i in range(len(g.bottom)):

@@ -254,9 +254,6 @@ class RuleConflictError(ValueError):
 class RuleTable:
     variant: TableVariant
     entries: dict[tuple, Cell] = field(default_factory=dict)
-    # successor when no entry matches: empty for digit layers, unknown parity
-    # (also encoded None) for the top layer
-    default: Cell = None
 
     def record(self, nb: tuple, successor: Cell) -> None:
         if nb in self.entries:

@@ -46,6 +46,17 @@ def test_run_undetermined_exit_code(capsys):
     assert rec["reached_one"] is False and rec["ca_steps_to_one"] is None
 
 
+@pytest.mark.parametrize("variant", ["ca1", "ca2", "ca3"])
+def test_nonpositive_input_exit_one(tmp_path, capsys, variant):
+    path = tmp_path / "inputs.txt"
+    path.write_text("7\n0\n")
+    for n in ("0", "-3"):
+        assert main(["run", n, "--variant", variant]) == 1
+        assert capsys.readouterr().err == "grid input must be a positive integer\n"
+    assert main(["batch", "--inputs", str(path), "--variant", variant]) == 1
+    assert capsys.readouterr().err == "grid input must be a positive integer\n"
+
+
 def test_bad_flags_exit_one(capsys):
     assert main(["run", "7"]) == 1  # --variant is required
     assert main(["run", "7", "--variant", "ca9"]) == 1

@@ -1,5 +1,6 @@
 """Trajectory runs, oracle verification, batches, and the shared grid."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_ca import engine
-from collatz_ca.digits import oracle_trajectory
 from collatz_ca.engine import (
+    MODES,
     BatchConfig,
     CollisionError,
     RunConfig,
@@ -76,6 +77,16 @@ def test_tick_cap_synchronous():
     cfg = RunConfig(variant=CAVariant.CA3, tick_cap=2, mode="synchronous")
     with pytest.raises(RuntimeError):
         run_single(27, cfg)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_nonpositive_inputs_rejected(variant):
+    for n in (0, -3):
+        for mode in MODES:
+            with pytest.raises(ValueError, match="grid input must be a positive integer"):
+                run_single(n, RunConfig(variant=variant, mode=mode))
+        with pytest.raises(ValueError, match="grid input must be a positive integer"):
+            verify_against_oracle(n, variant)
 
 
 def test_run_config_validation():
@@ -259,24 +270,35 @@ def test_shared_capped_records_equal_run_single(variant):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_auto_spacing_equals_oracle_bound(variant):
-    # the map's own steps to 1 from n, as the oracle counts them
-    guard = 2
+def test_spacing_bound_never_collides(variant):
+    # automatic spacing checks no columns: W + 2 * GUARD_GAP + 2 keeps every
+    # gap at or above 2 * GUARD_GAP, W being the most steps to 1 in the batch
+    rng = random.Random(f"bound-{variant.value}")
+    batches = [[2**k - 1, 3**k, 4**k] for k in range(1, 40, 3)]
+    batches += [[1, 27], [27, 1], [1, 2**64 - 1, 1], [77671, 1, 77671], [4**10, 7]]
+    for _ in range(60):
+        top = rng.choice([64, 10**5, 2**40])
+        batches.append([rng.randint(1, top) for _ in range(rng.randint(2, 6))])
     cfg = RunConfig(variant=variant)
-    for n in range(1, 4097):
-        steps = oracle_trajectory(variant.map_variant, n).steps_to_one
-        got = engine._auto_spacing([run_single(n, cfg)], cfg, guard)
-        assert got == steps + 2 * guard + 2, n
-    for max_rows in (1, 2, 3, 4, 7, 20):
-        cfg = RunConfig(variant=variant, max_rows=max_rows)
-        for n in range(1, 300):
-            rep = oracle_trajectory(variant.map_variant, n, cap=max_rows)
-            record = run_single(n, cfg)
-            if rep.reached_one:
-                assert engine._auto_spacing([record], cfg, guard) == rep.steps_to_one + 6, n
-            else:
-                with pytest.raises(RuntimeError, match=f"cannot estimate spacing: {n} did"):
-                    engine._auto_spacing([record], cfg, guard)
+    for inputs in batches:
+        auto = run_shared_grid(BatchConfig(inputs=inputs, mode="shared"), cfg)
+        spacing = max(r.ca_steps_to_one for r in auto) + 2 * engine.GUARD_GAP + 2
+        spacings = [spacing] * (len(inputs) - 1)
+        explicit = run_shared_grid(BatchConfig(inputs=inputs, mode="shared", spacings=spacings), cfg)
+        assert explicit == auto, inputs
+        rows = explicit[0].ticks_used + 1
+        extents = [engine._columns(variant, r.iterates, rows) for r in explicit]
+        engine._check_placement(explicit, extents, spacings, 2 * engine.GUARD_GAP)
+    cfg = RunConfig(variant=variant, max_rows=20)
+    with pytest.raises(RuntimeError, match="cannot estimate spacing: 27 did not reach 1"):
+        run_shared_grid(BatchConfig(inputs=[7, 27], mode="shared"), cfg)
+
+
+def test_shared_auto_spacing_counts_rows_not_stripped_factors():
+    # row 0 of 4**10 is already 1 on the base-4 automaton
+    cfg = RunConfig(variant=CAVariant.CA2, max_rows=10)
+    shared = run_shared_grid(BatchConfig(inputs=[4**10, 7], mode="shared"), cfg)
+    assert shared == [replace(run_single(n, cfg), ticks_used=9) for n in (4**10, 7)]
 
 
 def test_shared_empty_and_validation():
@@ -288,8 +310,6 @@ def test_shared_empty_and_validation():
         BatchConfig(inputs=[7, 9], mode="shared", spacings=[1, 2])
     with pytest.raises(ValueError):
         BatchConfig(inputs=[7], mode="carpool")
-    with pytest.raises(ValueError):
-        BatchConfig(inputs=[7, 9], guard_gap=0)
 
 
 def test_run_batch_dispatch_modes():
