@@ -21,10 +21,11 @@ from .engine import (
     RunConfig,
     TrajectoryRecord,
     run_batch,
+    run_grid,
     run_single,
     verify_against_oracle,
 )
-from .grid import Grid, init_grid, step_frontier
+from .grid import CA2_DIGITS, EMPTY, Grid, init_grid, step_frontier
 from .metrics import n_efficiency
 from .rules import LAYERS, CAVariant, check_rule_consistency, dump_rule_table, learn_rule_table
 
@@ -226,72 +227,53 @@ def cmd_rules(args) -> int:
 
 def _render_grid(args) -> tuple[Grid, int] | int:
     variant = _VARIANTS[args.variant]
-    g = init_grid(args.n, variant)
     if args.rows is not None:
         if args.rows < 1:
             print("--rows must be positive", file=sys.stderr)
             return 1
-        total = args.rows
-        for _ in range(total - 1):
+        g = init_grid(args.n, variant)
+        for _ in range(args.rows - 1):
             step_frontier(g)
-        return g, total
-    # default: everything up to the first 1, plus the terminal-cycle preview
-    first_one = None
-    from .grid import extract_row
-
-    if extract_row(g, 0) == 1:
-        first_one = 0
-    i = 0
-    while first_one is None and i < args.max_rows:
-        i += 1
-        step_frontier(g)
-        if extract_row(g, i) == 1:
-            first_one = i
-    if first_one is None:
+        return g, args.rows
+    # default: everything up to the first 1 (rows 0..max_rows are searched),
+    # plus the terminal-cycle preview
+    g, record = run_grid(args.n, RunConfig(variant, max_rows=args.max_rows + 1))
+    if not record.reached_one:
         print(f"no 1 within {args.max_rows} rows", file=sys.stderr)
         return 2
-    for _ in range(_RENDER_TAIL[variant]):
+    rows = record.ca_steps_to_one + 1 + _RENDER_TAIL[variant]
+    while g.rows < rows:
         step_frontier(g)
-    return g, first_one + 1 + _RENDER_TAIL[variant]
+    return g, rows
+
+
+def _digit_rows(g: Grid, rows: int) -> list[str]:
+    """The first `rows` rows over their common columns, highest column first,
+    one digit per cell (`ca2` parity tags dropped) and EMPTY for an empty cell."""
+    occupied = [r for r in g.bottom[:rows] if r]
+    lo = min(r.lo for r in occupied)
+    hi = max(r.hi for r in occupied)
+    return [g.bottom[i].span(lo, hi)[::-1].translate(CA2_DIGITS) for i in range(rows)]
 
 
 def _char_art(g: Grid, rows: int) -> str:
-    occupied = [r for r in g.bottom[:rows] if r]
-    lo = min(min(r) for r in occupied)
-    hi = max(max(r) for r in occupied)
-    out = []
-    for i in range(rows):
-        row = g.bottom[i]
-        out.append(
-            "".join(
-                "." if row.get(j) is None else str(row[j] & 3) for j in range(hi, lo - 1, -1)
-            )
-        )
-    return "\n".join(out) + "\n"
+    return "".join(line + "\n" for line in _digit_rows(g, rows))
 
 
 def _pgm(g: Grid, rows: int) -> str:
     levels = _PGM_LEVELS[g.variant]
-    occupied = [r for r in g.bottom[:rows] if r]
-    lo = min(min(r) for r in occupied)
-    hi = max(max(r) for r in occupied)
+    digits = _digit_rows(g, rows)
     legend = " ".join(
         f"{'empty' if k is None else k}={v}" for k, v in levels.items()
     )
     lines = [
         "P2",
         f"# collatz-ca {g.variant.value} digit grid; gray levels: {legend}",
-        f"{hi - lo + 1} {rows}",
+        f"{len(digits[0])} {rows}",
         "255",
     ]
-    for i in range(rows):
-        row = g.bottom[i]
-        lines.append(
-            " ".join(
-                str(levels[None if row.get(j) is None else row[j] & 3])
-                for j in range(hi, lo - 1, -1)
-            )
-        )
+    for line in digits:
+        lines.append(" ".join(str(levels[None if c == EMPTY else int(c)]) for c in line))
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from operator import sub
-from typing import Callable
 
 from .digits import apply_map, oracle_trajectory
 from .grid import (
@@ -110,25 +109,14 @@ def _record(n: int, cfg: RunConfig, iterates: list[int | None]) -> TrajectoryRec
     )
 
 
-def _trajectory(
-    n: int, cfg: RunConfig, first: int | None, next_value: Callable[[int], int | None]
-) -> TrajectoryRecord:
-    """Row values until one row past the first 1 or max_rows."""
-    iterates = [first]
-    stop = min(cfg.max_rows, 2) if first == 1 else cfg.max_rows
-    while len(iterates) < stop:
-        v = next_value(len(iterates))
-        iterates.append(v)
-        if v == 1:
-            stop = min(stop, len(iterates) + 1)
-    return _record(n, cfg, iterates)
-
-
 def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
-    """Run one input to the stop condition and return the grid with its record."""
+    """Run one input to the stop condition and return the grid with its record:
+    row values until one row past the first 1, or max_rows values."""
     g = init_grid(n, cfg.variant)
-
-    def next_value(i: int) -> int | None:
+    iterates = [extract_row(g, 0)]
+    stop = min(cfg.max_rows, 2) if iterates[0] == 1 else cfg.max_rows
+    while len(iterates) < stop:
+        i = len(iterates)
         if cfg.mode == "frontier":
             step_frontier(g)
         else:
@@ -136,9 +124,10 @@ def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
             if remaining <= 0:
                 raise RuntimeError(f"tick cap {cfg.tick_cap} exhausted at row {i}")
             run_until_rows_stable(g, i, remaining)
-        return extract_row(g, i)
-
-    record = _trajectory(n, cfg, extract_row(g, 0), next_value)
+        iterates.append(extract_row(g, i))
+        if iterates[-1] == 1:
+            stop = min(stop, i + 2)
+    record = _record(n, cfg, iterates)
     record.ticks_used = g.ticks
     return g, record
 

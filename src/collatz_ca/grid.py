@@ -1,23 +1,24 @@
-"""Sparse grids and the two execution engines for the digit automata.
+"""Grids of row strings and the two execution engines for the digit automata.
 
-A grid is a list of rows, one per trajectory iterate, each row a sparse
-mapping from column index to cell state.  Columns grow to the left: column
-j+1 is immediately left of column j.  Row 0 is placed from the input and its
-digit cells never change; every later row is derived from the row above it by
-the local transition rules.
+A grid is a list of rows, one per trajectory iterate.  Each row is a `Row`:
+the row kernels' string of cell characters, lowest column first, and the
+column of its first character; it reads like the dict of its non-empty cells.
+Columns grow to the left: column j+1 is immediately left of column j.  Row 0
+is placed from the input and its digit cells never change; every later row is
+derived from the row above it by the local transition rules.
 
-Two engines advance a grid:
+Two engines advance a grid, both through single-cell tables compiled from the
+closed-form rules:
 
-* synchronous stepping is the reference model: conceptually every cell is
-  re-evaluated against the pre-tick states each tick.  The implementation is
-  event-driven (only cells whose neighborhood changed are re-evaluated), which
-  is tick-for-tick identical to the naive sweep because transitions are
-  deterministic functions of the neighborhood.
+* synchronous stepping is the reference model: every cell is re-evaluated
+  against the pre-tick states each tick.  A tick recomputes the whole rows
+  that read a row changed on the tick before, one table lookup per cell,
+  which is tick-for-tick identical to the naive sweep because transitions
+  are deterministic functions of the neighborhood.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
-  per automaton (`KERNELS`) does the work on row strings; `step_frontier`
-  converts from and to the grid's dict rows around it, and puts back the
-  leading zeros that the base-3 kernel drops.
+  per automaton (`KERNELS`) steps the grid's row strings, and `step_frontier`
+  puts back the leading zeros that the base-3 kernel drops.
 
 `row_oracle` mirrors one row-placement step with plain integer arithmetic and
 is the ground truth the engines are tested against.
@@ -26,8 +27,11 @@ is the ground truth the engines are tested against.
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from operator import ne
 
 from .digits import DigitString, odd_part, to_digits
 from .rules import (
@@ -43,8 +47,6 @@ from .rules import (
     Cell,
     TableVariant,
     format_cell,
-    transition_ca1_bottom,
-    transition_ca1_top,
 )
 
 # Cells just outside a row's active window may be evaluated (they must come
@@ -72,13 +74,13 @@ class StepStats:
 @dataclass
 class Grid:
     variant: CAVariant
-    bottom: list[dict[int, int]]
-    top: list[dict[int, int]] | None  # parity layer, base-3 automaton only
+    bottom: list[Row]
+    top: list[Row] | None  # parity layer, base-3 automaton only
     row0_lo: int
     row0_hi: int
     check_windows: bool = False
     ticks: int = 0
-    _dirty: set | None = None
+    _stale: set | None = None  # (layer, row) the next tick recomputes; None: all
     _tops_swept: int = -1  # last base-3 row whose parity layer is swept
     _below: tuple[int, str] | None = None  # (lowest column, string) of the row it gave
 
@@ -115,15 +117,14 @@ def init_grid(n: int, variant: CAVariant, check_windows: bool = False) -> Grid:
     Parity attributes tag the value actually stored in the row.
     """
     row0 = initial_row(n, variant)
-    g = Grid(
+    return Grid(
         variant=variant,
-        bottom=[row_cells(row0, variant)],
-        top=[{}] if variant is CAVariant.CA1 else None,
+        bottom=[Row(*row_string(row_cells(row0, variant)))],
+        top=[Row()] if variant is CAVariant.CA1 else None,
         row0_lo=0,
         row0_hi=len(row0) - 1,
         check_windows=check_windows,
     )
-    return g
 
 
 def initial_row(n: int, variant: CAVariant, origin_column: int = 0) -> DigitString:
@@ -229,56 +230,120 @@ def oracle_rows(
     return rows
 
 
-# --- row kernels -------------------------------------------------------------
+# --- rows and row kernels ---------------------------------------------------
 #
-# The frontier engine works on row strings: one character per cell, least
+# Both engines work on row strings: one character per cell, least
 # significant (lowest) column first, EMPTY for the empty or unknown state and
 # the decimal digit of any other state.  A string row is paired with the
-# column of its first character wherever columns matter.
+# column of its first character wherever columns matter; on a grid, that
+# pair is a `Row`.
 
 EMPTY = "."
 _CHAR = {None: EMPTY, **{s: str(s) for s in range(2 * ATTR_ODD)}}  # every state is below 8
 _STATE = {c: s for s, c in _CHAR.items()}
-_CA2_DIGITS = str.maketrans("4567", "0123")  # drop the parity attribute
+CA2_DIGITS = str.maketrans("4567", "0123")  # drop the parity attribute
 
 
-def _compile_rising(tv: TableVariant) -> dict[str, str]:
-    """Single-cell table of a base-4 or base-2 kernel, from the closed form.
+class Row(Mapping):
+    """One grid row: the row string `s` (no EMPTY at either end) and the
+    columns `lo` and `hi` of its first and last characters (0 and -1 for an
+    empty row).
+
+    It reads like the dict of its non-empty cells, column -> state (it
+    compares equal to that dict, and iterates its columns in ascending
+    order); assigning a state to a column plants a cell.
+    """
+
+    __slots__ = ("lo", "hi", "s")
+
+    def __init__(self, lo: int = 0, s: str = ""):
+        high = s.rstrip(EMPTY)
+        self.s = high.lstrip(EMPTY)
+        self.lo = lo + len(high) - len(self.s) if self.s else 0
+        self.hi = self.lo + len(self.s) - 1
+
+    def span(self, lo: int, hi: int) -> str:
+        """The characters of columns lo..hi, which hold the whole row."""
+        if not self.s:
+            return EMPTY * (hi - lo + 1)
+        return EMPTY * (self.lo - lo) + self.s + EMPTY * (hi - self.hi)
+
+    def put(self, lo: int, s: str) -> Row:
+        """This row with the columns from lo on overwritten by the string s."""
+        if not self.s or (lo <= self.lo and self.hi < lo + len(s)):
+            return Row(lo, s)
+        start = min(self.lo, lo)
+        full = self.span(start, max(self.hi, lo + len(s) - 1))
+        k = lo - start
+        return Row(start, full[:k] + s + full[k + len(s):])
+
+    def __getitem__(self, j: int) -> int:
+        k = j - self.lo
+        if 0 <= k < len(self.s) and self.s[k] != EMPTY:
+            return _STATE[self.s[k]]
+        raise KeyError(j)
+
+    def __setitem__(self, j: int, state: int) -> None:
+        planted = self.put(j, _CHAR[state])
+        self.lo, self.hi, self.s = planted.lo, planted.hi, planted.s
+
+    def __iter__(self):
+        return (j for j, c in enumerate(self.s, self.lo) if c != EMPTY)
+
+    def __len__(self) -> int:
+        return len(self.s) - self.s.count(EMPTY)
+
+    def __eq__(self, other):
+        if isinstance(other, Row):
+            return self.lo == other.lo and self.s == other.s
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"Row({self.lo}, {self.s!r})"
+
+
+def _compile_cell(tv: TableVariant) -> dict[str, str]:
+    """Single-cell table of one rule table, from the closed form.
 
     A key holds the table's neighborhood ordered by (-row offset, column
-    offset): the cell to the right, which the sweep carries, then the cells
-    above, lowest column first.
+    offset), each cell over its layer's alphabet: the cells of the cell's own
+    row first (for a rising kernel, the carried cell to the right), then the
+    cells above, lowest column first.  The synchronous engine relies on an
+    all-empty neighborhood mapping to empty.
     """
     reads = NEIGHBORHOODS[tv]
-    order = sorted(range(len(reads)), key=lambda k: (-reads[k][1], reads[k][2]))
+    layers = next(tvs for tvs in LAYERS.values() if tv in tvs)
+    order = _key_order(tv)
     rule = TRANSITIONS[tv]
-    return {
+    table = {
         "".join(_CHAR[nb[k]] for k in order): _CHAR[rule(nb)]
-        for nb in product(ALPHABETS[tv], repeat=len(reads))
+        for nb in product(*(ALPHABETS[layers[source]] for source, _, _ in reads))
     }
+    if table[EMPTY * len(reads)] != EMPTY:
+        raise AssertionError(f"{tv.value} maps an empty neighborhood to a cell")
+    return table
+
+
+def _key_order(tv: TableVariant) -> list[int]:
+    """Indexes into `NEIGHBORHOODS[tv]` in the order of a `_compile_cell` key."""
+    reads = NEIGHBORHOODS[tv]
+    return sorted(range(len(reads)), key=lambda k: (-reads[k][1], reads[k][2]))
 
 
 def _compile_ca1() -> dict[str, str]:
     """(parity one column left, digit) -> new digit + this column's parity.
 
     The base-3 halving reads only the digit above and its parity, so one
-    most-significant-first sweep gives both layers.  That is checked here
-    against transition_ca1_bottom rather than assumed.
+    most-significant-first sweep gives both layers.  That is checked here on
+    the layer tables rather than assumed: a ca1-bottom key is the digit to
+    the right, then the digit and parity above-right, then above; a ca1-top
+    key is the digit below, then the parity one column left.
     """
-    digits, tops = ALPHABETS[TableVariant.CA1_BOTTOM], ALPHABETS[TableVariant.CA1_TOP]
-    right = list(product(digits, tops, digits))
-    for b, f in product(digits, tops):
-        q = transition_ca1_bottom((b, f, None, None, None))
-        for c, etop, d in right:
-            nb = (b, f, c, etop, d)
-            if transition_ca1_bottom(nb) != q:
-                raise AssertionError(f"ca1 halving reads its right-hand cells: {nb}")
-    cell = {}
-    for left, b in product(tops, digits):
-        f = transition_ca1_top((b, left))
-        q = transition_ca1_bottom((b, f, None, None, None))
-        cell[_CHAR[left] + _CHAR[b]] = _CHAR[q] + _CHAR[f]
-    return cell
+    bottom, top = CELL_TABLES[TableVariant.CA1_BOTTOM], CELL_TABLES[TableVariant.CA1_TOP]
+    for key, q in bottom.items():
+        if bottom[EMPTY * 3 + key[3:]] != q:
+            raise AssertionError(f"ca1 halving reads its right-hand cells: {key}")
+    return {left + b: bottom[EMPTY * 3 + b + f] + f for (b, left), f in top.items()}
 
 
 class RowKernel:
@@ -382,7 +447,7 @@ class RowKernel:
             raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
         msd = row[::-1]
         if self.base == 4:
-            msd = msd.translate(_CA2_DIGITS)
+            msd = msd.translate(CA2_DIGITS)
         return _parse(msd, self.base)
 
     def run(self, row: str, max_rows: int) -> list[int | None]:
@@ -408,7 +473,7 @@ class RowKernel:
             else:
                 msd = row[::-1]
                 if base == 4:
-                    msd = msd.translate(_CA2_DIGITS)
+                    msd = msd.translate(CA2_DIGITS)
                 v = int(msd, base) if len(msd) <= 4000 else _parse(msd, base)
             values.append(v)
             if v == 1:
@@ -433,8 +498,8 @@ def _ca1_below(raw: str) -> tuple[int, str]:
 
 def _parse(msd: str, base: int) -> int:
     # int() refuses long strings in bases that are not powers of two
-    # (sys.get_int_max_str_digits); base-3 rows read back from a grid's dict
-    # rows (`cells_value`) still carry the leading zeros the kernel drops
+    # (sys.get_int_max_str_digits); base-3 grid rows (`extract_row`) still
+    # carry the leading zeros the kernel drops
     msd = msd.lstrip("0") or "0"
     if len(msd) <= 4000:
         return int(msd, base)
@@ -442,15 +507,18 @@ def _parse(msd: str, base: int) -> int:
     return _parse(msd[:-half], base) * base**half + _parse(msd[-half:], base)
 
 
+# Single-cell tables of every rule table, keyed as `_compile_cell` says.
+CELL_TABLES = {tv: _compile_cell(tv) for tv in TableVariant}
+
 # Each block size lets its table saturate within a few MiB.  max_entries
 # bounds the table: for base 3 it counts every key a gap-free row can
 # produce; for base 4 and base 2 it is the saturated size measured over random
 # inputs of 8 to 200 bits (10.75k and 3.56k entries), with headroom.
 KERNELS = {
     CAVariant.CA1: RowKernel(CAVariant.CA1, _compile_ca1(), block=6, max_entries=3400),
-    CAVariant.CA2: RowKernel(CAVariant.CA2, _compile_rising(TableVariant.CA2), block=4,
+    CAVariant.CA2: RowKernel(CAVariant.CA2, CELL_TABLES[TableVariant.CA2], block=4,
                              max_entries=11500),
-    CAVariant.CA3: RowKernel(CAVariant.CA3, _compile_rising(TableVariant.CA3), block=8,
+    CAVariant.CA3: RowKernel(CAVariant.CA3, CELL_TABLES[TableVariant.CA3], block=8,
                              max_entries=3800),
 }
 
@@ -463,38 +531,25 @@ def row_string(cells: dict[int, int]) -> tuple[int, str]:
     return lo, "".join(map(_CHAR.__getitem__, map(cells.get, range(lo, hi + 1))))
 
 
-def string_cells(lo: int, row: str) -> dict[int, int]:
-    """The dict row of a row string whose first character sits at column lo."""
-    cells = dict(zip(range(lo, lo + len(row)), map(_STATE.__getitem__, row)))
-    if EMPTY in row:
-        cells = {j: s for j, s in cells.items() if s is not None}
-    return cells
-
-
 # --- frontier engine ---------------------------------------------------------
 
 
-def _check_window(g: Grid, i: int, cells: dict[int, int]) -> None:
+def _check_window(g: Grid, i: int, row: Row) -> None:
     w_lo, w_hi = g.active_window(i)
-    for j in cells:
-        if j < w_lo or j > w_hi:
-            raise WindowViolationError(
-                f"{g.variant.value} row {i}: non-default cell at column {j} "
-                f"outside window [{w_lo}, {w_hi}]"
-            )
+    if row and (row.lo < w_lo or row.hi > w_hi):
+        j = min(j for j in row if j < w_lo or j > w_hi)
+        raise WindowViolationError(
+            f"{g.variant.value} row {i}: non-default cell at column {j} "
+            f"outside window [{w_lo}, {w_hi}]"
+        )
 
 
-def _ca1_cells(g: Grid, lo: int, row: str) -> dict[int, int]:
-    """Dict row of a base-3 digit or parity string, with the zeros the kernel
-    dropped put back up to the grid's fixed high column (EVEN is 0 too)."""
-    return string_cells(lo, row + "0" * (g.row0_hi + 1 - lo - len(row)))
-
-
-def _sweep_ca1(g: Grid, k: int, lo: int, row: str) -> dict[int, int]:
+def _sweep_ca1(g: Grid, k: int, lo: int, row: str) -> Row:
     """Parity layer of row k from one sweep of its string `row` at column lo;
     the same sweep gives row k + 1, kept for the next `step_frontier`."""
     (shift, below), (top_shift, tops) = KERNELS[CAVariant.CA1].step_tops(row)
-    top = _ca1_cells(g, lo + top_shift, tops)
+    # the zeros the kernel dropped go back up to the fixed high column (EVEN is 0)
+    top = Row(lo + top_shift, tops.ljust(g.row0_hi + 1 - lo - top_shift, "0"))
     if g.check_windows:
         _check_window(g, k, top)
     g._below = (lo + shift, below)
@@ -512,13 +567,13 @@ def step_frontier(g: Grid) -> StepStats:
     if g.variant is CAVariant.CA1:
         # rows not swept yet: row 0, or rows another engine built
         for k in range(g._tops_swept + 1, i):
-            g.top[k] = _sweep_ca1(g, k, *row_string(g.bottom[k]))
+            g.top[k] = _sweep_ca1(g, k, g.bottom[k].lo, g.bottom[k].s)
         lo, row = g._below
-        new = _ca1_cells(g, lo, row)
+        new = Row(lo, row.ljust(g.row0_hi + 1 - lo, "0"))
     else:
-        lo, row = row_string(g.bottom[i - 1])
-        shift, row = KERNELS[g.variant].step(row)
-        new = string_cells(lo + shift, row)
+        last = g.bottom[i - 1]
+        shift, row = KERNELS[g.variant].step(last.s)
+        new = Row(last.lo + shift, row)
     if g.check_windows:
         _check_window(g, i, new)
     g.bottom.append(new)
@@ -531,121 +586,95 @@ def step_frontier(g: Grid) -> StepStats:
 # --- synchronous engine ------------------------------------------------------
 
 
+@cache  # built on a variant's first tick, then looked up once per tick
 def _layer_specs(variant: CAVariant) -> tuple:
-    """Per layer: its transition, the (layer, row, column) offsets of the
-    cells it reads, and the offsets of the cells that read it, which are the
-    neighborhoods of `rules.NEIGHBORHOODS` inverted."""
+    """Per layer: its single-cell table keyed by tuples of characters (as `zip`
+    gives them), the (layer, row, column) offsets of a key's cells in key
+    order, and the (layer, row offset) of every row that reads the layer."""
     tables = LAYERS[variant]
-    for layer, tv in enumerate(tables):
-        if (layer, 0, 0) in NEIGHBORHOODS[tv]:
-            # step_synchronous re-queues only a changed cell's readers
-            raise AssertionError(f"{tv.value} reads its own cell")
     return tuple(
         (
-            TRANSITIONS[tv],
-            NEIGHBORHOODS[tv],
-            tuple(
-                (reader, -dr, -dc)
+            {tuple(key): new for key, new in CELL_TABLES[tv].items()},
+            tuple(NEIGHBORHOODS[tv][k] for k in _key_order(tv)),
+            {
+                (reader, -dr)
                 for reader, reader_tv in enumerate(tables)
-                for source, dr, dc in NEIGHBORHOODS[reader_tv]
+                for source, dr, _ in NEIGHBORHOODS[reader_tv]
                 if source == layer
-            ),
+            },
         )
         for layer, tv in enumerate(tables)
     )
 
 
-# Looked up once per tick: an Enum hashes at Python level, too slowly to do per cell.
-_LAYER_SPECS = {v: _layer_specs(v) for v in CAVariant}
-
-
-def _wake_row(g: Grid, i: int) -> None:
-    """Queue every cell that reads a cell of row i."""
-    dirty = g._dirty
-    for rows, (_, _, readers) in zip((g.bottom, g.top), _LAYER_SPECS[g.variant]):
-        for j in rows[i]:
-            for layer, di, dj in readers:
-                dirty.add((layer, i + di, j + dj))
-
-
-def _seed_dirty(g: Grid) -> None:
-    g._dirty = set()
-    for i in range(len(g.bottom)):
-        _wake_row(g, i)
-
-
 def ensure_rows(g: Grid, count: int) -> None:
     """Materialize empty rows so the grid holds at least `count` rows."""
     while len(g.bottom) < count:
-        g.bottom.append({})
+        if g._stale is not None:
+            g._stale.update((layer, len(g.bottom)) for layer in range(len(LAYERS[g.variant])))
+        g.bottom.append(Row())
         if g.top is not None:
-            g.top.append({})
-        if g._dirty is not None:
-            # wake the cells of the new row that can see the row above
-            _wake_row(g, len(g.bottom) - 2)
+            g.top.append(Row())
 
 
 def step_synchronous(g: Grid) -> StepStats:
     """One synchronous tick: every cell reacts to the pre-tick states.
 
-    Event-driven: only cells whose neighborhood changed last tick (or that see
-    the initial digits) are re-evaluated.  Cells with an unchanged
-    neighborhood would reproduce their current state, so skipping them leaves
-    the tick's outcome identical to the naive full sweep.  Transient states
-    (from neighborhoods that were still settling) are re-evaluated until the
-    row reaches its fixpoint.
+    A row is recomputed whole, one table lookup per cell, when it is new or a
+    row it reads (every table reads its own row) changed last tick; any other
+    row would reproduce itself.  Columns whose neighborhood and own cell are
+    empty stay empty (`_compile_cell` checks it), so only the others are
+    evaluated: the outcome is the naive full sweep's.
     """
-    if g._dirty is None:
-        _seed_dirty(g)
     layers = (g.bottom, g.top)
-    specs = _LAYER_SPECS[g.variant]
-    windows: dict[int, tuple[int, int]] = {}
-    updates: list[tuple[int, int, int, Cell]] = []
-    deferred = set()
+    specs = _layer_specs(g.variant)
     nrows = len(g.bottom)
-    for layer, i, j in g._dirty:
-        if i >= nrows:
-            deferred.add((layer, i, j))  # row not materialized yet
-            continue
+    stale = g._stale
+    if stale is None:
+        stale = {(layer, i) for layer in range(len(specs)) for i in range(nrows)}
+    updates = []
+    cells_changed, rows_stable = 0, nrows
+    for layer, i in stale:
         if layer == 0 and i == 0:
             continue  # the input row is immutable
-        window = windows.get(i)
-        if window is None:
-            window = windows[i] = g.active_window(i)
-        w_lo, w_hi = window
-        if j < w_lo - GROWTH_MARGIN or j > w_hi + GROWTH_MARGIN:
-            continue
-        # a plain loop: a comprehension would make i and j closure cells (before
-        # Python 3.12), which slows every use of them in this loop
-        rule, reads, _ = specs[layer]
-        nb = []
+        table, reads, _ = specs[layer]
+        row = layers[layer][i]
+        # the columns that hold a cell or whose neighborhood holds one: each
+        # row read, shifted by its column offset, lies inside them, as `span` needs
+        lo, hi = (row.lo, row.hi) if row.s else (sys.maxsize, -sys.maxsize)
         for source, dr, dc in reads:
-            nb.append(layers[source][i + dr].get(j + dc))
-        new = rule(tuple(nb))
-        if new != layers[layer][i].get(j):
-            if g.check_windows and new is not None and (j < w_lo or j > w_hi):
-                raise WindowViolationError(
-                    f"{g.variant.value} row {i}: cell at column {j} left window [{w_lo}, {w_hi}]"
-                )
-            updates.append((layer, i, j, new))
-    dirty = deferred
-    min_row = nrows
-    for layer, i, j, new in updates:
-        if new is None:
-            layers[layer][i].pop(j, None)
-        else:
-            layers[layer][i][j] = new
-        for reader, di, dj in specs[layer][2]:
-            dirty.add((reader, i + di, j + dj))
-        if i < min_row:
-            min_row = i
-    g._dirty = dirty
+            r = layers[source][i + dr]
+            if r.s:
+                if r.lo - dc < lo:
+                    lo = r.lo - dc
+                if r.hi - dc > hi:
+                    hi = r.hi - dc
+        if lo > hi:
+            continue
+        keys = zip(*[layers[source][i + dr].span(lo + dc, hi + dc) for source, dr, dc in reads])
+        new = "".join(map(table.__getitem__, keys))
+        old = row.span(lo, hi)
+        # only the columns within the active window plus GROWTH_MARGIN change
+        w_lo, w_hi = g.active_window(i)
+        if lo < w_lo - GROWTH_MARGIN or hi > w_hi + GROWTH_MARGIN:
+            a, b = max(lo, w_lo - GROWTH_MARGIN) - lo, min(hi, w_hi + GROWTH_MARGIN) - lo + 1
+            new, old, lo = new[a:b], old[a:b], lo + a
+        changed = sum(map(ne, old, new))
+        if changed:
+            new_row = row.put(lo, new)
+            if g.check_windows:
+                _check_window(g, i, new_row)
+            updates.append((layer, i, new_row))
+            cells_changed += changed
+            rows_stable = min(rows_stable, i)
+    g._stale = stale = set()
+    for layer, i, new_row in updates:
+        layers[layer][i] = new_row
+        for reader, di in specs[layer][2]:
+            if i + di < nrows:
+                stale.add((reader, i + di))
     g.ticks += 1
-    return StepStats(
-        tick=g.ticks,
-        cells_changed=len(updates),
-        rows_stable=min_row if updates else nrows,
-    )
+    return StepStats(tick=g.ticks, cells_changed=cells_changed, rows_stable=rows_stable)
 
 
 def run_until_rows_stable(g: Grid, m: int, tick_cap: int = DEFAULT_TICK_CAP) -> Grid:
@@ -676,7 +705,7 @@ def extract_row(g: Grid, i: int) -> int | None:
     """Value of row i, or None if the row holds no cells yet."""
     if i < 0 or i >= len(g.bottom):
         raise IndexError(f"row {i} is not materialized")
-    return cells_value(g.bottom[i], g.variant)
+    return KERNELS[g.variant].value(g.bottom[i].s)
 
 
 def snapshot(g: Grid) -> str:
@@ -688,14 +717,11 @@ def snapshot(g: Grid) -> str:
     """
     layers = list(zip((g.bottom, g.top), LAYERS[g.variant]))
     occupied = [row for rows, _ in layers for row in rows if row]
-    if occupied:
-        lo = min(min(row) for row in occupied)
-        hi = max(max(row) for row in occupied)
-    else:
-        lo, hi = 0, 0
+    lo = min((row.lo for row in occupied), default=0)
+    hi = max((row.hi for row in occupied), default=0)
     cols = hi - lo + 1
     lines = [f"{g.variant.value} {len(g.bottom)} {cols} {lo}"]
     for i in range(len(g.bottom)):
         for rows, tv in layers:
-            lines.append(" ".join(format_cell(tv, rows[i].get(j)) for j in range(hi, lo - 1, -1)))
+            lines.append(" ".join(format_cell(tv, _STATE[c]) for c in rows[i].span(lo, hi)[::-1]))
     return "\n".join(lines) + "\n"

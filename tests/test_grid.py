@@ -12,10 +12,12 @@ from collatz_ca.grid import (
     GROWTH_MARGIN,
     Grid,
     NonContiguousRowError,
+    Row,
     RowKernel,
     WindowViolationError,
     ca1_top_states,
     cells_value,
+    ensure_rows,
     extract_row,
     init_grid,
     initial_row,
@@ -33,7 +35,6 @@ from collatz_ca.rules import (
     ODD_NORMAL,
     ODD_SPECIAL,
     CAVariant,
-    TableVariant,
     transition_ca1_bottom,
     transition_ca1_top,
     transition_ca2,
@@ -253,32 +254,44 @@ def naive_tick(g: Grid, bottom, top):
     return new_bottom, new_top
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("n", [5, 7, 12, 27, *random.Random(606).sample(range(2**5, 2**10), 3)])
-def test_synchronous_equals_naive_sweep(variant, n):
-    from collatz_ca.grid import ensure_rows
+def naive_diff(before, after):
+    """(cells changed, lowest changed row) between two lists of dict rows."""
+    changed, rows = 0, []
+    for i, (old, new) in enumerate(zip(before, after)):
+        diff = sum(old.get(j) != new.get(j) for j in old.keys() | new.keys())
+        changed += diff
+        if diff:
+            rows.append(i)
+    return changed, min(rows, default=len(before))
 
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize(
+    "n",
+    [
+        5, 7, 12, 27,
+        *random.Random(606).sample(range(2**5, 2**10), 3),
+        *random.Random(607).sample(range(2**10, 2**12), 3),
+    ],
+)
+def test_synchronous_equals_naive_sweep(variant, n):
     g = init_grid(n, variant)
     rows = len(oracle_rows(n, variant, extra_rows=2))
     ensure_rows(g, rows)
     bottom = [dict(r) for r in g.bottom]
     top = [dict(r) for r in g.top] if g.top is not None else None
     for tick in range(1, 40):
-        bottom, top = naive_tick(g, bottom, top)
-        step_synchronous(g)
+        new_bottom, new_top = naive_tick(g, bottom, top)
+        changed, stable = naive_diff(bottom, new_bottom)
+        if top is not None:
+            top_changed, top_stable = naive_diff(top, new_top)
+            changed, stable = changed + top_changed, min(stable, top_stable)
+        bottom, top = new_bottom, new_top
+        stats = step_synchronous(g)
         assert g.bottom == bottom, (variant, n, tick)
         if top is not None:
             assert g.top == top, (variant, n, tick)
-
-
-def test_layer_specs_refuse_a_table_reading_its_own_cell(monkeypatch):
-    # step_synchronous re-queues a changed cell's readers, never the cell itself
-    from collatz_ca import grid
-
-    reads = grid.NEIGHBORHOODS[TableVariant.CA3]
-    monkeypatch.setitem(grid.NEIGHBORHOODS, TableVariant.CA3, reads + ((0, 0, 0),))
-    with pytest.raises(AssertionError, match="ca3 reads its own cell"):
-        grid._layer_specs(CAVariant.CA3)
+        assert (stats.tick, stats.cells_changed, stats.rows_stable) == (tick, changed, stable)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -350,6 +363,38 @@ def test_window_violation_detected():
     with pytest.raises(WindowViolationError):
         for _ in range(3):
             step_frontier(g)
+
+
+def test_synchronous_window_violation_detected():
+    g = init_grid(7, CAVariant.CA3, check_windows=True)  # row 0 spans columns 0..2
+    g.bottom[0][2 + GROWTH_MARGIN + 1] = 1  # outside the window, inside the evaluated columns
+    with pytest.raises(WindowViolationError, match="ca3 row 1: non-default cell at column 7"):
+        run_until_rows_stable(g, 4)
+
+
+def test_row_reads_like_its_dict():
+    cells = {-2: 1, -1: 0, 1: 2}  # column 0 is empty
+    row = Row(-2, "10.2")
+    assert row == cells and cells == row
+    assert row != {-2: 1, -1: 0} and {-2: 1, -1: 0} != row
+    assert dict(row) == cells and list(row) == [-2, -1, 1]
+    assert len(row) == 3 and row
+    assert (row.get(-1), row.get(0), row.get(5), row.get(0, "x")) == (0, None, None, "x")
+    assert row[1] == 2
+    with pytest.raises(KeyError):
+        row[0]
+    assert Row(4, "..1.") == Row(6, "1") == {6: 1}
+    empty = Row(3, "...")
+    assert not empty and len(empty) == 0 and empty == {} and {} == empty and empty == Row()
+    # a planted cell: left of the span, inside it (filling the gap), right of it
+    for j, state in ((4, 1), (0, 2), (-5, 1)):
+        row[j] = state
+        cells[j] = state
+        assert row == cells and list(row) == sorted(cells), j
+    assert (row.lo, row.s) == (-5, "1..1022..1")
+    planted = Row()
+    planted[7] = 0
+    assert planted == {7: 0}
 
 
 def test_cells_value():

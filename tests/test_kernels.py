@@ -7,13 +7,22 @@ import pytest
 
 from collatz_ca.engine import RunConfig, run_single
 from collatz_ca.digits import apply_map
-from collatz_ca.grid import EMPTY, KERNELS, NonContiguousRowError, initial_row, row_cells, row_string
+from collatz_ca.grid import (
+    CELL_TABLES,
+    EMPTY,
+    KERNELS,
+    NonContiguousRowError,
+    initial_row,
+    row_cells,
+    row_string,
+)
 from collatz_ca.rules import (
     ATTR_ODD,
     EVEN,
     ODD_NORMAL,
     ODD_SPECIAL,
     CAVariant,
+    TableVariant,
     transition_ca1_bottom,
     transition_ca1_top,
     transition_ca2,
@@ -69,6 +78,7 @@ def reference_entry(variant, key):
 @pytest.mark.parametrize("variant", [CAVariant.CA2, CAVariant.CA3])
 def test_single_cell_table_is_closed_form(variant):
     kernel = KERNELS[variant]
+    assert kernel.cell is CELL_TABLES[TableVariant(variant.value)]  # the synchronous engine's too
     alphabet = DIGITS[variant]
     width = kernel.reach + 1
     keys = [[d] for d in alphabet]
@@ -78,6 +88,25 @@ def test_single_cell_table_is_closed_form(variant):
     for key in keys:
         text = "".join(map(ch, key))
         assert kernel.cell[text] == reference_cell(variant, key[0], key[1:]), text
+
+
+def test_ca1_layer_tables_are_closed_form():
+    # keys hold the cell's own row first, then the row above, lowest column first
+    digits = DIGITS[CAVariant.CA1]
+    top = CELL_TABLES[TableVariant.CA1_TOP]
+    assert len(top) == len(digits) * len(TOPS)
+    for x in digits:
+        for left in TOPS:  # the parity one column left
+            assert top[ch(x) + ch(left)] == ch(transition_ca1_top((x, left)))
+    bottom = CELL_TABLES[TableVariant.CA1_BOTTOM]
+    assert len(bottom) == len(digits) ** 3 * len(TOPS) ** 2
+    for d in digits:
+        for c in digits:
+            for etop in TOPS:
+                for b in digits:
+                    for f in TOPS:
+                        key = ch(d) + ch(c) + ch(etop) + ch(b) + ch(f)
+                        assert bottom[key] == ch(transition_ca1_bottom((b, f, c, etop, d))), key
 
 
 def test_ca1_single_cell_table_is_closed_form():
