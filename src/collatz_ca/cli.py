@@ -21,7 +21,6 @@ from .engine import (
     RunConfig,
     TrajectoryRecord,
     run_batch,
-    run_grid,
     run_single,
     verify_against_oracle,
 )
@@ -231,18 +230,17 @@ def _render_grid(args) -> tuple[Grid, int] | int:
         if args.rows < 1:
             print("--rows must be positive", file=sys.stderr)
             return 1
-        g = init_grid(args.n, variant)
-        for _ in range(args.rows - 1):
-            step_frontier(g)
-        return g, args.rows
-    # default: everything up to the first 1 (rows 0..max_rows are searched),
-    # plus the terminal-cycle preview
-    g, record = run_grid(args.n, RunConfig(variant, max_rows=args.max_rows + 1))
-    if not record.reached_one:
-        print(f"no 1 within {args.max_rows} rows", file=sys.stderr)
-        return 2
-    rows = record.ca_steps_to_one + 1 + _RENDER_TAIL[variant]
-    while g.rows < rows:
+        rows = args.rows
+    else:
+        # default: everything up to the first 1 (rows 0..max_rows are searched),
+        # plus the terminal-cycle preview
+        record = run_single(args.n, RunConfig(variant, max_rows=args.max_rows + 1))
+        if not record.reached_one:
+            print(f"no 1 within {args.max_rows} rows", file=sys.stderr)
+            return 2
+        rows = record.ca_steps_to_one + 1 + _RENDER_TAIL[variant]
+    g = init_grid(args.n, variant)
+    for _ in range(rows - 1):
         step_frontier(g)
     return g, rows
 

@@ -166,7 +166,7 @@ class DigitString:
 
     offset is the column of the least significant stored digit on a grid whose
     columns grow to the left.  digits may carry leading zeros when produced by
-    the base-3 row oracle (long division keeps the dividend's width); to_digits
+    the base-3 row oracle (a halving keeps the dividend's width); to_digits
     itself never emits them.
     """
 

@@ -28,7 +28,6 @@ from .grid import (
     init_grid,
     initial_row,
     row_cells,
-    row_string,
     run_until_rows_stable,
     step_frontier,
 )
@@ -137,7 +136,7 @@ def run_single(n: int, cfg: RunConfig) -> TrajectoryRecord:
     stepped by one `RowKernel.run` loop."""
     if cfg.mode != "frontier":
         return run_grid(n, cfg)[1]
-    row = row_string(row_cells(initial_row(n, cfg.variant), cfg.variant))[1]
+    row = row_cells(initial_row(n, cfg.variant), cfg.variant).s
     return _record(n, cfg, KERNELS[cfg.variant].run(row, cfg.max_rows))
 
 

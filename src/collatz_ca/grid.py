@@ -1,33 +1,37 @@
 """Grids of row strings and the two execution engines for the digit automata.
 
-A grid is a list of rows, one per trajectory iterate.  Each row is a `Row`:
-the row kernels' string of cell characters, lowest column first, and the
-column of its first character; it reads like the dict of its non-empty cells.
-Columns grow to the left: column j+1 is immediately left of column j.  Row 0
-is placed from the input and its digit cells never change; every later row is
-derived from the row above it by the local transition rules.
+A grid is a list of rows, one per trajectory iterate.  Each row is a `Row`,
+the one row type of the package: the row kernels' string of cell characters,
+lowest column first, and the column of its first character.  It is immutable
+and reads like the dict of its non-empty cells.  Columns grow to the left:
+column j+1 is immediately left of column j.  Row 0 is placed from the input
+(`row_cells`) and its digit cells never change; every later row is derived
+from the row above it by the local transition rules.
 
 Two engines advance a grid, both through single-cell tables compiled from the
 closed-form rules:
 
 * synchronous stepping is the reference model: every cell is re-evaluated
   against the pre-tick states each tick.  A tick recomputes the whole rows
-  that read a row changed on the tick before, one table lookup per cell,
-  which is tick-for-tick identical to the naive sweep because transitions
-  are deterministic functions of the neighborhood.
+  that read a row changed on the tick before, one table lookup per cell of
+  the columns `neighborhood_keys` finds, which is tick-for-tick identical to
+  the naive sweep because transitions are deterministic functions of the
+  neighborhood.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
   per automaton (`KERNELS`) steps the grid's row strings, and `step_frontier`
   puts back the leading zeros that the base-3 kernel drops.
 
 `row_oracle` mirrors one row-placement step with plain integer arithmetic and
-is the ground truth the engines are tested against.
+is the ground truth the engines are tested against; `row_cells` and
+`ca1_top_states` turn its rows into `Row`s, which the rule learner scans
+with the synchronous engine's `neighborhood_keys`.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -44,7 +48,6 @@ from .rules import (
     ODD_SPECIAL,
     TRANSITIONS,
     CAVariant,
-    Cell,
     TableVariant,
     format_cell,
 )
@@ -76,7 +79,6 @@ class Grid:
     variant: CAVariant
     bottom: list[Row]
     top: list[Row] | None  # parity layer, base-3 automaton only
-    row0_lo: int
     row0_hi: int
     check_windows: bool = False
     ticks: int = 0
@@ -96,16 +98,10 @@ class Grid:
         most one (base 4) or two (base 2) columns per row.
         """
         if self.variant is CAVariant.CA1:
-            return (self.row0_lo - i - GROWTH_MARGIN, self.row0_hi + GROWTH_MARGIN)
+            return (-i - GROWTH_MARGIN, self.row0_hi + GROWTH_MARGIN)
         if self.variant is CAVariant.CA2:
-            return (self.row0_lo - GROWTH_MARGIN, self.row0_hi + i + GROWTH_MARGIN)
-        return (self.row0_lo - GROWTH_MARGIN, self.row0_hi + 2 * i + GROWTH_MARGIN)
-
-    def get_cell(self, i: int, j: int, layer: int = 0) -> Cell:
-        rows = self.bottom if layer == 0 else self.top
-        if rows is None or i < 0 or i >= len(rows):
-            return None
-        return rows[i].get(j)
+            return (-GROWTH_MARGIN, self.row0_hi + i + GROWTH_MARGIN)
+        return (-GROWTH_MARGIN, self.row0_hi + 2 * i + GROWTH_MARGIN)
 
 
 def init_grid(n: int, variant: CAVariant, check_windows: bool = False) -> Grid:
@@ -119,9 +115,8 @@ def init_grid(n: int, variant: CAVariant, check_windows: bool = False) -> Grid:
     row0 = initial_row(n, variant)
     return Grid(
         variant=variant,
-        bottom=[Row(*row_string(row_cells(row0, variant)))],
+        bottom=[row_cells(row0, variant)],
         top=[Row()] if variant is CAVariant.CA1 else None,
-        row0_lo=0,
         row0_hi=len(row0) - 1,
         check_windows=check_windows,
     )
@@ -140,29 +135,27 @@ def initial_row(n: int, variant: CAVariant, origin_column: int = 0) -> DigitStri
     return to_digits(odd_part(n), 2, origin_column)
 
 
-def row_cells(row: DigitString, variant: CAVariant) -> dict[int, int]:
-    """Sparse cell states for one row, including explicit zero digits."""
-    if variant is CAVariant.CA2:
-        attr = ATTR_ODD if row.value() & 1 else 0
-        return {row.offset + p: d | attr for p, d in enumerate(row.digits)}
-    return {row.offset + p: d for p, d in enumerate(row.digits)}
+def row_cells(row: DigitString, variant: CAVariant) -> Row:
+    """The cells of one row, including explicit zero digits."""
+    attr = ATTR_ODD if variant is CAVariant.CA2 and row.value() & 1 else 0
+    return Row(row.offset, "".join(_CHAR[d | attr] for d in row.digits))
 
 
-def ca1_top_states(row: DigitString) -> dict[int, int]:
+def ca1_top_states(row: DigitString) -> Row:
     """Fixpoint of the parity sweep over one base-3 row.
 
     The state above a digit is the parity of the digit sum from the most
     significant digit through that column; an odd total leaves the append
     marker one column right of the units digit.
     """
-    out: dict[int, int] = {}
+    out = []  # highest column first
     p = 0
-    for pos in range(len(row.digits) - 1, -1, -1):
-        p = (p + row.digits[pos]) & 1
-        out[row.offset + pos] = ODD_NORMAL if p else EVEN
+    for d in reversed(row.digits):
+        p = (p + d) & 1
+        out.append(_CHAR[ODD_NORMAL if p else EVEN])
     if p:
-        out[row.offset - 1] = ODD_SPECIAL
-    return out
+        out.append(_CHAR[ODD_SPECIAL])
+    return Row(row.offset - p, "".join(reversed(out)))
 
 
 # --- arithmetic row oracle --------------------------------------------------
@@ -198,22 +191,14 @@ def row_oracle(x: DigitString, variant: CAVariant) -> DigitString:
             m //= 4
             k += 1
         return to_digits(m, 4, x.offset + k)
-    # base 3: long division by two, width preserved
-    if val % 2 == 0:
-        dividend = list(x.digits)
-        offset = x.offset
-    else:
-        dividend = [1] + list(x.digits)
-        offset = x.offset - 1
-    out = []
-    r = 0
-    for d in reversed(dividend):
-        q, r = divmod(3 * r + d, 2)
-        out.append(q)
-    if r:
-        raise AssertionError("base-3 halving left a remainder")
-    out.reverse()
-    return DigitString(base=3, digits=out, offset=offset)
+    # base 3: the halving keeps the dividend's width; an odd row's dividend is
+    # 3x + 1, one column wider
+    width, offset = len(x.digits), x.offset
+    if val % 2:
+        val, width, offset = 3 * val + 1, width + 1, offset - 1
+    q = to_digits(val // 2, 3, offset)
+    q.digits += [0] * (width - len(q.digits))
+    return q
 
 
 def oracle_rows(
@@ -251,7 +236,7 @@ class Row(Mapping):
 
     It reads like the dict of its non-empty cells, column -> state (it
     compares equal to that dict, and iterates its columns in ascending
-    order); assigning a state to a column plants a cell.
+    order).  A row is immutable: `put` derives a changed one.
     """
 
     __slots__ = ("lo", "hi", "s")
@@ -282,10 +267,6 @@ class Row(Mapping):
         if 0 <= k < len(self.s) and self.s[k] != EMPTY:
             return _STATE[self.s[k]]
         raise KeyError(j)
-
-    def __setitem__(self, j: int, state: int) -> None:
-        planted = self.put(j, _CHAR[state])
-        self.lo, self.hi, self.s = planted.lo, planted.hi, planted.s
 
     def __iter__(self):
         return (j for j, c in enumerate(self.s, self.lo) if c != EMPTY)
@@ -365,13 +346,12 @@ class RowKernel:
     interleave (digit, parity) per column, highest column first.
     """
 
-    def __init__(self, variant: CAVariant, cell: dict[str, str], block: int, max_entries: int):
+    def __init__(self, variant: CAVariant, cell: dict[str, str], block: int):
         self.base = variant.base
         self.falling = variant is CAVariant.CA1
         self.cell = cell
         self.block = block
         self.reach = len(next(iter(cell))) - 2
-        self.max_entries = max_entries
         self.table: dict[str, str] = {}
 
     def compose(self, key: str) -> str:
@@ -510,25 +490,38 @@ def _parse(msd: str, base: int) -> int:
 # Single-cell tables of every rule table, keyed as `_compile_cell` says.
 CELL_TABLES = {tv: _compile_cell(tv) for tv in TableVariant}
 
-# Each block size lets its table saturate within a few MiB.  max_entries
-# bounds the table: for base 3 it counts every key a gap-free row can
-# produce; for base 4 and base 2 it is the saturated size measured over random
-# inputs of 8 to 200 bits (10.75k and 3.56k entries), with headroom.
+# Each block size lets its table saturate within a few MiB.
 KERNELS = {
-    CAVariant.CA1: RowKernel(CAVariant.CA1, _compile_ca1(), block=6, max_entries=3400),
-    CAVariant.CA2: RowKernel(CAVariant.CA2, CELL_TABLES[TableVariant.CA2], block=4,
-                             max_entries=11500),
-    CAVariant.CA3: RowKernel(CAVariant.CA3, CELL_TABLES[TableVariant.CA3], block=8,
-                             max_entries=3800),
+    CAVariant.CA1: RowKernel(CAVariant.CA1, _compile_ca1(), block=6),
+    CAVariant.CA2: RowKernel(CAVariant.CA2, CELL_TABLES[TableVariant.CA2], block=4),
+    CAVariant.CA3: RowKernel(CAVariant.CA3, CELL_TABLES[TableVariant.CA3], block=8),
 }
 
 
-def row_string(cells: dict[int, int]) -> tuple[int, str]:
-    """(lowest column, row string) of a dict row; gaps become EMPTY."""
-    if not cells:
-        return 0, ""
-    lo, hi = min(cells), max(cells)
-    return lo, "".join(map(_CHAR.__getitem__, map(cells.get, range(lo, hi + 1))))
+def neighborhood_keys(
+    layers: tuple, layer: int, i: int, reads: tuple
+) -> tuple[int, int, Iterator[tuple[str, ...]]]:
+    """The columns lo..hi that hold a cell of row i of `layers[layer]` or
+    whose neighborhood holds one, and an iterator over their neighborhood
+    keys, lowest column first.
+
+    `layers` holds each layer's rows.  `reads` gives the neighborhood as
+    (layer, row offset, column offset) per cell; a column's key holds the
+    character of each such cell.  lo > hi when no column qualifies.
+    """
+    row = layers[layer][i]
+    lo, hi = (row.lo, row.hi) if row.s else (sys.maxsize, -sys.maxsize)
+    for source, dr, dc in reads:
+        r = layers[source][i + dr]
+        if r.s:
+            if r.lo - dc < lo:
+                lo = r.lo - dc
+            if r.hi - dc > hi:
+                hi = r.hi - dc
+    if lo > hi:
+        return lo, hi, iter(())
+    # each row read, shifted by its column offset, lies inside lo..hi, as `span` needs
+    return lo, hi, zip(*[layers[source][i + dr].span(lo + dc, hi + dc) for source, dr, dc in reads])
 
 
 # --- frontier engine ---------------------------------------------------------
@@ -638,28 +631,12 @@ def step_synchronous(g: Grid) -> StepStats:
         if layer == 0 and i == 0:
             continue  # the input row is immutable
         table, reads, _ = specs[layer]
-        row = layers[layer][i]
-        # the columns that hold a cell or whose neighborhood holds one: each
-        # row read, shifted by its column offset, lies inside them, as `span` needs
-        lo, hi = (row.lo, row.hi) if row.s else (sys.maxsize, -sys.maxsize)
-        for source, dr, dc in reads:
-            r = layers[source][i + dr]
-            if r.s:
-                if r.lo - dc < lo:
-                    lo = r.lo - dc
-                if r.hi - dc > hi:
-                    hi = r.hi - dc
+        lo, hi, keys = neighborhood_keys(layers, layer, i, reads)
         if lo > hi:
             continue
-        keys = zip(*[layers[source][i + dr].span(lo + dc, hi + dc) for source, dr, dc in reads])
         new = "".join(map(table.__getitem__, keys))
-        old = row.span(lo, hi)
-        # only the columns within the active window plus GROWTH_MARGIN change
-        w_lo, w_hi = g.active_window(i)
-        if lo < w_lo - GROWTH_MARGIN or hi > w_hi + GROWTH_MARGIN:
-            a, b = max(lo, w_lo - GROWTH_MARGIN) - lo, min(hi, w_hi + GROWTH_MARGIN) - lo + 1
-            new, old, lo = new[a:b], old[a:b], lo + a
-        changed = sum(map(ne, old, new))
+        row = layers[layer][i]
+        changed = sum(map(ne, row.span(lo, hi), new))
         if changed:
             new_row = row.put(lo, new)
             if g.check_windows:
@@ -694,11 +671,6 @@ def run_until_rows_stable(g: Grid, m: int, tick_cap: int = DEFAULT_TICK_CAP) -> 
 
 
 # --- row extraction and snapshots -------------------------------------------
-
-
-def cells_value(cells: dict[int, int], variant: CAVariant) -> int | None:
-    """Integer represented by one contiguous run of digit cells."""
-    return KERNELS[variant].value(row_string(cells)[1])
 
 
 def extract_row(g: Grid, i: int) -> int | None:

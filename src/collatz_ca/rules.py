@@ -332,9 +332,10 @@ def learn_rule_table(variant: TableVariant, n_max: int = 4096) -> RuleTable:
 
     Lays out consecutive oracle rows for every input in [2, n_max] (plus two
     rows beyond the first 1 to expose the terminal cycle) and records the
-    realized (neighborhood -> successor) pairs at every column that the
-    table's neighborhood (`NEIGHBORHOODS`) reaches.  Conflicting observations
-    raise RuleConflictError, since they would mean the rows are not locally
+    realized (neighborhood -> successor) pairs at every column whose
+    neighborhood (`NEIGHBORHOODS`) holds a cell, scanned by the synchronous
+    engine's `grid.neighborhood_keys`.  Conflicting observations raise
+    RuleConflictError, since they would mean the rows are not locally
     determined.
     """
     if n_max < 2:
@@ -345,21 +346,20 @@ def learn_rule_table(variant: TableVariant, n_max: int = 4096) -> RuleTable:
     reads = NEIGHBORHOODS[variant]
     first = -min(dr for _, dr, _ in reads)  # the first row whose neighborhood exists
     parity = any(source for source, _, _ in reads)  # reads the base-3 parity layer
-    empty = (None,) * len(reads)
+    empty = (grid.EMPTY,) * len(reads)
+    state = grid._STATE.__getitem__
     table = RuleTable(variant=variant)
     for n in range(2, n_max + 1):
         rows = grid.oracle_rows(n, ca, extra_rows=2)
-        cells = [(grid.row_cells(r, ca), grid.ca1_top_states(r) if parity else None) for r in rows]
+        layers = (
+            [grid.row_cells(r, ca) for r in rows],
+            [grid.ca1_top_states(r) for r in rows] if parity else None,
+        )
         for t in range(first, len(rows)):
-            # every column whose neighborhood reaches a non-empty cell
-            spans = [(cells[t + dr][source], dc) for source, dr, dc in reads]
-            lo = min(min(row) - dc for row, dc in spans)
-            hi = max(max(row) - dc for row, dc in spans)
-            reads_at = [map(row.get, range(lo + dc, hi + dc + 1)) for row, dc in spans]
-            news = map(cells[t][layer].get, range(lo, hi + 1))
-            for nb, new in zip(zip(*reads_at), news):
-                if nb != empty:
-                    table.record(nb, new)
+            lo, hi, keys = grid.neighborhood_keys(layers, layer, t, reads)
+            for key, new in zip(keys, layers[layer][t].span(lo, hi)):
+                if key != empty:
+                    table.record(tuple(map(state, key)), state(new))
     return table
 
 

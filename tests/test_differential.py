@@ -29,7 +29,6 @@ from collatz_ca.grid import (
     initial_row,
     oracle_rows,
     row_cells,
-    row_string,
     run_until_rows_stable,
     snapshot,
     step_frontier,
@@ -166,7 +165,8 @@ def reference_shared(inputs, spacings, cfg, guard=engine.GUARD_GAP):
         if idx > 0:
             k += spacings[idx - 1]
         row0 = initial_row(n, variant, k)
-        lo, row = row_string(row_cells(row0, variant))
+        cells = row_cells(row0, variant)
+        lo, row = cells.lo, cells.s
         value = row0.value()
         runs.append({"input": n, "lo": lo, "row": row, "hi": lo + len(row) - 1,
                      "values": [value], "first_one": 0 if value == 1 else None})
@@ -241,7 +241,7 @@ def test_drift_past_the_stop_is_the_closed_form(variant):
     inputs = [1, 27, *(2**k for k in range(1, 20)), *(4**k for k in range(1, 12))]
     inputs += [rng.getrandbits(rng.choice([8, 40, 128])) | 1 for _ in range(20)]
     for n in inputs:
-        row = row_string(row_cells(initial_row(n, variant), variant))[1]
+        row = row_cells(initial_row(n, variant), variant).s
         values = kernel.run(row, 10**5)
         for rows in (1, len(values), len(values) + 40):
             expected = drifted_extents(kernel, row, rows)

@@ -11,12 +11,10 @@ from collatz_ca.engine import RunConfig, run_grid
 from collatz_ca.grid import (
     GROWTH_MARGIN,
     Grid,
-    NonContiguousRowError,
     Row,
     RowKernel,
     WindowViolationError,
     ca1_top_states,
-    cells_value,
     ensure_rows,
     extract_row,
     init_grid,
@@ -80,7 +78,7 @@ def test_init_grid_cells():
     assert g.bottom[0] == {0: 3 | ATTR_ODD, 1: 1 | ATTR_ODD}
     g = init_grid(12, CAVariant.CA3)
     assert g.bottom[0] == {0: 1, 1: 1}
-    assert (g.row0_lo, g.row0_hi) == (0, 1)
+    assert g.row0_hi == 1
 
 
 def test_init_grid_rejects_nonpositive():
@@ -359,7 +357,7 @@ def test_active_window_shapes():
 
 def test_window_violation_detected():
     g = init_grid(7, CAVariant.CA3, check_windows=True)
-    g.bottom[0][40] = 1  # plant a far-away cell; growth there breaks the window
+    g.bottom[0] = g.bottom[0].put(40, "1")  # plant a far-away cell; growth there breaks the window
     with pytest.raises(WindowViolationError):
         for _ in range(3):
             step_frontier(g)
@@ -367,7 +365,8 @@ def test_window_violation_detected():
 
 def test_synchronous_window_violation_detected():
     g = init_grid(7, CAVariant.CA3, check_windows=True)  # row 0 spans columns 0..2
-    g.bottom[0][2 + GROWTH_MARGIN + 1] = 1  # outside the window, inside the evaluated columns
+    # outside the window, inside the evaluated columns
+    g.bottom[0] = g.bottom[0].put(2 + GROWTH_MARGIN + 1, "1")
     with pytest.raises(WindowViolationError, match="ca3 row 1: non-default cell at column 7"):
         run_until_rows_stable(g, 4)
 
@@ -388,29 +387,17 @@ def test_row_reads_like_its_dict():
     assert not empty and len(empty) == 0 and empty == {} and {} == empty and empty == Row()
     # a planted cell: left of the span, inside it (filling the gap), right of it
     for j, state in ((4, 1), (0, 2), (-5, 1)):
-        row[j] = state
+        row = row.put(j, str(state))
         cells[j] = state
         assert row == cells and list(row) == sorted(cells), j
     assert (row.lo, row.s) == (-5, "1..1022..1")
-    planted = Row()
-    planted[7] = 0
-    assert planted == {7: 0}
-
-
-def test_cells_value():
-    assert cells_value({}, CAVariant.CA3) is None
-    assert cells_value({3: 1, 4: 1, 5: 0, 6: 1}, CAVariant.CA3) == 11
-    assert cells_value({0: 3 | ATTR_ODD, 1: 1 | ATTR_ODD}, CAVariant.CA2) == 7
-    with pytest.raises(NonContiguousRowError):
-        cells_value({0: 1, 2: 1}, CAVariant.CA3)
-
-
-def test_get_cell_bounds():
-    g = init_grid(7, CAVariant.CA3)
-    assert g.get_cell(0, 0) == 1
-    assert g.get_cell(0, 99) is None
-    assert g.get_cell(-1, 0) is None
-    assert g.get_cell(5, 0) is None
+    assert Row().put(7, "0") == {7: 0}
+    # a row is immutable: `put` leaves the row it derives from unchanged
+    original = Row(-2, "10.2")
+    original.put(0, "2")
+    assert original == {-2: 1, -1: 0, 1: 2}
+    with pytest.raises(TypeError):
+        original[0] = 2
 
 
 # --- snapshots ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Transition rules: frozen truth tables, learned-table cardinalities, consistency."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,6 +199,20 @@ def test_learned_cardinalities(learned):
         },
         TableVariant.CA1_BOTTOM: {"boundary": 10, "inner": 18},
         TableVariant.CA1_TOP: {"boundary": 3, "parity-propagate": 6, "parity-seed": 3},
+    }
+
+
+def test_learned_entries_pinned(learned):
+    # every entry, through the SHA-256 of each table's dump
+    digests = {
+        tv: hashlib.sha256("\n".join(dump_rule_table(t)).encode()).hexdigest()
+        for tv, t in learned.items()
+    }
+    assert digests == {
+        TableVariant.CA1_BOTTOM: "9e3fc7f7896dbc97ea1259cf26ffe3c673c0fb7c7ee77a32731354c7026ad139",
+        TableVariant.CA1_TOP: "cba7416ea95f8f0b7f966b2f127f37bef4c0102572a0e41707106a1027581182",
+        TableVariant.CA2: "e1ea232dbcc82f83efb49247345e1c22ea44675d04fd8d1959573341c180593a",
+        TableVariant.CA3: "0aa16dda098ade229541cc0dd40de4619ff1dc399efac61a90f0e91f91c4e5d1",
     }
 
 
