@@ -19,8 +19,10 @@ closed-form rules:
   neighborhood.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
-  per automaton (`KERNELS`) steps the grid's row strings, and `step_frontier`
-  puts back the leading zeros that the base-3 kernel drops.
+  per automaton (`KERNELS`) steps the grid's row strings: the base-3 kernel
+  sweeps the string itself, and `step_frontier` puts back the leading zeros
+  it drops; the base-4 and base-2 kernels convert the string to one int of
+  cell codes and back, and a whole run (`RowKernel.run`) stays on ints.
 
 `row_oracle` mirrors one row-placement step with plain integer arithmetic and
 is the ground truth the engines are tested against; `row_cells` and
@@ -86,10 +88,6 @@ class Grid:
     _tops_swept: int = -1  # last base-3 row whose parity layer is swept
     _below: tuple[int, str] | None = None  # (lowest column, string) of the row it gave
 
-    @property
-    def rows(self) -> int:
-        return len(self.bottom)
-
     def active_window(self, i: int) -> tuple[int, int]:
         """Inclusive column bounds that can hold non-default cells in row i.
 
@@ -122,17 +120,17 @@ def init_grid(n: int, variant: CAVariant, check_windows: bool = False) -> Grid:
     )
 
 
-def initial_row(n: int, variant: CAVariant, origin_column: int = 0) -> DigitString:
+def initial_row(n: int, variant: CAVariant) -> DigitString:
     if n < 1:
         raise ValueError("grid input must be a positive integer")
     if variant is CAVariant.CA1:
-        return to_digits(n, 3, origin_column)
+        return to_digits(n, 3)
     if variant is CAVariant.CA2:
         m = n
         while m % 4 == 0:
             m //= 4
-        return to_digits(m, 4, origin_column)
-    return to_digits(odd_part(n), 2, origin_column)
+        return to_digits(m, 4)
+    return to_digits(odd_part(n), 2)
 
 
 def row_cells(row: DigitString, variant: CAVariant) -> Row:
@@ -221,12 +219,16 @@ def oracle_rows(
 # significant (lowest) column first, EMPTY for the empty or unknown state and
 # the decimal digit of any other state.  A string row is paired with the
 # column of its first character wherever columns matter; on a grid, that
-# pair is a `Row`.
+# pair is a `Row`.  Only the base-4 and base-2 kernels hold a row otherwise:
+# packed into one int of cell codes while they step it (`RowKernel`).
 
 EMPTY = "."
 _CHAR = {None: EMPTY, **{s: str(s) for s in range(2 * ATTR_ODD)}}  # every state is below 8
 _STATE = {c: s for s, c in _CHAR.items()}
 CA2_DIGITS = str.maketrans("4567", "0123")  # drop the parity attribute
+# A packed cell's code is its state + 1, and 0 for EMPTY (see `RowKernel`).
+_CODE_CHAR = {0 if s is None else s + 1: c for s, c in _CHAR.items()}
+_CODE_DIGIT = str.maketrans({c: str(code) for code, c in _CODE_CHAR.items()})
 
 
 class Row(Mapping):
@@ -334,16 +336,27 @@ class RowKernel:
     `reach` + 1 cells of the row above (so the key's width gives `reach`), and
     its value is the new cell (for the base-3 automaton, the new digit
     followed by the parity layer of the row above in that column).  `table`
-    is the macro-cell table: its key is the carried cell followed by `block` +
-    `reach` cells above, its value the `block` outputs, filled on first use
-    by composing `cell`.  The carried cell of the next block is the last
-    character of an entry.  The tables are memos of pure functions, so every
-    run can share them.
+    is the macro-cell table: one entry per key of the carried cell and the
+    `block` + `reach` cells above, filled on first use by composing `cell`
+    (`compose`).  The tables are memos of pure functions, so every run can
+    share them.
+
+    The base-3 automaton sweeps row strings from the highest column down,
+    carrying the parity of the digits to the left.  Its keys are strings, and
+    its entries interleave (digit, parity) per column, highest column first,
+    so an entry's last character is the next block's carried cell.
 
     The base-4 and base-2 automata sweep from the lowest column up, carrying
-    the new cell on the right.  The base-3 automaton sweeps from the highest
-    column down, carrying the parity of the digits to the left, and its entries
-    interleave (digit, parity) per column, highest column first.
+    the new cell on the right, over a row packed into one int of cell codes:
+    code = state + 1 and 0 for EMPTY, `bits` bits per cell (twice a digit's
+    bits: 4 for base 4, 2 for base 2), the lowest column in the lowest bits.
+    A key is the string key re-encoded: the window's codes, with the carried
+    cell's code above them.  An entry holds the block's output codes, its
+    digits packed `bits` // 2 bits each (EMPTY as 0), and the code of the next
+    carried cell, already shifted into the key's carry field.  Cells past
+    either end of a row read as code 0, so windows need no padding, and a
+    row's value is its digit bits: no string is built or parsed per row.
+    `encode` and `decode` convert at the edge, to and from row strings.
     """
 
     def __init__(self, variant: CAVariant, cell: dict[str, str], block: int):
@@ -352,10 +365,22 @@ class RowKernel:
         self.cell = cell
         self.block = block
         self.reach = len(next(iter(cell))) - 2
-        self.table: dict[str, str] = {}
+        self.table: dict = {}
+        if not self.falling:
+            self.bits = bits = 2 * (self.base.bit_length() - 1)
+            # each hex digit of packed codes -> the cells it holds, lowest column first
+            self._chars = {}
+            for cells in product([c for c in _CODE_CHAR if c < 1 << bits], repeat=4 // bits):
+                digit = sum(c << i * bits for i, c in enumerate(cells))
+                self._chars[ord(f"{digit:x}")] = "".join(map(_CODE_CHAR.get, cells))
+            self._carry = (block + self.reach) * bits
+            self._mask = (1 << self._carry) - 1  # a key's window
+            self._entries: dict[str, tuple[int, int, int]] = {}  # by output string
+            self._ones = 0  # a 1 on each cell's lowest bit, as wide as `_widen` grew it
 
     def compose(self, key: str) -> str:
-        """The macro-cell entry for `key`, by the single-cell table alone."""
+        """The macro-cell entry for the string `key`, by the single-cell table
+        alone: the `block` new cells in sweep order."""
         cell, width = self.cell, self.reach + 1
         carry, above = key[0], key[1:]
         cols = range(self.block - 1, -1, -1) if self.falling else range(self.block)
@@ -366,36 +391,102 @@ class RowKernel:
             carry = new[-1]
         return "".join(out)
 
-    def _fill(self, key: str) -> str:
-        # many keys share one output: interning stores each output string once
-        entry = self.table[key] = sys.intern(self.compose(key))
+    def _fill(self, key):
+        # many keys share one output, so each output is stored once
+        if self.falling:
+            entry = self.table[key] = sys.intern(self.compose(key))
+            return entry
+        text = self.decode(key, self.block + self.reach + 1)
+        out = self.compose(text[-1] + text[:-1])
+        if out not in self._entries:
+            self._entries[out] = (
+                self.encode(out),
+                int(out[::-1].translate(CA2_DIGITS).replace(EMPTY, "0"), self.base),
+                self.encode(out[-1]) << self._carry,
+            )
+        entry = self.table[key] = self._entries[out]
         return entry
 
-    def sweep(self, row: str) -> str:
-        """Raw kernel output below `row`, padding included.
+    def encode(self, row: str) -> int:
+        """Base-4 and base-2 only: the packed codes of a row string."""
+        return int(row.translate(_CODE_DIGIT)[::-1] or "0", 1 << self.bits)
 
-        Rising kernels cover the row's columns plus `reach` above it, starting
-        at its lowest column.  The base-3 kernel covers one column below the
-        row up to its top digit, highest column first.
-        """
+    def decode(self, codes: int, cells: int = 0) -> str:
+        """Base-4 and base-2 only: the row string of packed codes, up to its
+        top nonempty cell and padded with EMPTY to at least `cells` cells."""
+        return f"{codes:x}"[::-1].translate(self._chars).rstrip(EMPTY).ljust(cells, EMPTY)
+
+    def _widen(self, codes: int, keep_gaps: bool) -> int:
+        """The contiguity mask for a packed row that failed it: a row with an
+        empty cell inside is rejected unless `keep_gaps`, and any other row is
+        wider than the mask, which grows to cover it."""
+        row = self.decode(codes)
+        if EMPTY in row:
+            if keep_gaps:
+                return self._ones
+            raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
+        self._ones = int("1".zfill(self.bits) * 2 * len(row), 2)
+        return self._ones
+
+    def sweep(self, row: str) -> str:
+        """Base-3 only: the raw kernel output below `row`, padding included,
+        from one column below the row up to its top digit, highest column
+        first."""
         k, table, fill = self.block, self.table, self._fill
-        if self.falling:
-            blocks = len(row) // k + 1
-            above = EMPTY + row + EMPTY * (blocks * k - len(row) - 1)
-            starts = range((blocks - 1) * k, -1, -k)
-        else:
-            blocks = (len(row) + self.reach + k - 1) // k
-            above = EMPTY * self.reach + row + EMPTY * (blocks * k - len(row))
-            starts = range(0, blocks * k, k)
-        width = k + self.reach
+        blocks = len(row) // k + 1
+        above = EMPTY + row + EMPTY * (blocks * k - len(row) - 1)
         carry = EMPTY
         parts = []
-        for p in starts:
-            key = carry + above[p:p + width]
+        for p in range((blocks - 1) * k, -1, -k):
+            key = carry + above[p:p + k]
             entry = table.get(key) or fill(key)
             parts.append(entry)
             carry = entry[-1]
         return "".join(parts)
+
+    def _descend(
+        self, codes: int, values: list, stop: int, keep_gaps: bool = False
+    ) -> tuple[int, int]:
+        """Base-4 and base-2 only: step the packed row `codes` down, appending
+        each new row's value to `values` until it holds `stop` values or one
+        past the first 1.  Returns the last row's codes and its lowest column
+        minus the first row's.  A row with an empty cell inside raises
+        `NonContiguousRowError`, unless `keep_gaps`."""
+        table, fill, mask, ones = self.table, self._fill, self._mask, self._ones
+        bits = self.bits
+        pad = self.reach * bits  # a block's window starts `reach` cells below it
+        step = self.block * bits
+        fold = bits - 2
+        shift = 0
+        # a cell's digit takes half its code's bits: digit shifts are code shifts halved
+        while len(values) < stop:
+            above = codes << pad
+            codes = digits = carry = p = 0
+            while above:
+                key = above & mask | carry
+                out, dig, carry = table.get(key) or fill(key)
+                codes |= out << p
+                digits |= dig << (p >> 1)
+                p += step
+                above >>= step
+            if codes:
+                # drop the empty cells below the row
+                low = ((codes & -codes).bit_length() - 1) & -bits
+                codes >>= low
+                shift += low
+                v = digits >> (low >> 1)
+                # one bit per nonempty cell, the OR of its code bits, on its
+                # lowest bit (`fold` is 0 for 2-bit codes); then count them
+                nonempty = codes | codes >> 1
+                nonempty |= nonempty >> fold
+                if (nonempty & ones).bit_count() != (codes.bit_length() + bits - 1) // bits:
+                    ones = self._widen(codes, keep_gaps)
+            else:
+                v = None
+            values.append(v)
+            if v == 1:
+                stop = min(stop, len(values) + 1)
+        return codes, shift // bits
 
     def step(self, row: str) -> tuple[int, str]:
         """The row below `row`, and its lowest column minus `row`'s.
@@ -408,10 +499,10 @@ class RowKernel:
         nonzero digit, so its rows hold only significant digits; grids put
         those zeros back up to their fixed high column (`step_frontier`).
         """
-        raw = self.sweep(row)
         if self.falling:
-            return _ca1_below(raw)
-        return _trim(0, raw)
+            return _ca1_below(self.sweep(row))
+        codes, shift = self._descend(self.encode(row), [None], 2, keep_gaps=True)
+        return shift, self.decode(codes)
 
     def step_tops(self, row: str) -> tuple[tuple[int, str], tuple[int, str]]:
         """Base-3 only: `step(row)`, and the parity layer over `row` with its
@@ -434,27 +525,26 @@ class RowKernel:
         """Values of `row` and of the rows below it, until one row past the
         first 1 or max_rows values.
 
-        The same rows as repeated `step` and `value`, from one loop: each row
-        costs one `sweep` call, and the trim and parse are done inline.
+        The same rows as repeated `step` and `value`, from one loop: the
+        packed kernels encode `row` once and never build a string again; the
+        base-3 kernel costs one `sweep` call a row, and trims and parses the
+        row inline.
         """
-        sweep, base, falling = self.sweep, self.base, self.falling
         values = [self.value(row)]
         stop = min(max_rows, 2) if values[0] == 1 else max_rows
+        if not self.falling:
+            self._descend(self.encode(row), values, stop)
+            return values
+        sweep = self.sweep
         while len(values) < stop:
-            raw = sweep(row)
-            if falling:
-                row = raw[-2::-2].strip(EMPTY).rstrip("0")  # see `_ca1_below`
-            else:
-                row = raw.strip(EMPTY)
+            row = sweep(row)[-2::-2].strip(EMPTY).rstrip("0")  # see `_ca1_below`
             if not row:
                 v = None
             elif EMPTY in row:
                 raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
             else:
                 msd = row[::-1]
-                if base == 4:
-                    msd = msd.translate(CA2_DIGITS)
-                v = int(msd, base) if len(msd) <= 4000 else _parse(msd, base)
+                v = int(msd, 3) if len(msd) <= 4000 else _parse(msd, 3)
             values.append(v)
             if v == 1:
                 stop = min(stop, len(values) + 1)

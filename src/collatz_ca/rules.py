@@ -334,9 +334,9 @@ def learn_rule_table(variant: TableVariant, n_max: int = 4096) -> RuleTable:
     rows beyond the first 1 to expose the terminal cycle) and records the
     realized (neighborhood -> successor) pairs at every column whose
     neighborhood (`NEIGHBORHOODS`) holds a cell, scanned by the synchronous
-    engine's `grid.neighborhood_keys`.  Conflicting observations raise
-    RuleConflictError, since they would mean the rows are not locally
-    determined.
+    engine's `grid.neighborhood_keys`.  The distinct pairs are recorded once
+    each, in sorted order.  Conflicting observations raise RuleConflictError,
+    since they would mean the rows are not locally determined.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -348,7 +348,7 @@ def learn_rule_table(variant: TableVariant, n_max: int = 4096) -> RuleTable:
     parity = any(source for source, _, _ in reads)  # reads the base-3 parity layer
     empty = (grid.EMPTY,) * len(reads)
     state = grid._STATE.__getitem__
-    table = RuleTable(variant=variant)
+    seen = set()  # (key characters, successor character)
     for n in range(2, n_max + 1):
         rows = grid.oracle_rows(n, ca, extra_rows=2)
         layers = (
@@ -357,9 +357,11 @@ def learn_rule_table(variant: TableVariant, n_max: int = 4096) -> RuleTable:
         )
         for t in range(first, len(rows)):
             lo, hi, keys = grid.neighborhood_keys(layers, layer, t, reads)
-            for key, new in zip(keys, layers[layer][t].span(lo, hi)):
-                if key != empty:
-                    table.record(tuple(map(state, key)), state(new))
+            seen.update(zip(keys, layers[layer][t].span(lo, hi)))
+    table = RuleTable(variant=variant)
+    for key, new in sorted(seen):
+        if key != empty:
+            table.record(tuple(map(state, key)), state(new))
     return table
 
 

@@ -164,7 +164,8 @@ def reference_shared(inputs, spacings, cfg, guard=engine.GUARD_GAP):
     for idx, n in enumerate(inputs):
         if idx > 0:
             k += spacings[idx - 1]
-        row0 = initial_row(n, variant, k)
+        row0 = initial_row(n, variant)
+        row0.offset = k
         cells = row_cells(row0, variant)
         lo, row = cells.lo, cells.s
         value = row0.value()

@@ -54,7 +54,7 @@ def test_run_single_trivial_inputs():
 
 def test_run_grid_returns_grid_and_record():
     g, rec = run_grid(7, RunConfig(variant=CAVariant.CA3))
-    assert g.rows == rec.rows_computed == 7
+    assert len(g.bottom) == rec.rows_computed == 7
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

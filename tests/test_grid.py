@@ -187,7 +187,7 @@ def test_ca1_frontier_sweeps_each_row_once(monkeypatch):
 
     monkeypatch.setattr(RowKernel, "sweep", counted)
     g = run_grid(27, RunConfig(variant=CAVariant.CA1))[0]
-    assert sweeps <= g.rows + 1, (sweeps, g.rows)
+    assert sweeps <= len(g.bottom) + 1, (sweeps, len(g.bottom))
     # the parity layer is complete after every step, not one step late
     for n in (5, 7, 26, 27, 80):
         rows = oracle_rows(n, CAVariant.CA1, extra_rows=3)

@@ -126,6 +126,19 @@ def test_ca1_single_cell_table_is_closed_form():
                         assert cell[ch(left) + ch(b)] == ch(q) + ch(f)
 
 
+def unpack(kernel, codes, cells):
+    """The first `cells` cells of packed codes, lowest column first: code 0 is
+    EMPTY and code c is state c - 1, `kernel.bits` bits each."""
+    states = [(codes >> i * kernel.bits) & ((1 << kernel.bits) - 1) for i in range(cells)]
+    return "".join(ch(None if c == 0 else c - 1) for c in states)
+
+
+def digit_bits(variant, text):
+    """Digits of a row string packed from its lowest column up, EMPTY as 0."""
+    dbits = variant.base.bit_length() - 1
+    return sum((st(c) or 0) % variant.base << i * dbits for i, c in enumerate(text))
+
+
 def test_macro_entries_compose_single_cells():
     cfg = {v: RunConfig(variant=v) for v in VARIANTS}
     for n in (27, 97, 2**64 - 1, 3**40, (4**30 - 1) // 3):
@@ -134,9 +147,62 @@ def test_macro_entries_compose_single_cells():
     for v in VARIANTS:
         kernel = KERNELS[v]
         assert kernel.table
+        width = kernel.block + kernel.reach
         for key, entry in kernel.table.items():
-            assert len(key) == 1 + kernel.block + kernel.reach
-            assert entry == reference_entry(v, key), (v, key)
+            if v is CAVariant.CA1:
+                assert len(key) == 1 + width
+                assert entry == reference_entry(v, key) == kernel.compose(key), (v, key)
+                continue
+            # the window's cells, lowest column first, then the carried cell on top
+            assert 0 <= key < 1 << (width + 1) * kernel.bits, (v, key)
+            cells = unpack(kernel, key, width + 1)
+            assert {st(c) for c in cells} <= set(DIGITS[v]), (v, key)
+            text = cells[-1] + cells[:-1]
+            expected = reference_entry(v, text)
+            assert kernel.compose(text) == expected, (v, text)
+            codes, digits, carry = entry
+            assert 0 <= codes < 1 << kernel.block * kernel.bits, (v, text)
+            assert unpack(kernel, codes, kernel.block) == expected, (v, text)
+            assert digits == digit_bits(v, expected), (v, text)
+            assert carry == key_carry(kernel, expected[-1]), (v, text)
+
+
+def key_carry(kernel, char):
+    """A carried cell's code, in a key's carry field."""
+    code = 0 if char == EMPTY else st(char) + 1
+    return code << (kernel.block + kernel.reach) * kernel.bits
+
+
+@pytest.mark.parametrize("variant", [CAVariant.CA2, CAVariant.CA3])
+def test_packed_rows_round_trip(variant):
+    kernel = KERNELS[variant]
+    rng = random.Random(f"pack-{variant.value}")
+    digits = [d for d in DIGITS[variant] if d is not None]
+    for _ in range(500):
+        size = rng.choice([1, 2, 3, 7, 8, 9, 40, 300])
+        cells = [rng.choice(digits) for _ in range(size)]
+        if rng.random() < 0.3:  # leading zero digits, ca2 parity tags included
+            zero = rng.choice([0, ATTR_ODD]) if variant is CAVariant.CA2 else 0
+            cells += [zero] * rng.randint(1, 5)
+        if size > 2 and rng.random() < 0.2:  # an empty cell inside
+            cells[rng.randrange(1, size - 1)] = None
+        row = "".join(map(ch, cells))
+        codes = kernel.encode(row)
+        codes_of = [0 if c is None else c + 1 for c in cells]
+        assert codes == sum(c << i * kernel.bits for i, c in enumerate(codes_of))
+        assert unpack(kernel, codes, len(row)) == row
+        assert kernel.decode(codes) == row
+        assert kernel.decode(codes, len(row) + 3) == row + EMPTY * 3
+    assert kernel.encode("") == 0 and kernel.decode(0) == ""
+
+
+@pytest.mark.parametrize("variant", [CAVariant.CA2, CAVariant.CA3])
+def test_run_rows_wider_than_the_contiguity_mask(variant):
+    # rows far wider than any other test's: the contiguity mask grows to cover them
+    kernel = KERNELS[variant]
+    for n in (2**4001 - 1, 3**3000, 4**2500 + 1):
+        row = start_row(n, variant)
+        assert kernel.run(row, 4) == stepped_values(kernel, row, 4), n
 
 
 def test_tables_stay_within_saturation_bound():
@@ -315,8 +381,21 @@ def test_run_rejects_inner_gaps():
             kernel.value(kernel.step(row)[1])
         with pytest.raises(NonContiguousRowError):
             kernel.run(row, 3)
-    # a gap the sweep itself leaves below a contiguous row
-    kernel = copy.copy(KERNELS[CAVariant.CA3])
-    kernel.sweep = lambda row: EMPTY + "1" + EMPTY + "1" + EMPTY
-    with pytest.raises(NonContiguousRowError):
-        kernel.run("1101", 3)
+    # a gap a macro-cell entry itself leaves below a contiguous row
+    for variant, row, planted in (
+        (CAVariant.CA3, "1101", ".1.1...."),
+        (CAVariant.CA3, "1101", ".1.01..."),  # the gap under a zero digit
+        (CAVariant.CA2, "57", "7.4."),
+        (CAVariant.CA2, "57", "3..0"),
+    ):
+        kernel = copy.copy(KERNELS[variant])
+        kernel.table = dict(kernel.table)
+        # one block: its window is the reach's empty cells, then the row
+        key = kernel.encode(row) << kernel.reach * kernel.bits
+        kernel.table[key] = (kernel.encode(planted), digit_bits(variant, planted), 0)
+        with pytest.raises(NonContiguousRowError):
+            kernel.run(row, 3)
+        below = planted.strip(EMPTY)
+        assert kernel.step(row) == (planted.index(below[0]), below)  # kept for `value`
+        with pytest.raises(NonContiguousRowError):
+            kernel.value(below)

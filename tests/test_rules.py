@@ -241,6 +241,27 @@ def test_conflict_detection():
     assert "0" in str(err.value) and "1" in str(err.value)
 
 
+def test_learner_reports_a_planted_conflict(monkeypatch):
+    # one wrong bit in one oracle row: its neighborhoods demand successors the
+    # other rows contradict
+    from collatz_ca import grid
+
+    oracle_rows = grid.oracle_rows
+
+    def planted(n, variant, *args, **kwargs):
+        rows = oracle_rows(n, variant, *args, **kwargs)
+        if n == 27:
+            rows[5] = grid.to_digits(rows[5].value() ^ 2, 2, rows[5].offset)
+        return rows
+
+    monkeypatch.setattr(grid, "oracle_rows", planted)
+    with pytest.raises(RuleConflictError) as err:
+        learn_rule_table(TableVariant.CA3, 64)
+    first, second = err.value.successors
+    assert err.value.variant is TableVariant.CA3 and first != second
+    assert transition(TableVariant.CA3, err.value.neighborhood) in (first, second)
+
+
 def test_learn_rejects_tiny_range():
     with pytest.raises(ValueError):
         learn_rule_table(TableVariant.CA3, 1)
