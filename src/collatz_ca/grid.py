@@ -19,10 +19,10 @@ closed-form rules:
   neighborhood.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
-  per automaton (`KERNELS`) steps the grid's row strings: the base-3 kernel
-  sweeps the string itself, and `step_frontier` puts back the leading zeros
-  it drops; the base-4 and base-2 kernels convert the string to one int of
-  cell codes and back, and a whole run (`RowKernel.run`) stays on ints.
+  per automaton (`KERNELS`) steps a grid's row string as one int of cell
+  codes and converts back, and a whole run (`RowKernel.run`) stays on ints.
+  `step_frontier` puts back the leading zeros the base-3 kernel drops, and
+  sweeps each new base-3 row for its parity layer.
 
 `row_oracle` mirrors one row-placement step with plain integer arithmetic and
 is the ground truth the engines are tested against; `row_cells` and
@@ -85,8 +85,6 @@ class Grid:
     check_windows: bool = False
     ticks: int = 0
     _stale: set | None = None  # (layer, row) the next tick recomputes; None: all
-    _tops_swept: int = -1  # last base-3 row whose parity layer is swept
-    _below: tuple[int, str] | None = None  # (lowest column, string) of the row it gave
 
     def active_window(self, i: int) -> tuple[int, int]:
         """Inclusive column bounds that can hold non-default cells in row i.
@@ -219,8 +217,8 @@ def oracle_rows(
 # significant (lowest) column first, EMPTY for the empty or unknown state and
 # the decimal digit of any other state.  A string row is paired with the
 # column of its first character wherever columns matter; on a grid, that
-# pair is a `Row`.  Only the base-4 and base-2 kernels hold a row otherwise:
-# packed into one int of cell codes while they step it (`RowKernel`).
+# pair is a `Row`.  Only the row kernels hold a row otherwise: packed into
+# one int of cell codes while they step it (`RowKernel`).
 
 EMPTY = "."
 _CHAR = {None: EMPTY, **{s: str(s) for s in range(2 * ATTR_ODD)}}  # every state is below 8
@@ -317,10 +315,11 @@ def _compile_ca1() -> dict[str, str]:
     """(parity one column left, digit) -> new digit + this column's parity.
 
     The base-3 halving reads only the digit above and its parity, so one
-    most-significant-first sweep gives both layers.  That is checked here on
-    the layer tables rather than assumed: a ca1-bottom key is the digit to
-    the right, then the digit and parity above-right, then above; a ca1-top
-    key is the digit below, then the parity one column left.
+    most-significant-first sweep, carrying the parity, gives the row below.
+    That is checked here on the layer tables rather than assumed: a
+    ca1-bottom key is the digit to the right, then the digit and parity
+    above-right, then above; a ca1-top key is the digit below, then the
+    parity one column left.
     """
     bottom, top = CELL_TABLES[TableVariant.CA1_BOTTOM], CELL_TABLES[TableVariant.CA1_TOP]
     for key, q in bottom.items():
@@ -341,22 +340,22 @@ class RowKernel:
     (`compose`).  The tables are memos of pure functions, so every run can
     share them.
 
-    The base-3 automaton sweeps row strings from the highest column down,
-    carrying the parity of the digits to the left.  Its keys are strings, and
-    its entries interleave (digit, parity) per column, highest column first,
-    so an entry's last character is the next block's carried cell.
+    A row is packed into one int of cell codes while it is stepped: code =
+    state + 1 and 0 for EMPTY, `bits` bits per cell (4 for base 4, a digit
+    and its parity tag; 2 for bases 3 and 2), the lowest column in the
+    lowest bits.  A key is the string key re-encoded: the window's codes,
+    with the carried cell's code above them.  An entry holds the block's new
+    digit codes, the number its digits spell (EMPTY as 0), and the code of
+    the next carried cell, already shifted into the key's carry field.
+    Cells past either end of a row read as code 0, so windows need no
+    padding, and no string is built or parsed per row.  `encode` and
+    `decode` convert at the edge, to and from row strings.
 
     The base-4 and base-2 automata sweep from the lowest column up, carrying
-    the new cell on the right, over a row packed into one int of cell codes:
-    code = state + 1 and 0 for EMPTY, `bits` bits per cell (twice a digit's
-    bits: 4 for base 4, 2 for base 2), the lowest column in the lowest bits.
-    A key is the string key re-encoded: the window's codes, with the carried
-    cell's code above them.  An entry holds the block's output codes, its
-    digits packed `bits` // 2 bits each (EMPTY as 0), and the code of the next
-    carried cell, already shifted into the key's carry field.  Cells past
-    either end of a row read as code 0, so windows need no padding, and a
-    row's value is its digit bits: no string is built or parsed per row.
-    `encode` and `decode` convert at the edge, to and from row strings.
+    the new cell on the right; a block's number is its digit bits
+    (`_descend`).  The base-3 automaton sweeps from the highest column down,
+    carrying the parity of the digits to the left, and builds the new row's
+    value by Horner's rule, one block at a time (`_fall`).
     """
 
     def __init__(self, variant: CAVariant, cell: dict[str, str], block: int):
@@ -365,18 +364,17 @@ class RowKernel:
         self.cell = cell
         self.block = block
         self.reach = len(next(iter(cell))) - 2
-        self.table: dict = {}
-        if not self.falling:
-            self.bits = bits = 2 * (self.base.bit_length() - 1)
-            # each hex digit of packed codes -> the cells it holds, lowest column first
-            self._chars = {}
-            for cells in product([c for c in _CODE_CHAR if c < 1 << bits], repeat=4 // bits):
-                digit = sum(c << i * bits for i, c in enumerate(cells))
-                self._chars[ord(f"{digit:x}")] = "".join(map(_CODE_CHAR.get, cells))
-            self._carry = (block + self.reach) * bits
-            self._mask = (1 << self._carry) - 1  # a key's window
-            self._entries: dict[str, tuple[int, int, int]] = {}  # by output string
-            self._ones = 0  # a 1 on each cell's lowest bit, as wide as `_widen` grew it
+        self.table: dict[int, tuple[int, int, int]] = {}
+        self.bits = bits = 2 * (self.base.bit_length() - 1)
+        # each hex digit of packed codes -> the cells it holds, lowest column first
+        self._chars = {}
+        for cells in product([c for c in _CODE_CHAR if c < 1 << bits], repeat=4 // bits):
+            digit = sum(c << i * bits for i, c in enumerate(cells))
+            self._chars[ord(f"{digit:x}")] = "".join(map(_CODE_CHAR.get, cells))
+        self._carry = (block + self.reach) * bits
+        self._mask = (1 << self._carry) - 1  # a key's window
+        self._entries: dict[str, tuple[int, int, int]] = {}  # by composed output
+        self._ones = 0  # a 1 on each cell's lowest bit, as wide as `_widen` grew it
 
     def compose(self, key: str) -> str:
         """The macro-cell entry for the string `key`, by the single-cell table
@@ -391,58 +389,39 @@ class RowKernel:
             carry = new[-1]
         return "".join(out)
 
-    def _fill(self, key):
-        # many keys share one output, so each output is stored once
-        if self.falling:
-            entry = self.table[key] = sys.intern(self.compose(key))
-            return entry
+    def _fill(self, key: int) -> tuple[int, int, int]:
         text = self.decode(key, self.block + self.reach + 1)
         out = self.compose(text[-1] + text[:-1])
+        # many keys share one output, so each output is stored once
         if out not in self._entries:
+            # base 3 interleaves (digit, parity), highest column first
+            digits = out[-2::-2] if self.falling else out
             self._entries[out] = (
-                self.encode(out),
-                int(out[::-1].translate(CA2_DIGITS).replace(EMPTY, "0"), self.base),
+                self.encode(digits),
+                int(digits[::-1].translate(CA2_DIGITS).replace(EMPTY, "0"), self.base),
                 self.encode(out[-1]) << self._carry,
             )
         entry = self.table[key] = self._entries[out]
         return entry
 
     def encode(self, row: str) -> int:
-        """Base-4 and base-2 only: the packed codes of a row string."""
+        """The packed codes of a row string."""
         return int(row.translate(_CODE_DIGIT)[::-1] or "0", 1 << self.bits)
 
     def decode(self, codes: int, cells: int = 0) -> str:
-        """Base-4 and base-2 only: the row string of packed codes, up to its
-        top nonempty cell and padded with EMPTY to at least `cells` cells."""
+        """The row string of packed codes, up to its top nonempty cell and
+        padded with EMPTY to at least `cells` cells."""
         return f"{codes:x}"[::-1].translate(self._chars).rstrip(EMPTY).ljust(cells, EMPTY)
 
     def _widen(self, codes: int, keep_gaps: bool) -> int:
-        """The contiguity mask for a packed row that failed it: a row with an
-        empty cell inside is rejected unless `keep_gaps`, and any other row is
-        wider than the mask, which grows to cover it."""
+        """The contiguity mask for a packed row that failed it, grown to
+        cover the row: a row with an empty cell inside is rejected unless
+        `keep_gaps`, and any other row was wider than the mask."""
         row = self.decode(codes)
-        if EMPTY in row:
-            if keep_gaps:
-                return self._ones
-            raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
         self._ones = int("1".zfill(self.bits) * 2 * len(row), 2)
+        if EMPTY in row and not keep_gaps:
+            raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
         return self._ones
-
-    def sweep(self, row: str) -> str:
-        """Base-3 only: the raw kernel output below `row`, padding included,
-        from one column below the row up to its top digit, highest column
-        first."""
-        k, table, fill = self.block, self.table, self._fill
-        blocks = len(row) // k + 1
-        above = EMPTY + row + EMPTY * (blocks * k - len(row) - 1)
-        carry = EMPTY
-        parts = []
-        for p in range((blocks - 1) * k, -1, -k):
-            key = carry + above[p:p + k]
-            entry = table.get(key) or fill(key)
-            parts.append(entry)
-            carry = entry[-1]
-        return "".join(parts)
 
     def _descend(
         self, codes: int, values: list, stop: int, keep_gaps: bool = False
@@ -488,6 +467,52 @@ class RowKernel:
                 stop = min(stop, len(values) + 1)
         return codes, shift // bits
 
+    def _fall(
+        self, codes: int, values: list, stop: int, keep_gaps: bool = False
+    ) -> tuple[int, int]:
+        """Base-3 only: `_descend`'s contract, sweeping each row from its
+        highest block down.  The new row also drops the zero digits above its
+        top nonzero digit: a zero with only zeros to its left has EVEN
+        parity, which acts as no parity at all, so it stays 0 on every later
+        row.  A row with an empty cell inside keeps them, so that an empty
+        cell under leading zeros stays inside the row for `value` to reject."""
+        table, fill, mask, ones = self.table, self._fill, self._mask, self._ones
+        step = 2 * self.block
+        scale = 3**self.block
+        shift = 0
+        while len(values) < stop:
+            above = codes << 2  # from one column below the row: an odd row's appended digit
+            shift -= 2
+            p = (above.bit_length() - 1) // step * step
+            codes = v = carry = 0
+            while p >= 0:
+                key = above >> p & mask | carry
+                out, dig, carry = table.get(key) or fill(key)
+                codes = codes << step | out
+                v = v * scale + dig
+                p -= step
+            if codes:
+                # drop the empty cells below the row; each was a 0 in `v`
+                low = ((codes & -codes).bit_length() - 1) & -2
+                if low:
+                    codes >>= low
+                    v //= 3 ** (low >> 1)
+                    shift += low
+                # one bit per nonempty cell, then count them (`_descend`)
+                cells = (codes.bit_length() + 1) >> 1
+                nonempty = (codes | codes >> 1) & ones
+                if nonempty.bit_count() != cells:
+                    # a kept gap, or a row wider than the mask, which now covers it
+                    ones = self._widen(codes, keep_gaps)
+                    nonempty = (codes | codes >> 1) & ones
+                if nonempty.bit_count() == cells:
+                    # no gap: cut above the top nonzero digit, whose code has its high bit set
+                    codes &= (1 << (codes & ones << 1).bit_length()) - 1
+            values.append(v or None)  # an empty or all-zero row holds no value
+            if v == 1:
+                stop = min(stop, len(values) + 1)
+        return codes, shift >> 1
+
     def step(self, row: str) -> tuple[int, str]:
         """The row below `row`, and its lowest column minus `row`'s.
 
@@ -496,19 +521,13 @@ class RowKernel:
         inside `row` itself can be closed by the sweep (`KERNELS[CA3]` steps
         "1.1" to `(4, "1")`), so only gaps that survive one sweep reach
         `value`.  The base-3 kernel also drops the zero digits above the top
-        nonzero digit, so its rows hold only significant digits; grids put
-        those zeros back up to their fixed high column (`step_frontier`).
+        nonzero digit of a gap-free row, so its rows hold only significant
+        digits; grids put those zeros back up to their fixed high column
+        (`step_frontier`).
         """
-        if self.falling:
-            return _ca1_below(self.sweep(row))
-        codes, shift = self._descend(self.encode(row), [None], 2, keep_gaps=True)
+        loop = self._fall if self.falling else self._descend
+        codes, shift = loop(self.encode(row), [None], 2, keep_gaps=True)
         return shift, self.decode(codes)
-
-    def step_tops(self, row: str) -> tuple[tuple[int, str], tuple[int, str]]:
-        """Base-3 only: `step(row)`, and the parity layer over `row` with its
-        lowest column minus `row`'s, both from one sweep."""
-        raw = self.sweep(row)
-        return _ca1_below(raw), _trim(-1, raw[::-2])
 
     def value(self, row: str) -> int | None:
         """Integer held by a row string; None for an empty row."""
@@ -525,45 +544,14 @@ class RowKernel:
         """Values of `row` and of the rows below it, until one row past the
         first 1 or max_rows values.
 
-        The same rows as repeated `step` and `value`, from one loop: the
-        packed kernels encode `row` once and never build a string again; the
-        base-3 kernel costs one `sweep` call a row, and trims and parses the
-        row inline.
+        The same rows as repeated `step` and `value`, from one loop that
+        encodes `row` once and never builds a string again.
         """
         values = [self.value(row)]
         stop = min(max_rows, 2) if values[0] == 1 else max_rows
-        if not self.falling:
-            self._descend(self.encode(row), values, stop)
-            return values
-        sweep = self.sweep
-        while len(values) < stop:
-            row = sweep(row)[-2::-2].strip(EMPTY).rstrip("0")  # see `_ca1_below`
-            if not row:
-                v = None
-            elif EMPTY in row:
-                raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
-            else:
-                msd = row[::-1]
-                v = int(msd, 3) if len(msd) <= 4000 else _parse(msd, 3)
-            values.append(v)
-            if v == 1:
-                stop = min(stop, len(values) + 1)
+        loop = self._fall if self.falling else self._descend
+        loop(self.encode(row), values, stop)
         return values
-
-
-def _trim(shift: int, raw: str) -> tuple[int, str]:
-    high = raw.rstrip(EMPTY)
-    row = high.lstrip(EMPTY)
-    return shift + len(high) - len(row), row
-
-
-def _ca1_below(raw: str) -> tuple[int, str]:
-    # A zero with only zeros to its left has EVEN parity, which acts as no
-    # parity at all, so it stays 0 on every later row and can be dropped.
-    # Zeros go after the empty padding, never with it, so that an empty cell
-    # under leading zeros stays inside the row for `value` to reject.
-    shift, row = _trim(-1, raw[-2::-2])
-    return shift, row.rstrip("0")
 
 
 def _parse(msd: str, base: int) -> int:
@@ -627,41 +615,46 @@ def _check_window(g: Grid, i: int, row: Row) -> None:
         )
 
 
-def _sweep_ca1(g: Grid, k: int, lo: int, row: str) -> Row:
-    """Parity layer of row k from one sweep of its string `row` at column lo;
-    the same sweep gives row k + 1, kept for the next `step_frontier`."""
-    (shift, below), (top_shift, tops) = KERNELS[CAVariant.CA1].step_tops(row)
-    # the zeros the kernel dropped go back up to the fixed high column (EVEN is 0)
-    top = Row(lo + top_shift, tops.ljust(g.row0_hi + 1 - lo - top_shift, "0"))
+def _parity_layer(g: Grid, i: int) -> Row:
+    """The parity layer over base-3 row i, by its single-cell table swept
+    from the top nonzero digit down to one column past the units digit; the
+    zeros above that digit have EVEN parity."""
+    top = CELL_TABLES[TableVariant.CA1_TOP]
+    row = g.bottom[i]
+    p = EMPTY
+    out = []
+    for c in reversed(EMPTY + row.s.rstrip("0")):
+        p = top[c + p]
+        out.append(p)
+    new = Row(row.lo - 1, "".join(reversed(out)).ljust(len(row.s) + 1, _CHAR[EVEN]))
     if g.check_windows:
-        _check_window(g, k, top)
-    g._below = (lo + shift, below)
-    g._tops_swept = k
-    return top
+        _check_window(g, i, new)
+    return new
 
 
 def step_frontier(g: Grid) -> StepStats:
     """Finalize the next row (and, for base 3, its parity layer).
 
-    A base-3 row is swept once: that sweep gives its parity layer and the
-    row below it, which the next step appends.
+    A base-3 row's zeros above its top nonzero digit have EVEN parity, which
+    acts as no parity at all: the row is stepped and swept without them, and
+    the row below gets them back up to the fixed high column of row 0.  Row
+    0's parity layer is set on the first step.
     """
     i = len(g.bottom)
-    if g.variant is CAVariant.CA1:
-        # rows not swept yet: row 0, or rows another engine built
-        for k in range(g._tops_swept + 1, i):
-            g.top[k] = _sweep_ca1(g, k, g.bottom[k].lo, g.bottom[k].s)
-        lo, row = g._below
-        new = Row(lo, row.ljust(g.row0_hi + 1 - lo, "0"))
-    else:
-        last = g.bottom[i - 1]
-        shift, row = KERNELS[g.variant].step(last.s)
-        new = Row(last.lo + shift, row)
+    last = g.bottom[i - 1]
+    ca1 = g.variant is CAVariant.CA1
+    shift, row = KERNELS[g.variant].step(last.s.rstrip("0") if ca1 else last.s)
+    lo = last.lo + shift
+    if ca1:
+        row = row.ljust(g.row0_hi + 1 - lo, "0")
+    new = Row(lo, row)
     if g.check_windows:
         _check_window(g, i, new)
     g.bottom.append(new)
-    if g.variant is CAVariant.CA1:
-        g.top.append(_sweep_ca1(g, i, lo, row))
+    if ca1:
+        if not g.top[i - 1]:
+            g.top[i - 1] = _parity_layer(g, i - 1)
+        g.top.append(_parity_layer(g, i))
     g.ticks += 1
     return StepStats(tick=g.ticks, cells_changed=len(new), rows_stable=len(g.bottom))
 

@@ -177,17 +177,17 @@ def test_frontier_matches_oracle_cells(variant):
 
 
 def test_ca1_frontier_sweeps_each_row_once(monkeypatch):
-    sweeps = 0
-    sweep = RowKernel.sweep
+    steps = 0
+    step = RowKernel.step
 
     def counted(self, row):
-        nonlocal sweeps
-        sweeps += 1
-        return sweep(self, row)
+        nonlocal steps
+        steps += 1
+        return step(self, row)
 
-    monkeypatch.setattr(RowKernel, "sweep", counted)
+    monkeypatch.setattr(RowKernel, "step", counted)
     g = run_grid(27, RunConfig(variant=CAVariant.CA1))[0]
-    assert sweeps <= len(g.bottom) + 1, (sweeps, len(g.bottom))
+    assert steps == len(g.bottom) - 1, (steps, len(g.bottom))
     # the parity layer is complete after every step, not one step late
     for n in (5, 7, 26, 27, 80):
         rows = oracle_rows(n, CAVariant.CA1, extra_rows=3)
@@ -304,6 +304,23 @@ def test_synchronous_converges_to_frontier(variant):
         assert s.bottom[:rows] == f.bottom[:rows]
         if variant is CAVariant.CA1:
             assert s.top[:rows] == f.top[:rows]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_frontier_continues_a_synchronous_grid(variant):
+    # the frontier engine steps on from rows (and parity layers) it did not build
+    for n in (7, 27, 97):
+        rows = len(oracle_rows(n, variant, extra_rows=1))
+        f = init_grid(n, variant)
+        for _ in range(rows - 1):
+            step_frontier(f)
+        for m in (0, 1, rows // 2):
+            g = init_grid(n, variant)
+            run_until_rows_stable(g, m)
+            while len(g.bottom) < rows:
+                step_frontier(g)
+            assert snapshot(g) == snapshot(f), (n, m)
+            assert (g.bottom, g.top) == (f.bottom, f.top), (n, m)
 
 
 def test_run_until_rows_stable_fixed_point():

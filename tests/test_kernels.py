@@ -6,7 +6,7 @@ import random
 import pytest
 
 from collatz_ca.engine import RunConfig, run_single
-from collatz_ca.digits import apply_map
+from collatz_ca.digits import DigitString, apply_map
 from collatz_ca.grid import (
     CELL_TABLES,
     EMPTY,
@@ -14,6 +14,7 @@ from collatz_ca.grid import (
     NonContiguousRowError,
     initial_row,
     row_cells,
+    row_oracle,
 )
 from collatz_ca.rules import (
     ATTR_ODD,
@@ -134,9 +135,9 @@ def unpack(kernel, codes, cells):
 
 
 def digit_bits(variant, text):
-    """Digits of a row string packed from its lowest column up, EMPTY as 0."""
-    dbits = variant.base.bit_length() - 1
-    return sum((st(c) or 0) % variant.base << i * dbits for i, c in enumerate(text))
+    """The number a row string's digits spell, lowest column first, EMPTY as
+    0: for base 4 and base 2, its digits packed from the lowest column up."""
+    return sum((st(c) or 0) % variant.base * variant.base**i for i, c in enumerate(text))
 
 
 def test_macro_entries_compose_single_cells():
@@ -149,21 +150,19 @@ def test_macro_entries_compose_single_cells():
         assert kernel.table
         width = kernel.block + kernel.reach
         for key, entry in kernel.table.items():
-            if v is CAVariant.CA1:
-                assert len(key) == 1 + width
-                assert entry == reference_entry(v, key) == kernel.compose(key), (v, key)
-                continue
             # the window's cells, lowest column first, then the carried cell on top
             assert 0 <= key < 1 << (width + 1) * kernel.bits, (v, key)
             cells = unpack(kernel, key, width + 1)
-            assert {st(c) for c in cells} <= set(DIGITS[v]), (v, key)
+            assert {st(c) for c in cells} <= set(DIGITS[v]), (v, key)  # TOPS too, for ca1
             text = cells[-1] + cells[:-1]
             expected = reference_entry(v, text)
             assert kernel.compose(text) == expected, (v, text)
+            # base 3 interleaves (digit, parity), highest column first
+            new = expected[-2::-2] if v is CAVariant.CA1 else expected
             codes, digits, carry = entry
             assert 0 <= codes < 1 << kernel.block * kernel.bits, (v, text)
-            assert unpack(kernel, codes, kernel.block) == expected, (v, text)
-            assert digits == digit_bits(v, expected), (v, text)
+            assert unpack(kernel, codes, kernel.block) == new, (v, text)
+            assert digits == digit_bits(v, new), (v, text)
             assert carry == key_carry(kernel, expected[-1]), (v, text)
 
 
@@ -173,13 +172,13 @@ def key_carry(kernel, char):
     return code << (kernel.block + kernel.reach) * kernel.bits
 
 
-@pytest.mark.parametrize("variant", [CAVariant.CA2, CAVariant.CA3])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_packed_rows_round_trip(variant):
     kernel = KERNELS[variant]
     rng = random.Random(f"pack-{variant.value}")
     digits = [d for d in DIGITS[variant] if d is not None]
     for _ in range(500):
-        size = rng.choice([1, 2, 3, 7, 8, 9, 40, 300])
+        size = rng.choice([1, 2, 3, 7, 8, 9, 40, 300, 4500])
         cells = [rng.choice(digits) for _ in range(size)]
         if rng.random() < 0.3:  # leading zero digits, ca2 parity tags included
             zero = rng.choice([0, ATTR_ODD]) if variant is CAVariant.CA2 else 0
@@ -196,13 +195,17 @@ def test_packed_rows_round_trip(variant):
     assert kernel.encode("") == 0 and kernel.decode(0) == ""
 
 
-@pytest.mark.parametrize("variant", [CAVariant.CA2, CAVariant.CA3])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_run_rows_wider_than_the_contiguity_mask(variant):
     # rows far wider than any other test's: the contiguity mask grows to cover them
     kernel = KERNELS[variant]
-    for n in (2**4001 - 1, 3**3000, 4**2500 + 1):
+    for n in (2**4001 - 1, 3**3000, 4**2500 + 1, 3**4500 * 2 + 1, 2**14000 + 7):
         row = start_row(n, variant)
         assert kernel.run(row, 4) == stepped_values(kernel, row, 4), n
+        # the step that grows an empty mask gives the same row, leading zeros dropped
+        fresh = copy.copy(kernel)
+        fresh._ones = 0
+        assert fresh.step(row + "000") == kernel.step(row + "000"), n
 
 
 def test_tables_stay_within_saturation_bound():
@@ -274,13 +277,12 @@ def test_ca1_step_drops_leading_zeros():
             row = _ca1_row(n) + "0" * zeros
             shift, below = kernel.step(row)
             assert below and not below.endswith("0"), row
-            # the sweep that keeps the width: same lowest column, same value
-            digits = kernel.sweep(row)[-2::-2].rstrip(EMPTY)
-            full = digits.lstrip(EMPTY)
-            assert full.endswith("0" * zeros)
-            assert shift == len(digits) - len(full) - 1
+            # the oracle keeps the width: same lowest column, then the zeros
+            full = row_oracle(DigitString(3, [int(c) for c in row]), CAVariant.CA1)
+            assert "".join(map(str, full.digits)) == below.ljust(len(full), "0")
+            assert shift == full.offset
             halved = (3 * n + 1) // 2 if n & 1 else n // 2
-            assert kernel.value(below) == kernel.value(full) == halved
+            assert kernel.value(below) == full.value() == halved
 
 
 def test_ca1_gap_under_leading_zeros_still_rejected():
@@ -387,15 +389,20 @@ def test_run_rejects_inner_gaps():
         (CAVariant.CA3, "1101", ".1.01..."),  # the gap under a zero digit
         (CAVariant.CA2, "57", "7.4."),
         (CAVariant.CA2, "57", "3..0"),
+        (CAVariant.CA1, "211", ".2.1.."),
+        (CAVariant.CA1, "211", "21.00."),  # the gap under leading zeros
     ):
         kernel = copy.copy(KERNELS[variant])
         kernel.table = dict(kernel.table)
-        # one block: its window is the reach's empty cells, then the row
-        key = kernel.encode(row) << kernel.reach * kernel.bits
+        # one block: its window is the reach's empty cells, then the row; the
+        # base-3 window starts one column below the row, and so does its output
+        below_row = 1 if variant is CAVariant.CA1 else kernel.reach
+        key = kernel.encode(row) << below_row * kernel.bits
         kernel.table[key] = (kernel.encode(planted), digit_bits(variant, planted), 0)
         with pytest.raises(NonContiguousRowError):
             kernel.run(row, 3)
         below = planted.strip(EMPTY)
-        assert kernel.step(row) == (planted.index(below[0]), below)  # kept for `value`
+        shift = planted.index(below[0]) - (variant is CAVariant.CA1)
+        assert kernel.step(row) == (shift, below)  # kept for `value`
         with pytest.raises(NonContiguousRowError):
             kernel.value(below)
