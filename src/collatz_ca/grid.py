@@ -20,7 +20,8 @@ closed-form rules:
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
   per automaton (`KERNELS`) steps a grid's row string as one int of cell
-  codes and converts back, and a whole run (`RowKernel.run`) stays on ints.
+  codes and converts back, and a whole run (`RowKernel.run`) stays on ints;
+  the base-3 kernel advances two rows per table lookup.
   `step_frontier` puts back the leading zeros the base-3 kernel drops, and
   sweeps each new base-3 row for its parity layer.
 
@@ -337,16 +338,20 @@ class RowKernel:
     followed by the parity layer of the row above in that column).  `table`
     is the macro-cell table: one entry per key of the carried cell and the
     `block` + `reach` cells above, filled on first use by composing `cell`
-    (`compose`).  The tables are memos of pure functions, so every run can
-    share them.
+    (`compose`).  A base-3 entry advances two rows: its key also holds the
+    cell carried into the second row, which is composed under the first
+    row's digits.  The tables are memos of pure functions, so every run can
+    share them; they saturate at about 4.0k (base 3), 10.7k (base 4) and
+    3.5k (base 2) keys, about 2.1 MiB together.
 
     A row is packed into one int of cell codes while it is stepped: code =
     state + 1 and 0 for EMPTY, `bits` bits per cell (4 for base 4, a digit
     and its parity tag; 2 for bases 3 and 2), the lowest column in the
     lowest bits.  A key is the string key re-encoded: the window's codes,
-    with the carried cell's code above them.  An entry holds the block's new
-    digit codes, the number its digits spell (EMPTY as 0), and the code of
-    the next carried cell, already shifted into the key's carry field.
+    with the carried cells' codes above them.  An entry holds, per new row,
+    the block's digit codes and the number its digits spell (EMPTY as 0),
+    then the codes of the next carried cells, already shifted into the key's
+    carry fields.
     Cells past either end of a row read as code 0, so windows need no
     padding, and no string is built or parsed per row.  `encode` and
     `decode` convert at the edge, to and from row strings.
@@ -354,8 +359,9 @@ class RowKernel:
     The base-4 and base-2 automata sweep from the lowest column up, carrying
     the new cell on the right; a block's number is its digit bits
     (`_descend`).  The base-3 automaton sweeps from the highest column down,
-    carrying the parity of the digits to the left, and builds the new row's
-    value by Horner's rule, one block at a time (`_fall`).
+    carrying the parity of the digits to the left, two rows per sweep, and
+    builds each new row's value by Horner's rule, one block at a time
+    (`_fall`).
     """
 
     def __init__(self, variant: CAVariant, cell: dict[str, str], block: int):
@@ -364,7 +370,7 @@ class RowKernel:
         self.cell = cell
         self.block = block
         self.reach = len(next(iter(cell))) - 2
-        self.table: dict[int, tuple[int, int, int]] = {}
+        self.table: dict[int, tuple[int, ...]] = {}
         self.bits = bits = 2 * (self.base.bit_length() - 1)
         # each hex digit of packed codes -> the cells it holds, lowest column first
         self._chars = {}
@@ -373,7 +379,7 @@ class RowKernel:
             self._chars[ord(f"{digit:x}")] = "".join(map(_CODE_CHAR.get, cells))
         self._carry = (block + self.reach) * bits
         self._mask = (1 << self._carry) - 1  # a key's window
-        self._entries: dict[str, tuple[int, int, int]] = {}  # by composed output
+        self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct entry
         self._ones = 0  # a 1 on each cell's lowest bit, as wide as `_widen` grew it
 
     def compose(self, key: str) -> str:
@@ -389,19 +395,21 @@ class RowKernel:
             carry = new[-1]
         return "".join(out)
 
-    def _fill(self, key: int) -> tuple[int, int, int]:
-        text = self.decode(key, self.block + self.reach + 1)
-        out = self.compose(text[-1] + text[:-1])
-        # many keys share one output, so each output is stored once
-        if out not in self._entries:
-            # base 3 interleaves (digit, parity), highest column first
-            digits = out[-2::-2] if self.falling else out
-            self._entries[out] = (
-                self.encode(digits),
-                int(digits[::-1].translate(CA2_DIGITS).replace(EMPTY, "0"), self.base),
-                self.encode(out[-1]) << self._carry,
-            )
-        entry = self.table[key] = self._entries[out]
+    def _fill(self, key: int) -> tuple[int, ...]:
+        rows = 1 + self.falling  # a base-3 entry advances two rows
+        text = self.decode(key, self.block + self.reach + rows)
+        cells, entry, carry = text[:-rows], [], 0
+        for k in range(rows):
+            out = self.compose(text[k - rows] + cells)
+            # base 3 interleaves (digit, parity), highest column first; its
+            # second row is swept under the first row's digits
+            cells = out[-2::-2] if self.falling else out
+            number = int(cells[::-1].translate(CA2_DIGITS).replace(EMPTY, "0"), self.base)
+            entry += self.encode(cells), number
+            carry |= self.encode(out[-1]) << self._carry + k * self.bits
+        entry = (*entry, carry)
+        # many keys share one entry, so each is stored once
+        entry = self.table[key] = self._entries.setdefault(entry, entry)
         return entry
 
     def encode(self, row: str) -> int:
@@ -470,47 +478,77 @@ class RowKernel:
     def _fall(
         self, codes: int, values: list, stop: int, keep_gaps: bool = False
     ) -> tuple[int, int]:
-        """Base-3 only: `_descend`'s contract, sweeping each row from its
-        highest block down.  The new row also drops the zero digits above its
-        top nonzero digit: a zero with only zeros to its left has EVEN
-        parity, which acts as no parity at all, so it stays 0 on every later
-        row.  A row with an empty cell inside keeps them, so that an empty
-        cell under leading zeros stays inside the row for `value` to reject."""
+        """Base-3 only: `_descend`'s contract, sweeping from the highest
+        block down and advancing two rows per pass, one lookup per block for
+        both.  Halving reads only the digit above and the parity carried from
+        the left, so row i+2's block lies under row i+1's, and a key holds row
+        i's block and the parities carried into both new rows' blocks.  If
+        the stop falls after the first row of a pass, the second is dropped.
+
+        Row i+2 is swept under row i+1 as it comes out of the table, which is
+        exact: the cells below it are empty, and a zero with only zeros to its
+        left has EVEN parity, which acts as no parity at all, so it stays 0 on
+        every later row.  The row carried to the next pass, or returned,
+        drops those zeros above its top nonzero digit.  A row with an empty
+        cell inside keeps them, so that an empty cell under leading zeros
+        stays inside the row for `value` to reject."""
         table, fill, mask, ones = self.table, self._fill, self._mask, self._ones
         step = 2 * self.block
         scale = 3**self.block
         shift = 0
         while len(values) < stop:
-            above = codes << 2  # from one column below the row: an odd row's appended digit
-            shift -= 2
+            # from two columns below the row: the appended digits of two odd rows
+            above = codes << 4
+            frame = shift - 4  # the shift of the lowest cell swept
             p = (above.bit_length() - 1) // step * step
-            codes = v = carry = 0
+            codes = v = second = v2 = carry = 0
             while p >= 0:
                 key = above >> p & mask | carry
-                out, dig, carry = table.get(key) or fill(key)
+                out, dig, out2, dig2, carry = table.get(key) or fill(key)
                 codes = codes << step | out
                 v = v * scale + dig
+                second = second << step | out2
+                v2 = v2 * scale + dig2
                 p -= step
+            # row i+1, then row i+2 unless the stop falls between them; each
+            # drops the empty cells below it (at least the frame's lowest for
+            # row i+1), which were 0s in `v`, and has its gaps counted as in
+            # `_descend`: one bit per nonempty cell
+            shift -= 2  # an empty row lies one column right of the row above
             if codes:
-                # drop the empty cells below the row; each was a 0 in `v`
                 low = ((codes & -codes).bit_length() - 1) & -2
-                if low:
-                    codes >>= low
-                    v //= 3 ** (low >> 1)
-                    shift += low
-                # one bit per nonempty cell, then count them (`_descend`)
+                codes >>= low
+                v //= 3 ** (low >> 1)
+                shift = frame + low
                 cells = (codes.bit_length() + 1) >> 1
                 nonempty = (codes | codes >> 1) & ones
                 if nonempty.bit_count() != cells:
                     # a kept gap, or a row wider than the mask, which now covers it
                     ones = self._widen(codes, keep_gaps)
                     nonempty = (codes | codes >> 1) & ones
-                if nonempty.bit_count() == cells:
-                    # no gap: cut above the top nonzero digit, whose code has its high bit set
-                    codes &= (1 << (codes & ones << 1).bit_length()) - 1
             values.append(v or None)  # an empty or all-zero row holds no value
             if v == 1:
                 stop = min(stop, len(values) + 1)
+            if len(values) < stop:
+                codes, v = second, v2
+                shift -= 2
+                if codes:
+                    low = ((codes & -codes).bit_length() - 1) & -2
+                    if low:
+                        codes >>= low
+                        v //= 3 ** (low >> 1)
+                    shift = frame + low
+                    cells = (codes.bit_length() + 1) >> 1
+                    nonempty = (codes | codes >> 1) & ones
+                    if nonempty.bit_count() != cells:
+                        ones = self._widen(codes, keep_gaps)
+                        nonempty = (codes | codes >> 1) & ones
+                values.append(v or None)
+                if v == 1:
+                    stop = min(stop, len(values) + 1)
+            if codes and nonempty.bit_count() == cells:
+                # no gap: cut above the top nonzero digit, whose code has its high bit set
+                codes &= (1 << (codes & ones << 1).bit_length()) - 1
         return codes, shift >> 1
 
     def step(self, row: str) -> tuple[int, str]:

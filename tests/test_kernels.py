@@ -36,10 +36,15 @@ DIGITS = {
     CAVariant.CA3: [None, 0, 1],
 }
 TOPS = [None, EVEN, ODD_NORMAL, ODD_SPECIAL]
-# Macro-cell table bounds: for base 3, every key a gap-free row can produce;
-# for base 4 and base 2, the saturated size measured over random inputs of 8
-# to 200 bits (10.75k and 3.56k entries), with headroom.
-MAX_ENTRIES = {CAVariant.CA1: 3400, CAVariant.CA2: 11500, CAVariant.CA3: 3800}
+# Macro-cell table bounds: for base 3, every key a gap-free row can produce.
+# A key is a block of the row, shifted up two cells, and the parities carried
+# into both new rows' blocks: None and None into the top block, EVEN or ODD
+# each into any other.  So 120 keys for a row of 1-4 digits in one block,
+# 1092 for top blocks of 1-6 digits, 3**6 * 4 = 2916 for full blocks below the
+# top and 3**4 * 4 = 324 for bottom blocks: 4452.  For base 4 and base 2, the
+# saturated size measured over random inputs of 8 to 200 bits (10.75k and
+# 3.56k entries), with headroom.
+MAX_ENTRIES = {CAVariant.CA1: 4452, CAVariant.CA2: 11500, CAVariant.CA3: 3800}
 
 
 def ch(state):
@@ -149,27 +154,34 @@ def test_macro_entries_compose_single_cells():
         kernel = KERNELS[v]
         assert kernel.table
         width = kernel.block + kernel.reach
+        rows = 2 if v is CAVariant.CA1 else 1  # new rows per entry
         for key, entry in kernel.table.items():
-            # the window's cells, lowest column first, then the carried cell on top
-            assert 0 <= key < 1 << (width + 1) * kernel.bits, (v, key)
-            cells = unpack(kernel, key, width + 1)
+            # the window's cells, lowest column first, then each new row's carried cell on top
+            assert 0 <= key < 1 << (width + rows) * kernel.bits, (v, key)
+            cells = unpack(kernel, key, width + rows)
             assert {st(c) for c in cells} <= set(DIGITS[v]), (v, key)  # TOPS too, for ca1
-            text = cells[-1] + cells[:-1]
-            expected = reference_entry(v, text)
-            assert kernel.compose(text) == expected, (v, text)
-            # base 3 interleaves (digit, parity), highest column first
-            new = expected[-2::-2] if v is CAVariant.CA1 else expected
-            codes, digits, carry = entry
-            assert 0 <= codes < 1 << kernel.block * kernel.bits, (v, text)
-            assert unpack(kernel, codes, kernel.block) == new, (v, text)
-            assert digits == digit_bits(v, new), (v, text)
-            assert carry == key_carry(kernel, expected[-1]), (v, text)
+            above = cells[:width]
+            assert len(entry) == 2 * rows + 1, (v, key)
+            carry = 0
+            for k in range(rows):
+                text = cells[width + k] + above
+                expected = reference_entry(v, text)
+                assert kernel.compose(text) == expected, (v, text)
+                # base 3 interleaves (digit, parity), highest column first
+                new = expected[-2::-2] if v is CAVariant.CA1 else expected
+                codes, digits = entry[2 * k:2 * k + 2]
+                assert 0 <= codes < 1 << kernel.block * kernel.bits, (v, text)
+                assert unpack(kernel, codes, kernel.block) == new, (v, text)
+                assert digits == digit_bits(v, new), (v, text)
+                carry |= key_carry(kernel, expected[-1], k)
+                above = new  # base 3 has reach 0: the next row's block lies under this one's
+            assert entry[-1] == carry, (v, key)
 
 
-def key_carry(kernel, char):
-    """A carried cell's code, in a key's carry field."""
+def key_carry(kernel, char, k=0):
+    """A carried cell's code, in the carry field of a key's k-th new row."""
     code = 0 if char == EMPTY else st(char) + 1
-    return code << (kernel.block + kernel.reach) * kernel.bits
+    return code << (kernel.block + kernel.reach + k) * kernel.bits
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -275,14 +287,19 @@ def test_ca1_step_drops_leading_zeros():
     for n in values:
         for zeros in (0, 1, 13):
             row = _ca1_row(n) + "0" * zeros
-            shift, below = kernel.step(row)
-            assert below and not below.endswith("0"), row
-            # the oracle keeps the width: same lowest column, then the zeros
-            full = row_oracle(DigitString(3, [int(c) for c in row]), CAVariant.CA1)
-            assert "".join(map(str, full.digits)) == below.ljust(len(full), "0")
-            assert shift == full.offset
+            full = DigitString(3, [int(c) for c in row])
+            lo = 0
+            for _ in range(40):  # a chain of steps, each against the oracle's row
+                shift, row = kernel.step(row)
+                assert row and not row.endswith("0"), (n, zeros)
+                # the oracle keeps the width: same lowest column, then the zeros
+                full = row_oracle(full, CAVariant.CA1)
+                lo += shift
+                assert "".join(map(str, full.digits)) == row.ljust(len(full), "0"), (n, zeros)
+                assert lo == full.offset, (n, zeros)
+                assert kernel.value(row) == full.value(), (n, zeros)
             halved = (3 * n + 1) // 2 if n & 1 else n // 2
-            assert kernel.value(below) == full.value() == halved
+            assert kernel.step(_ca1_row(n) + "0" * zeros)[1] == _ca1_row(halved)
 
 
 def test_ca1_gap_under_leading_zeros_still_rejected():
@@ -361,6 +378,25 @@ def test_run_first_one_on_last_allowed_row(variant):
         assert values == stepped_values(kernel, row, last)
 
 
+def test_ca1_run_stops_in_either_row_of_a_pass():
+    # a pass steps rows 2k + 1 and 2k + 2, so the first 1 can land on either
+    kernel = KERNELS[CAVariant.CA1]
+    mv = CAVariant.CA1.map_variant
+    landed = set()
+    for n in (1, 2, 3, 4, 5, 6, 8, 16, 27, 97, 2**40, 2**40 + 1):
+        trajectory = [n]
+        while trajectory[-1] != 1:
+            trajectory.append(apply_map(mv, trajectory[-1]))
+        first_one = len(trajectory) - 1
+        trajectory.append(apply_map(mv, 1))  # the one row past the first 1
+        if first_one:
+            landed.add(first_one % 2)  # 1: on the first row of a pass
+        for m in [*range(1, 7), first_one, first_one + 1, first_one + 2, first_one + 3]:
+            if m >= 1:
+                assert kernel.run(_ca1_row(n), m) == trajectory[:m], (n, m)
+    assert landed == {0, 1}
+
+
 def test_run_ca1_row_beyond_int_string_limit():
     kernel = KERNELS[CAVariant.CA1]
     n = 3**5000 + 12345
@@ -383,26 +419,34 @@ def test_run_rejects_inner_gaps():
             kernel.value(kernel.step(row)[1])
         with pytest.raises(NonContiguousRowError):
             kernel.run(row, 3)
-    # a gap a macro-cell entry itself leaves below a contiguous row
+    # a gap a macro-cell entry itself leaves below a contiguous row; a base-3
+    # entry holds two rows, 211 -> 120 -> 2010 (with a leading zero) unplanted
     for variant, row, planted in (
-        (CAVariant.CA3, "1101", ".1.1...."),
-        (CAVariant.CA3, "1101", ".1.01..."),  # the gap under a zero digit
-        (CAVariant.CA2, "57", "7.4."),
-        (CAVariant.CA2, "57", "3..0"),
-        (CAVariant.CA1, "211", ".2.1.."),
-        (CAVariant.CA1, "211", "21.00."),  # the gap under leading zeros
+        (CAVariant.CA3, "1101", [".1.1...."]),
+        (CAVariant.CA3, "1101", [".1.01..."]),  # the gap under a zero digit
+        (CAVariant.CA2, "57", ["7.4."]),
+        (CAVariant.CA2, "57", ["3..0"]),
+        (CAVariant.CA1, "211", ["..2.1.", ".2010."]),
+        (CAVariant.CA1, "211", [".21.00", ".2010."]),  # the gap under leading zeros
+        (CAVariant.CA1, "211", ["..120.", ".2.10."]),  # the gap in the second row
+        (CAVariant.CA1, "211", ["..120.", "21.00."]),
     ):
         kernel = copy.copy(KERNELS[variant])
         kernel.table = dict(kernel.table)
         # one block: its window is the reach's empty cells, then the row; the
-        # base-3 window starts one column below the row, and so does its output
-        below_row = 1 if variant is CAVariant.CA1 else kernel.reach
+        # base-3 window starts two columns below the row, and so do its rows
+        below_row = 2 if variant is CAVariant.CA1 else kernel.reach
         key = kernel.encode(row) << below_row * kernel.bits
-        kernel.table[key] = (kernel.encode(planted), digit_bits(variant, planted), 0)
+        entry = [x for p in planted for x in (kernel.encode(p), digit_bits(variant, p))]
+        kernel.table[key] = (*entry, 0)
         with pytest.raises(NonContiguousRowError):
             kernel.run(row, 3)
-        below = planted.strip(EMPTY)
-        shift = planted.index(below[0]) - (variant is CAVariant.CA1)
-        assert kernel.step(row) == (shift, below)  # kept for `value`
-        with pytest.raises(NonContiguousRowError):
-            kernel.value(below)
+        below = planted[0].strip(EMPTY)
+        shift = planted[0].index(below[0]) - 2 * (variant is CAVariant.CA1)
+        if EMPTY in below:
+            assert kernel.step(row) == (shift, below)  # kept for `value`
+            with pytest.raises(NonContiguousRowError):
+                kernel.value(below)
+        else:  # the gap was in the second row, which `step` drops
+            assert kernel.step(row) == (shift, below.rstrip("0"))
+            assert kernel.value(below) == kernel.value(row) // 2
