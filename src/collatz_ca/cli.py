@@ -27,6 +27,7 @@ from .engine import (
 from .grid import CA2_DIGITS, EMPTY, Grid, init_grid, step_frontier
 from .metrics import n_efficiency
 from .rules import LAYERS, CAVariant, check_rule_consistency, dump_rule_table, learn_rule_table
+from .rules import RuleConflictError
 
 _VARIANTS = {v.value: v for v in CAVariant}
 
@@ -205,7 +206,11 @@ def cmd_rules(args) -> int:
     lines: list[str] = []
     bad = 0
     for tv in LAYERS[_VARIANTS[args.variant]]:
-        table = learn_rule_table(tv, args.n_max)
+        try:
+            table = learn_rule_table(tv, args.n_max)
+        except RuleConflictError as exc:  # a ValueError, but a consistency failure
+            print(exc, file=sys.stderr)
+            return 3
         report = check_rule_consistency(table)
         lines.extend(dump_rule_table(table))
         cats = ", ".join(f"{k}={v}" for k, v in report.category_counts.items())

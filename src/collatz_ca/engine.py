@@ -31,12 +31,12 @@ from .grid import (
     run_until_rows_stable,
     step_frontier,
 )
-from .rules import CAVariant
+from .rules import NEIGHBORHOODS, CAVariant
 
 DEFAULT_MAX_ROWS = 100_000
-# Empty columns kept between neighbouring runs on a shared grid: the base-2
-# rule reads two columns to the right.
-GUARD_GAP = 2
+# Empty columns kept between neighbouring runs on a shared grid: the widest
+# column offset any rule table reads.
+GUARD_GAP = max(abs(dc) for reads in NEIGHBORHOODS.values() for _, _, dc in reads)
 MODES = ("frontier", "synchronous")
 
 

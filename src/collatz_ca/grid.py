@@ -362,6 +362,10 @@ class RowKernel:
     carrying the parity of the digits to the left, two rows per sweep, and
     builds each new row's value by Horner's rule, one block at a time
     (`_fall`).
+
+    Every new row must be one contiguous run of cells, or `run` and `step`
+    raise `NonContiguousRowError`.  A run counts each row's cells through its
+    own copy of one 256-cell mask (`_widen`), so it changes only the tables.
     """
 
     def __init__(self, variant: CAVariant, cell: dict[str, str], block: int):
@@ -380,7 +384,7 @@ class RowKernel:
         self._carry = (block + self.reach) * bits
         self._mask = (1 << self._carry) - 1  # a key's window
         self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct entry
-        self._ones = 0  # a 1 on each cell's lowest bit, as wide as `_widen` grew it
+        self._ones = int("1".zfill(bits) * 256, 2)  # a 1 on each cell's lowest bit
 
     def compose(self, key: str) -> str:
         """The macro-cell entry for the string `key`, by the single-cell table
@@ -421,24 +425,21 @@ class RowKernel:
         padded with EMPTY to at least `cells` cells."""
         return f"{codes:x}"[::-1].translate(self._chars).rstrip(EMPTY).ljust(cells, EMPTY)
 
-    def _widen(self, codes: int, keep_gaps: bool) -> int:
-        """The contiguity mask for a packed row that failed it, grown to
-        cover the row: a row with an empty cell inside is rejected unless
-        `keep_gaps`, and any other row was wider than the mask."""
+    def _widen(self, codes: int) -> int:
+        """The contiguity mask for a packed row that failed it, twice as wide
+        as the row: a row with an empty cell inside raises, and any other row
+        was wider than the mask."""
         row = self.decode(codes)
-        self._ones = int("1".zfill(self.bits) * 2 * len(row), 2)
-        if EMPTY in row and not keep_gaps:
+        if EMPTY in row:
             raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
-        return self._ones
+        return int("1".zfill(self.bits) * 2 * len(row), 2)
 
-    def _descend(
-        self, codes: int, values: list, stop: int, keep_gaps: bool = False
-    ) -> tuple[int, int]:
+    def _descend(self, codes: int, values: list, stop: int) -> tuple[int, int]:
         """Base-4 and base-2 only: step the packed row `codes` down, appending
         each new row's value to `values` until it holds `stop` values or one
         past the first 1.  Returns the last row's codes and its lowest column
         minus the first row's.  A row with an empty cell inside raises
-        `NonContiguousRowError`, unless `keep_gaps`."""
+        `NonContiguousRowError`."""
         table, fill, mask, ones = self.table, self._fill, self._mask, self._ones
         bits = self.bits
         pad = self.reach * bits  # a block's window starts `reach` cells below it
@@ -467,7 +468,7 @@ class RowKernel:
                 nonempty = codes | codes >> 1
                 nonempty |= nonempty >> fold
                 if (nonempty & ones).bit_count() != (codes.bit_length() + bits - 1) // bits:
-                    ones = self._widen(codes, keep_gaps)
+                    ones = self._widen(codes)
             else:
                 v = None
             values.append(v)
@@ -475,23 +476,21 @@ class RowKernel:
                 stop = min(stop, len(values) + 1)
         return codes, shift // bits
 
-    def _fall(
-        self, codes: int, values: list, stop: int, keep_gaps: bool = False
-    ) -> tuple[int, int]:
+    def _fall(self, codes: int, values: list, stop: int) -> tuple[int, int]:
         """Base-3 only: `_descend`'s contract, sweeping from the highest
         block down and advancing two rows per pass, one lookup per block for
         both.  Halving reads only the digit above and the parity carried from
         the left, so row i+2's block lies under row i+1's, and a key holds row
         i's block and the parities carried into both new rows' blocks.  If
-        the stop falls after the first row of a pass, the second is dropped.
+        the stop falls after the first row of a pass, the second is dropped
+        unchecked.
 
         Row i+2 is swept under row i+1 as it comes out of the table, which is
         exact: the cells below it are empty, and a zero with only zeros to its
         left has EVEN parity, which acts as no parity at all, so it stays 0 on
         every later row.  The row carried to the next pass, or returned,
-        drops those zeros above its top nonzero digit.  A row with an empty
-        cell inside keeps them, so that an empty cell under leading zeros
-        stays inside the row for `value` to reject."""
+        drops those zeros above its top nonzero digit, after its gap check,
+        so an empty cell under leading zeros is still rejected."""
         table, fill, mask, ones = self.table, self._fill, self._mask, self._ones
         step = 2 * self.block
         scale = 3**self.block
@@ -520,12 +519,8 @@ class RowKernel:
                 codes >>= low
                 v //= 3 ** (low >> 1)
                 shift = frame + low
-                cells = (codes.bit_length() + 1) >> 1
-                nonempty = (codes | codes >> 1) & ones
-                if nonempty.bit_count() != cells:
-                    # a kept gap, or a row wider than the mask, which now covers it
-                    ones = self._widen(codes, keep_gaps)
-                    nonempty = (codes | codes >> 1) & ones
+                if ((codes | codes >> 1) & ones).bit_count() != (codes.bit_length() + 1) >> 1:
+                    ones = self._widen(codes)
             values.append(v or None)  # an empty or all-zero row holds no value
             if v == 1:
                 stop = min(stop, len(values) + 1)
@@ -538,33 +533,29 @@ class RowKernel:
                         codes >>= low
                         v //= 3 ** (low >> 1)
                     shift = frame + low
-                    cells = (codes.bit_length() + 1) >> 1
-                    nonempty = (codes | codes >> 1) & ones
-                    if nonempty.bit_count() != cells:
-                        ones = self._widen(codes, keep_gaps)
-                        nonempty = (codes | codes >> 1) & ones
+                    if ((codes | codes >> 1) & ones).bit_count() != (codes.bit_length() + 1) >> 1:
+                        ones = self._widen(codes)
                 values.append(v or None)
                 if v == 1:
                     stop = min(stop, len(values) + 1)
-            if codes and nonempty.bit_count() == cells:
-                # no gap: cut above the top nonzero digit, whose code has its high bit set
-                codes &= (1 << (codes & ones << 1).bit_length()) - 1
+            # cut the zeros above the top nonzero digit: the highest cell whose
+            # code has its high bit set
+            codes &= (1 << ((codes >> 1 & ones) << 1).bit_length()) - 1
         return codes, shift >> 1
 
     def step(self, row: str) -> tuple[int, str]:
         """The row below `row`, and its lowest column minus `row`'s.
 
         Empty cells at either end are dropped; an empty cell inside the new
-        row is kept, for `value` or the caller to reject.  An empty cell
+        row raises `NonContiguousRowError`, as in `run`.  An empty cell
         inside `row` itself can be closed by the sweep (`KERNELS[CA3]` steps
-        "1.1" to `(4, "1")`), so only gaps that survive one sweep reach
-        `value`.  The base-3 kernel also drops the zero digits above the top
-        nonzero digit of a gap-free row, so its rows hold only significant
-        digits; grids put those zeros back up to their fixed high column
-        (`step_frontier`).
+        "1.1" to `(4, "1")`), so only gaps that survive one sweep raise.
+        The base-3 kernel also drops the zero digits above the top nonzero
+        digit, so its rows hold only significant digits; grids put those
+        zeros back up to their fixed high column (`step_frontier`).
         """
         loop = self._fall if self.falling else self._descend
-        codes, shift = loop(self.encode(row), [None], 2, keep_gaps=True)
+        codes, shift = loop(self.encode(row), [None], 2)
         return shift, self.decode(codes)
 
     def value(self, row: str) -> int | None:

@@ -187,6 +187,25 @@ def test_rules_ca1_both_layers(tmp_path):
     assert text.count("consistency: OK") == 2
 
 
+def test_rules_conflict_exit_code(monkeypatch, capsys):
+    # the planted oracle row of test_learner_reports_a_planted_conflict
+    from collatz_ca import grid
+
+    oracle_rows = grid.oracle_rows
+
+    def planted(n, variant, *args, **kwargs):
+        rows = oracle_rows(n, variant, *args, **kwargs)
+        if n == 27:
+            rows[5] = grid.to_digits(rows[5].value() ^ 2, 2, rows[5].offset)
+        return rows
+
+    monkeypatch.setattr(grid, "oracle_rows", planted)
+    assert main(["rules", "--variant", "ca3", "--n-max", "64"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ca3: neighborhood ") and " maps to both " in err
+
+
 def test_render_text(capsys):
     assert main(["render", "7", "--variant", "ca3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -269,6 +269,11 @@ def test_shared_capped_records_equal_run_single(variant):
         assert shared == [replace(r, ticks_used=rows - 1) for r in singles], max_rows
 
 
+def test_guard_gap_is_the_widest_column_read():
+    # the base-2 rule reads two columns to the right; no table reads further
+    assert engine.GUARD_GAP == 2
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_spacing_bound_never_collides(variant):
     # automatic spacing checks no columns: W + 2 * GUARD_GAP + 2 keeps every

@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from collatz_ca.engine import RunConfig, run_single
+from collatz_ca.engine import RunConfig, run_grid, run_single
 from collatz_ca.digits import DigitString, apply_map
 from collatz_ca.grid import (
     CELL_TABLES,
     EMPTY,
     KERNELS,
     NonContiguousRowError,
+    RowKernel,
     initial_row,
     row_cells,
     row_oracle,
@@ -305,9 +306,8 @@ def test_ca1_step_drops_leading_zeros():
 def test_ca1_gap_under_leading_zeros_still_rejected():
     kernel = KERNELS[CAVariant.CA1]
     for row in ("1" + EMPTY + "0", "21" + EMPTY + "00"):
-        below = kernel.step(row)[1]
         with pytest.raises(NonContiguousRowError):
-            kernel.value(below)
+            kernel.step(row)
 
 
 # --- RowKernel.run against the step/value chain --------------------------------
@@ -407,8 +407,22 @@ def test_run_ca1_row_beyond_int_string_limit():
     assert kernel.run(row, 3) == stepped_values(kernel, row, 3)
 
 
+def planted_kernel(variant, row, planted):
+    """A copy of the variant's kernel whose entry for the one-block row `row`
+    gives the rows `planted` (base 3: two rows) instead."""
+    kernel = copy.copy(KERNELS[variant])
+    kernel.table = dict(kernel.table)
+    # one block: its window is the reach's empty cells, then the row; the
+    # base-3 window starts two columns below the row, and so do its rows
+    below_row = 2 if variant is CAVariant.CA1 else kernel.reach
+    key = kernel.encode(row) << below_row * kernel.bits
+    entry = [x for p in planted for x in (kernel.encode(p), digit_bits(variant, p))]
+    kernel.table[key] = (*entry, 0)
+    return kernel
+
+
 def test_run_rejects_inner_gaps():
-    # gaps that survive one sweep: the chain's `value` rejects the row below
+    # gaps that survive one sweep: `step` rejects the row below
     for variant, row in (
         (CAVariant.CA1, "1" + EMPTY + "0"),
         (CAVariant.CA1, "21" + EMPTY + "00"),
@@ -416,7 +430,7 @@ def test_run_rejects_inner_gaps():
     ):
         kernel = KERNELS[variant]
         with pytest.raises(NonContiguousRowError):
-            kernel.value(kernel.step(row)[1])
+            kernel.step(row)
         with pytest.raises(NonContiguousRowError):
             kernel.run(row, 3)
     # a gap a macro-cell entry itself leaves below a contiguous row; a base-3
@@ -431,22 +445,46 @@ def test_run_rejects_inner_gaps():
         (CAVariant.CA1, "211", ["..120.", ".2.10."]),  # the gap in the second row
         (CAVariant.CA1, "211", ["..120.", "21.00."]),
     ):
-        kernel = copy.copy(KERNELS[variant])
-        kernel.table = dict(kernel.table)
-        # one block: its window is the reach's empty cells, then the row; the
-        # base-3 window starts two columns below the row, and so do its rows
-        below_row = 2 if variant is CAVariant.CA1 else kernel.reach
-        key = kernel.encode(row) << below_row * kernel.bits
-        entry = [x for p in planted for x in (kernel.encode(p), digit_bits(variant, p))]
-        kernel.table[key] = (*entry, 0)
+        kernel = planted_kernel(variant, row, planted)
         with pytest.raises(NonContiguousRowError):
             kernel.run(row, 3)
         below = planted[0].strip(EMPTY)
-        shift = planted[0].index(below[0]) - 2 * (variant is CAVariant.CA1)
         if EMPTY in below:
-            assert kernel.step(row) == (shift, below)  # kept for `value`
             with pytest.raises(NonContiguousRowError):
-                kernel.value(below)
+                kernel.step(row)
         else:  # the gap was in the second row, which `step` drops
+            shift = planted[0].index(below[0]) - 2 * (variant is CAVariant.CA1)
             assert kernel.step(row) == (shift, below.rstrip("0"))
             assert kernel.value(below) == kernel.value(row) // 2
+
+
+@pytest.mark.parametrize(
+    "variant, n, planted",
+    [
+        (CAVariant.CA3, 11, [".1.1...."]),  # row 0 is "1101"
+        (CAVariant.CA1, 14, [".21.00", ".2010."]),  # row 0 is "211"
+    ],
+)
+def test_run_grid_rejects_a_gap_at_the_step(monkeypatch, variant, n, planted):
+    kernel = planted_kernel(variant, start_row(n, variant), planted)
+    monkeypatch.setitem(KERNELS, variant, kernel)
+    with pytest.raises(NonContiguousRowError) as err:
+        run_grid(n, RunConfig(variant))
+    assert "step_frontier" in [entry.name for entry in err.traceback]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_changes_only_the_memo_tables(variant):
+    # rows far wider than the start mask: each run widens its own copy
+    kernel = KERNELS[variant]
+    fresh = RowKernel(variant, kernel.cell, kernel.block)
+
+    def state():
+        return {k: v for k, v in vars(fresh).items() if k not in ("table", "_entries")}
+
+    before = copy.deepcopy(state())
+    for n in (2**4001 - 1, 3**3000, 27):
+        row = start_row(n, variant)
+        assert fresh.run(row, 4) == kernel.run(row, 4), n
+        assert fresh.step(row) == kernel.step(row), n
+    assert state() == before
