@@ -24,12 +24,12 @@ from .grid import (
     DEFAULT_TICK_CAP,
     KERNELS,
     Grid,
+    extend_frontier,
     extract_row,
     init_grid,
     initial_row,
     row_cells,
     run_until_rows_stable,
-    step_frontier,
 )
 from .rules import NEIGHBORHOODS, CAVariant
 
@@ -114,18 +114,18 @@ def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
     g = init_grid(n, cfg.variant)
     iterates = [extract_row(g, 0)]
     stop = min(cfg.max_rows, 2) if iterates[0] == 1 else cfg.max_rows
-    while len(iterates) < stop:
-        i = len(iterates)
-        if cfg.mode == "frontier":
-            step_frontier(g)
-        else:
+    if cfg.mode == "frontier":
+        extend_frontier(g, iterates, stop)
+    else:
+        while len(iterates) < stop:
+            i = len(iterates)
             remaining = cfg.tick_cap - g.ticks
             if remaining <= 0:
                 raise RuntimeError(f"tick cap {cfg.tick_cap} exhausted at row {i}")
             run_until_rows_stable(g, i, remaining)
-        iterates.append(extract_row(g, i))
-        if iterates[-1] == 1:
-            stop = min(stop, i + 2)
+            iterates.append(extract_row(g, i))
+            if iterates[-1] == 1:
+                stop = min(stop, i + 2)
     record = _record(n, cfg, iterates)
     record.ticks_used = g.ticks
     return g, record

@@ -19,10 +19,10 @@ closed-form rules:
   neighborhood.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
-  per automaton (`KERNELS`) steps a grid's row string as one int of cell
-  codes and converts back, and a whole run (`RowKernel.run`) stays on ints;
-  the base-3 kernel advances two rows per table lookup.
-  `step_frontier` puts back the leading zeros the base-3 kernel drops, and
+  per automaton (`KERNELS`) steps a row as one int of cell codes, and a run
+  (`RowKernel.run`) and a grid (`extend_frontier`) come from the same loop;
+  the base-3 kernel advances two rows per table lookup.  A grid decodes each
+  new row once, puts back the leading zeros the base-3 kernel drops, and
   sweeps each new base-3 row for its parity layer.
 
 `row_oracle` mirrors one row-placement step with plain integer arithmetic and
@@ -363,9 +363,9 @@ class RowKernel:
     builds each new row's value by Horner's rule, one block at a time
     (`_fall`).
 
-    Every new row must be one contiguous run of cells, or `run` and `step`
-    raise `NonContiguousRowError`.  A run counts each row's cells through its
-    own copy of one 256-cell mask (`_widen`), so it changes only the tables.
+    Every new row must be one contiguous run of cells, or the loop raises
+    `NonContiguousRowError`.  A run counts each row's cells through its own
+    copy of one 256-cell mask (`_widen`), so it changes only the tables.
     """
 
     def __init__(self, variant: CAVariant, cell: dict[str, str], block: int):
@@ -434,12 +434,12 @@ class RowKernel:
             raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
         return int("1".zfill(self.bits) * 2 * len(row), 2)
 
-    def _descend(self, codes: int, values: list, stop: int) -> tuple[int, int]:
+    def _descend(self, codes: int, values: list, stop: int, rows=None) -> tuple[int, int]:
         """Base-4 and base-2 only: step the packed row `codes` down, appending
         each new row's value to `values` until it holds `stop` values or one
-        past the first 1.  Returns the last row's codes and its lowest column
-        minus the first row's.  A row with an empty cell inside raises
-        `NonContiguousRowError`."""
+        past the first 1, and, to the list `rows` if given, its lowest column
+        minus the first row's and its codes.  Returns the last row's codes and
+        column.  A row with an empty cell inside raises `NonContiguousRowError`."""
         table, fill, mask, ones = self.table, self._fill, self._mask, self._ones
         bits = self.bits
         pad = self.reach * bits  # a block's window starts `reach` cells below it
@@ -472,11 +472,13 @@ class RowKernel:
             else:
                 v = None
             values.append(v)
+            if rows is not None:
+                rows.append((shift // bits, codes))
             if v == 1:
                 stop = min(stop, len(values) + 1)
         return codes, shift // bits
 
-    def _fall(self, codes: int, values: list, stop: int) -> tuple[int, int]:
+    def _fall(self, codes: int, values: list, stop: int, rows=None) -> tuple[int, int]:
         """Base-3 only: `_descend`'s contract, sweeping from the highest
         block down and advancing two rows per pass, one lookup per block for
         both.  Halving reads only the digit above and the parity carried from
@@ -489,8 +491,9 @@ class RowKernel:
         exact: the cells below it are empty, and a zero with only zeros to its
         left has EVEN parity, which acts as no parity at all, so it stays 0 on
         every later row.  The row carried to the next pass, or returned,
-        drops those zeros above its top nonzero digit, after its gap check,
-        so an empty cell under leading zeros is still rejected."""
+        drops those zeros above its top nonzero digit (`rows` gets the rows
+        before that cut), after its gap check, so an empty cell under leading
+        zeros is still rejected."""
         table, fill, mask, ones = self.table, self._fill, self._mask, self._ones
         step = 2 * self.block
         scale = 3**self.block
@@ -522,6 +525,8 @@ class RowKernel:
                 if ((codes | codes >> 1) & ones).bit_count() != (codes.bit_length() + 1) >> 1:
                     ones = self._widen(codes)
             values.append(v or None)  # an empty or all-zero row holds no value
+            if rows is not None:
+                rows.append((shift >> 1, codes))
             if v == 1:
                 stop = min(stop, len(values) + 1)
             if len(values) < stop:
@@ -536,27 +541,14 @@ class RowKernel:
                     if ((codes | codes >> 1) & ones).bit_count() != (codes.bit_length() + 1) >> 1:
                         ones = self._widen(codes)
                 values.append(v or None)
+                if rows is not None:
+                    rows.append((shift >> 1, codes))
                 if v == 1:
                     stop = min(stop, len(values) + 1)
             # cut the zeros above the top nonzero digit: the highest cell whose
             # code has its high bit set
             codes &= (1 << ((codes >> 1 & ones) << 1).bit_length()) - 1
         return codes, shift >> 1
-
-    def step(self, row: str) -> tuple[int, str]:
-        """The row below `row`, and its lowest column minus `row`'s.
-
-        Empty cells at either end are dropped; an empty cell inside the new
-        row raises `NonContiguousRowError`, as in `run`.  An empty cell
-        inside `row` itself can be closed by the sweep (`KERNELS[CA3]` steps
-        "1.1" to `(4, "1")`), so only gaps that survive one sweep raise.
-        The base-3 kernel also drops the zero digits above the top nonzero
-        digit, so its rows hold only significant digits; grids put those
-        zeros back up to their fixed high column (`step_frontier`).
-        """
-        loop = self._fall if self.falling else self._descend
-        codes, shift = loop(self.encode(row), [None], 2)
-        return shift, self.decode(codes)
 
     def value(self, row: str) -> int | None:
         """Integer held by a row string; None for an empty row."""
@@ -571,11 +563,8 @@ class RowKernel:
 
     def run(self, row: str, max_rows: int) -> list[int | None]:
         """Values of `row` and of the rows below it, until one row past the
-        first 1 or max_rows values.
-
-        The same rows as repeated `step` and `value`, from one loop that
-        encodes `row` once and never builds a string again.
-        """
+        first 1 or max_rows values, from one loop that encodes `row` once and
+        never builds a string again."""
         values = [self.value(row)]
         stop = min(max_rows, 2) if values[0] == 1 else max_rows
         loop = self._fall if self.falling else self._descend
@@ -661,31 +650,43 @@ def _parity_layer(g: Grid, i: int) -> Row:
     return new
 
 
-def step_frontier(g: Grid) -> StepStats:
-    """Finalize the next row (and, for base 3, its parity layer).
+def extend_frontier(g: Grid, values: list, stop: int) -> None:
+    """Finalize rows below the grid's last row (and, for base 3, their parity
+    layers) from one kernel loop, which appends each new row's value to
+    `values` until it holds `stop` values or one past the first 1.
 
     A base-3 row's zeros above its top nonzero digit have EVEN parity, which
-    acts as no parity at all: the row is stepped and swept without them, and
-    the row below gets them back up to the fixed high column of row 0.  Row
-    0's parity layer is set on the first step.
+    acts as no parity at all: the last row is stepped without them, and each
+    new row gets them back up to the fixed high column of row 0.  Row 0's
+    parity layer is set with the first new row.  An empty cell inside the
+    last row can be closed by the sweep (the base-2 kernel steps "1.1" to a
+    "1" four columns higher), so only gaps in new rows raise.
     """
-    i = len(g.bottom)
-    last = g.bottom[i - 1]
-    ca1 = g.variant is CAVariant.CA1
-    shift, row = KERNELS[g.variant].step(last.s.rstrip("0") if ca1 else last.s)
-    lo = last.lo + shift
-    if ca1:
-        row = row.ljust(g.row0_hi + 1 - lo, "0")
-    new = Row(lo, row)
-    if g.check_windows:
-        _check_window(g, i, new)
-    g.bottom.append(new)
-    if ca1:
-        if not g.top[i - 1]:
-            g.top[i - 1] = _parity_layer(g, i - 1)
-        g.top.append(_parity_layer(g, i))
-    g.ticks += 1
-    return StepStats(tick=g.ticks, cells_changed=len(new), rows_stable=len(g.bottom))
+    kernel = KERNELS[g.variant]
+    ca1 = kernel.falling
+    last, rows = g.bottom[-1], []
+    loop = kernel._fall if ca1 else kernel._descend
+    loop(kernel.encode(last.s.rstrip("0") if ca1 else last.s), values, stop, rows)
+    for i, (shift, codes) in enumerate(rows, len(g.bottom)):
+        lo = last.lo + shift
+        row = kernel.decode(codes)
+        if ca1:
+            row = row.ljust(g.row0_hi + 1 - lo, "0")
+        new = Row(lo, row)
+        if g.check_windows:
+            _check_window(g, i, new)
+        g.bottom.append(new)
+        if ca1:
+            if not g.top[i - 1]:
+                g.top[i - 1] = _parity_layer(g, i - 1)
+            g.top.append(_parity_layer(g, i))
+        g.ticks += 1
+
+
+def step_frontier(g: Grid) -> StepStats:
+    """Finalize the next row (and, for base 3, its parity layer)."""
+    extend_frontier(g, [None], 2)
+    return StepStats(g.ticks, len(g.bottom[-1]), len(g.bottom))
 
 
 # --- synchronous engine ------------------------------------------------------

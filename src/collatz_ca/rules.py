@@ -49,15 +49,15 @@ class CAVariant(Enum):
 
     @property
     def base(self) -> int:
-        return {CAVariant.CA1: 3, CAVariant.CA2: 4, CAVariant.CA3: 2}[self]
+        return _BASES[self]
 
     @property
     def map_variant(self) -> MapVariant:
-        return {
-            CAVariant.CA1: MapVariant.T1,
-            CAVariant.CA2: MapVariant.T2,
-            CAVariant.CA3: MapVariant.T3,
-        }[self]
+        return _MAP_VARIANTS[self]
+
+
+_BASES = dict(zip(CAVariant, (3, 4, 2)))
+_MAP_VARIANTS = dict(zip(CAVariant, (MapVariant.T1, MapVariant.T2, MapVariant.T3)))
 
 
 class TableVariant(Enum):

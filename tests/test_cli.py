@@ -222,6 +222,16 @@ def test_render_rows_flag(capsys):
     capsys.readouterr()
 
 
+def test_render_first_one_on_the_last_allowed_row(capsys):
+    # 27's first 1 on ca1 is row 70: the capped run has no confirmation row,
+    # and render still draws the same 70 + 1 + 4 rows
+    outs = []
+    for flags in ([], ["--max-rows", "70"], ["--rows", "75"]):
+        assert main(["render", "27", "--variant", "ca1", *flags]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(outs[0].splitlines()) == 75 and outs[0] == outs[1] == outs[2]
+
+
 def test_render_pgm(tmp_path):
     out = tmp_path / "grid.pgm"
     assert main(["render", "7", "--variant", "ca3", "--out", str(out)]) == 0

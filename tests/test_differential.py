@@ -34,6 +34,7 @@ from collatz_ca.grid import (
     step_frontier,
 )
 from collatz_ca.rules import CAVariant
+from test_kernels import step
 
 VARIANTS = list(CAVariant)
 
@@ -154,9 +155,9 @@ def reference_gaps(runs, row, guard, fixed_hi):
 
 
 def reference_shared(inputs, spacings, cfg, guard=engine.GUARD_GAP):
-    """Every run on one grid, stepped in lockstep with `step` and `value`, the
-    gaps checked on every row, until each run is one row past its first 1 or
-    the grid holds max_rows rows."""
+    """Every run on one grid, stepped in lockstep with `step` (one pass of the
+    kernel loop) and `value`, the gaps checked on every row, until each run is
+    one row past its first 1 or the grid holds max_rows rows."""
     variant = cfg.variant
     kernel = KERNELS[variant]
     runs = []
@@ -181,7 +182,7 @@ def reference_shared(inputs, spacings, cfg, guard=engine.GUARD_GAP):
             break
         row += 1
         for r in runs:
-            shift, r["row"] = kernel.step(r["row"])
+            shift, r["row"] = step(kernel, r["row"])
             r["lo"] += shift
             v = kernel.value(r["row"])
             r["values"].append(v)
@@ -224,11 +225,11 @@ def test_shared_grid_matches_lockstep_reference(variant):
 
 
 def drifted_extents(kernel, row, rows):
-    """(lows, highs) of `rows` rows from `row`, stepped by `kernel.step`; a
-    base-3 row extends to `row`'s top column."""
+    """(lows, highs) of `rows` rows from `row`, stepped by `step`; a base-3
+    row extends to `row`'s top column."""
     lo, lows, highs = 0, [0], [len(row) - 1]
     for _ in range(rows - 1):
-        shift, row = kernel.step(row)
+        shift, row = step(kernel, row)
         lo += shift
         lows.append(lo)
         highs.append(highs[0] if kernel.falling else lo + len(row) - 1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_ca.digits import DigitString, to_digits
-from collatz_ca.engine import RunConfig, run_grid
+from collatz_ca.engine import RunConfig, TrajectoryRecord, run_grid
 from collatz_ca.grid import (
     GROWTH_MARGIN,
     Grid,
@@ -177,18 +177,50 @@ def test_frontier_matches_oracle_cells(variant):
                 assert g.top[i] == ca1_top_states(r), (n, i)
 
 
+def stepped_grid(n, variant, rows):
+    """A grid of `rows` rows by `step_frontier`, and the record `run_grid`
+    gives for it."""
+    g = init_grid(n, variant)
+    for _ in range(rows - 1):
+        step_frontier(g)
+    iterates = [extract_row(g, i) for i in range(rows)]
+    first_one = iterates.index(1) if 1 in iterates else None
+    return g, TrajectoryRecord(n, variant, iterates, first_one is not None, first_one, rows - 1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_grid_is_the_step_frontier_grid(variant):
+    rng = random.Random(f"grid-{variant.value}")
+    for n in [*range(1, 300), *(rng.getrandbits(128) | 1 << 127 | 1 for _ in range(4))]:
+        rows = oracle_rows(n, variant, extra_rows=1)
+        g, record = run_grid(n, RunConfig(variant))
+        f, expected = stepped_grid(n, variant, len(rows))
+        assert record == expected, n
+        assert (g.bottom, g.top, snapshot(g)) == (f.bottom, f.top, snapshot(f)), n
+        assert g.bottom == [row_cells(r, variant) for r in rows], n
+        if variant is CAVariant.CA1:
+            assert g.top == [ca1_top_states(r) for r in rows], n
+    # a cap on either row of a base-3 pass, and on the first 1
+    for n in (7, 27, 2**64 + 1):
+        for max_rows in (*range(1, 6), len(oracle_rows(n, variant, extra_rows=0))):
+            g, record = run_grid(n, RunConfig(variant, max_rows=max_rows))
+            f, expected = stepped_grid(n, variant, max_rows)
+            assert (record, snapshot(g)) == (expected, snapshot(f)), (n, max_rows)
+
+
 def test_ca1_frontier_sweeps_each_row_once(monkeypatch):
-    steps = 0
-    step = RowKernel.step
+    # one kernel loop builds the whole grid
+    calls = 0
+    fall = RowKernel._fall
 
-    def counted(self, row):
-        nonlocal steps
-        steps += 1
-        return step(self, row)
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return fall(self, *args)
 
-    monkeypatch.setattr(RowKernel, "step", counted)
+    monkeypatch.setattr(RowKernel, "_fall", counted)
     g = run_grid(27, RunConfig(variant=CAVariant.CA1))[0]
-    assert steps == len(g.bottom) - 1, (steps, len(g.bottom))
+    assert calls == 1 and len(g.bottom) == 72, (calls, len(g.bottom))
     # the parity layer is complete after every step, not one step late
     for n in (5, 7, 26, 27, 80):
         rows = oracle_rows(n, CAVariant.CA1, extra_rows=3)

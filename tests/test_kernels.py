@@ -12,10 +12,13 @@ from collatz_ca.grid import (
     EMPTY,
     KERNELS,
     NonContiguousRowError,
+    Row,
     RowKernel,
+    init_grid,
     initial_row,
     row_cells,
     row_oracle,
+    step_frontier,
 )
 from collatz_ca.rules import (
     ATTR_ODD,
@@ -133,6 +136,15 @@ def test_ca1_single_cell_table_is_closed_form():
                         assert cell[ch(left) + ch(b)] == ch(q) + ch(f)
 
 
+def step(kernel, row):
+    """One pass of the kernel loop from the row string `row`, stopped after
+    one new row: that row's lowest column minus `row`'s, and the row string
+    (base 3: without its zeros above the top nonzero digit)."""
+    loop = kernel._fall if kernel.falling else kernel._descend
+    codes, shift = loop(kernel.encode(row), [None], 2)
+    return shift, kernel.decode(codes)
+
+
 def unpack(kernel, codes, cells):
     """The first `cells` cells of packed codes, lowest column first: code 0 is
     EMPTY and code c is state c - 1, `kernel.bits` bits each."""
@@ -218,7 +230,7 @@ def test_run_rows_wider_than_the_contiguity_mask(variant):
         # the step that grows an empty mask gives the same row, leading zeros dropped
         fresh = copy.copy(kernel)
         fresh._ones = 0
-        assert fresh.step(row + "000") == kernel.step(row + "000"), n
+        assert step(fresh, row + "000") == step(kernel, row + "000"), n
 
 
 def test_tables_stay_within_saturation_bound():
@@ -228,7 +240,7 @@ def test_tables_stay_within_saturation_bound():
         for _ in range(300):
             row = _random_row(rng, v)
             for _ in range(10):
-                row = kernel.step(row)[1]
+                row = step(kernel, row)[1]
         assert len(kernel.table) <= MAX_ENTRIES[v], v
 
 
@@ -291,7 +303,7 @@ def test_ca1_step_drops_leading_zeros():
             full = DigitString(3, [int(c) for c in row])
             lo = 0
             for _ in range(40):  # a chain of steps, each against the oracle's row
-                shift, row = kernel.step(row)
+                shift, row = step(kernel, row)
                 assert row and not row.endswith("0"), (n, zeros)
                 # the oracle keeps the width: same lowest column, then the zeros
                 full = row_oracle(full, CAVariant.CA1)
@@ -300,14 +312,14 @@ def test_ca1_step_drops_leading_zeros():
                 assert lo == full.offset, (n, zeros)
                 assert kernel.value(row) == full.value(), (n, zeros)
             halved = (3 * n + 1) // 2 if n & 1 else n // 2
-            assert kernel.step(_ca1_row(n) + "0" * zeros)[1] == _ca1_row(halved)
+            assert step(kernel, _ca1_row(n) + "0" * zeros)[1] == _ca1_row(halved)
 
 
 def test_ca1_gap_under_leading_zeros_still_rejected():
     kernel = KERNELS[CAVariant.CA1]
     for row in ("1" + EMPTY + "0", "21" + EMPTY + "00"):
         with pytest.raises(NonContiguousRowError):
-            kernel.step(row)
+            step(kernel, row)
 
 
 # --- RowKernel.run against the step/value chain --------------------------------
@@ -320,7 +332,7 @@ def stepped_values(kernel, row, max_rows):
     while len(values) < max_rows:
         if first_one is not None and len(values) == first_one + 2:
             break
-        row = kernel.step(row)[1]
+        row = step(kernel, row)[1]
         values.append(kernel.value(row))
         if first_one is None and values[-1] == 1:
             first_one = len(values) - 1
@@ -430,9 +442,15 @@ def test_run_rejects_inner_gaps():
     ):
         kernel = KERNELS[variant]
         with pytest.raises(NonContiguousRowError):
-            kernel.step(row)
+            step(kernel, row)
         with pytest.raises(NonContiguousRowError):
             kernel.run(row, 3)
+    # a gap one sweep closes is not rejected, by the kernel loop or by a grid
+    assert step(KERNELS[CAVariant.CA3], "1" + EMPTY + "1") == (4, "1")
+    g = init_grid(5, CAVariant.CA3)
+    g.bottom[0] = Row(0, "1" + EMPTY + "1")
+    step_frontier(g)
+    assert g.bottom[1] == Row(4, "1")
     # a gap a macro-cell entry itself leaves below a contiguous row; a base-3
     # entry holds two rows, 211 -> 120 -> 2010 (with a leading zero) unplanted
     for variant, row, planted in (
@@ -451,10 +469,10 @@ def test_run_rejects_inner_gaps():
         below = planted[0].strip(EMPTY)
         if EMPTY in below:
             with pytest.raises(NonContiguousRowError):
-                kernel.step(row)
+                step(kernel, row)
         else:  # the gap was in the second row, which `step` drops
             shift = planted[0].index(below[0]) - 2 * (variant is CAVariant.CA1)
-            assert kernel.step(row) == (shift, below.rstrip("0"))
+            assert step(kernel, row) == (shift, below.rstrip("0"))
             assert kernel.value(below) == kernel.value(row) // 2
 
 
@@ -468,9 +486,16 @@ def test_run_rejects_inner_gaps():
 def test_run_grid_rejects_a_gap_at_the_step(monkeypatch, variant, n, planted):
     kernel = planted_kernel(variant, start_row(n, variant), planted)
     monkeypatch.setitem(KERNELS, variant, kernel)
+    # the kernel loop under the grid driver raises, for a whole grid and for one step
+    loop = "_fall" if kernel.falling else "_descend"
     with pytest.raises(NonContiguousRowError) as err:
         run_grid(n, RunConfig(variant))
-    assert "step_frontier" in [entry.name for entry in err.traceback]
+    frames = [entry.name for entry in err.traceback][-4:]
+    assert frames == ["run_grid", "extend_frontier", loop, "_widen"]
+    with pytest.raises(NonContiguousRowError) as err:
+        step_frontier(init_grid(n, variant))
+    frames = [entry.name for entry in err.traceback][-4:]
+    assert frames == ["step_frontier", "extend_frontier", loop, "_widen"]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -486,5 +511,5 @@ def test_run_changes_only_the_memo_tables(variant):
     for n in (2**4001 - 1, 3**3000, 27):
         row = start_row(n, variant)
         assert fresh.run(row, 4) == kernel.run(row, 4), n
-        assert fresh.step(row) == kernel.step(row), n
+        assert step(fresh, row) == step(kernel, row), n
     assert state() == before
