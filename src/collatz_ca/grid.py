@@ -67,7 +67,7 @@ class WindowViolationError(RuntimeError):
 
 
 class NonContiguousRowError(RuntimeError):
-    """A row's non-default cells do not form one contiguous run."""
+    """A row is not a kept row of its automaton (see `RowKernel.check`)."""
 
 
 @dataclass
@@ -312,6 +312,14 @@ def _key_order(tv: TableVariant) -> list[int]:
     return sorted(range(len(reads)), key=lambda k: (-reads[k][1], reads[k][2]))
 
 
+# Per automaton, the cells a kept row can start and end with, in sweep order:
+# a base-4 row's units digit is odd and tagged odd or an untagged 2, and a
+# base-2 row is odd with no zero on top (see `RowKernel._read`).
+_KEPT_ENDS = {
+    CAVariant.CA1: ("012", "012"), CAVariant.CA2: ("572", "01234567"), CAVariant.CA3: ("1", "1")
+}
+
+
 def _compile_ca1() -> dict[str, str]:
     """(parity one column left, digit) -> new digit + this column's parity.
 
@@ -363,12 +371,16 @@ class RowKernel:
     builds each new row's value by Horner's rule, one block at a time
     (`_fall`).
 
-    Every new row must be one contiguous run of cells, or the loop raises
-    `NonContiguousRowError`.  A run counts each row's cells through its own
-    copy of one 256-cell mask (`_widen`), so it changes only the tables.
+    The loops step only kept rows (`_read`): one contiguous run of cells
+    that share one parity tag, starting and ending with the cells
+    `_KEPT_ENDS` allows in sweep order.  Construction proves that the sweep
+    steps every kept row to a nonempty kept row (`_prove`), and `check`
+    refuses any other row where it enters, so the loops check no row.
     """
 
     def __init__(self, variant: CAVariant, cell: dict[str, str], block: int):
+        self.variant = variant
+        self.first, self.last = _KEPT_ENDS[variant]
         self.base = variant.base
         self.falling = variant is CAVariant.CA1
         self.cell = cell
@@ -384,7 +396,65 @@ class RowKernel:
         self._carry = (block + self.reach) * bits
         self._mask = (1 << self._carry) - 1  # a key's window
         self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct entry
-        self._ones = int("1".zfill(bits) * 256, 2)  # a 1 on each cell's lowest bit
+        self._prove()
+
+    def _read(self, state: str, c: str) -> str | None:
+        """The kept-row language in sweep order: the state after cell `c`,
+        which is the last cell read ("" before the row, EMPTY after it), or
+        None if no kept row has `c` there."""
+        if c == EMPTY:
+            if state in ("", EMPTY):
+                return state  # before or after the row
+            return EMPTY if state in self.last else None
+        if state == EMPTY:
+            return None  # a gap
+        if not state:
+            return c if c in self.first else None
+        return None if (_STATE[c] ^ _STATE[state]) & ATTR_ODD else c  # one parity tag
+
+    def _prove(self) -> None:
+        """Raise AssertionError unless every kept row steps to a nonempty kept
+        row: search the states of the sweep (the carried cell, then the last
+        `reach` cells above) paired with `_read`'s states of the row above and
+        of the new row.  The witness is the cells above read so far."""
+        quiet = EMPTY * (self.reach + 1)
+        cells = sorted({key[-1] for key in self.cell})
+        seen = {(quiet, "", ""): ""}
+        todo = list(seen)
+        for sweep, above, below in todo:
+            for c in cells:
+                kept = self._read(above, c)
+                if kept is None:
+                    continue
+                new, read = self.cell[sweep + c], seen[sweep, above, below] + c
+                nxt = (new[-1] + (sweep + c)[2:], kept, self._read(below, new[0]))
+                if nxt[2] is None or nxt == (quiet, EMPTY, ""):  # refused, or empty
+                    row = read if self.falling else read[::-1]  # highest column first
+                    raise AssertionError(
+                        f"{self.variant.value} steps the kept row {row!r} out of the kept rows"
+                    )
+                if nxt not in seen:
+                    seen[nxt] = read
+                    todo.append(nxt)
+
+    def check(self, row: str) -> None:
+        """Raise `NonContiguousRowError` for a row string outside the kept
+        rows (the language `_read` reads cell by cell, checked here on the
+        whole string), with an empty cell, or with no nonzero digit."""
+        first, last = (row[-1:], row[:1]) if self.falling else (row[:1], row[-1:])
+        if EMPTY in row:
+            rule = "has an empty cell"
+        elif not row.strip("04"):  # 4 is a 0 tagged odd
+            rule = "has no nonzero digit"
+        elif first not in self.first:
+            rule = f"sweeps {first} first, not one of {self.first}"
+        elif last not in self.last:
+            rule = f"sweeps {last} last, not one of {self.last}"
+        elif row.strip("0123") and row.strip("4567"):  # untagged, tagged odd
+            rule = "mixes parity tags"
+        else:
+            return
+        raise NonContiguousRowError(f"{self.variant.value} row {row[::-1]!r} {rule}")
 
     def compose(self, key: str) -> str:
         """The macro-cell entry for the string `key`, by the single-cell table
@@ -425,26 +495,16 @@ class RowKernel:
         padded with EMPTY to at least `cells` cells."""
         return f"{codes:x}"[::-1].translate(self._chars).rstrip(EMPTY).ljust(cells, EMPTY)
 
-    def _widen(self, codes: int) -> int:
-        """The contiguity mask for a packed row that failed it, twice as wide
-        as the row: a row with an empty cell inside raises, and any other row
-        was wider than the mask."""
-        row = self.decode(codes)
-        if EMPTY in row:
-            raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
-        return int("1".zfill(self.bits) * 2 * len(row), 2)
-
     def _descend(self, codes: int, values: list, stop: int, rows=None) -> tuple[int, int]:
-        """Base-4 and base-2 only: step the packed row `codes` down, appending
-        each new row's value to `values` until it holds `stop` values or one
-        past the first 1, and, to the list `rows` if given, its lowest column
-        minus the first row's and its codes.  Returns the last row's codes and
-        column.  A row with an empty cell inside raises `NonContiguousRowError`."""
-        table, fill, mask, ones = self.table, self._fill, self._mask, self._ones
+        """Base-4 and base-2 only: step the packed kept row `codes` down,
+        appending each new row's value to `values` until it holds `stop`
+        values or one past the first 1, and, to the list `rows` if given, its
+        lowest column minus the first row's and its codes.  Returns the last
+        row's codes and column."""
+        table, fill, mask = self.table, self._fill, self._mask
         bits = self.bits
         pad = self.reach * bits  # a block's window starts `reach` cells below it
         step = self.block * bits
-        fold = bits - 2
         shift = 0
         # a cell's digit takes half its code's bits: digit shifts are code shifts halved
         while len(values) < stop:
@@ -457,20 +517,11 @@ class RowKernel:
                 digits |= dig << (p >> 1)
                 p += step
                 above >>= step
-            if codes:
-                # drop the empty cells below the row
-                low = ((codes & -codes).bit_length() - 1) & -bits
-                codes >>= low
-                shift += low
-                v = digits >> (low >> 1)
-                # one bit per nonempty cell, the OR of its code bits, on its
-                # lowest bit (`fold` is 0 for 2-bit codes); then count them
-                nonempty = codes | codes >> 1
-                nonempty |= nonempty >> fold
-                if (nonempty & ones).bit_count() != (codes.bit_length() + bits - 1) // bits:
-                    ones = self._widen(codes)
-            else:
-                v = None
+            # drop the empty cells below the row
+            low = ((codes & -codes).bit_length() - 1) & -bits
+            codes >>= low
+            shift += low
+            v = digits >> (low >> 1)
             values.append(v)
             if rows is not None:
                 rows.append((shift // bits, codes))
@@ -484,17 +535,15 @@ class RowKernel:
         both.  Halving reads only the digit above and the parity carried from
         the left, so row i+2's block lies under row i+1's, and a key holds row
         i's block and the parities carried into both new rows' blocks.  If
-        the stop falls after the first row of a pass, the second is dropped
-        unchecked.
+        the stop falls after the first row of a pass, the second is dropped.
 
         Row i+2 is swept under row i+1 as it comes out of the table, which is
         exact: the cells below it are empty, and a zero with only zeros to its
         left has EVEN parity, which acts as no parity at all, so it stays 0 on
         every later row.  The row carried to the next pass, or returned,
         drops those zeros above its top nonzero digit (`rows` gets the rows
-        before that cut), after its gap check, so an empty cell under leading
-        zeros is still rejected."""
-        table, fill, mask, ones = self.table, self._fill, self._mask, self._ones
+        before that cut)."""
+        table, fill, mask = self.table, self._fill, self._mask
         step = 2 * self.block
         scale = 3**self.block
         shift = 0
@@ -514,48 +563,40 @@ class RowKernel:
                 p -= step
             # row i+1, then row i+2 unless the stop falls between them; each
             # drops the empty cells below it (at least the frame's lowest for
-            # row i+1), which were 0s in `v`, and has its gaps counted as in
-            # `_descend`: one bit per nonempty cell
-            shift -= 2  # an empty row lies one column right of the row above
-            if codes:
-                low = ((codes & -codes).bit_length() - 1) & -2
-                codes >>= low
-                v //= 3 ** (low >> 1)
-                shift = frame + low
-                if ((codes | codes >> 1) & ones).bit_count() != (codes.bit_length() + 1) >> 1:
-                    ones = self._widen(codes)
-            values.append(v or None)  # an empty or all-zero row holds no value
+            # row i+1), which were 0s in `v`
+            low = ((codes & -codes).bit_length() - 1) & -2
+            codes >>= low
+            v //= 3 ** (low >> 1)
+            shift = frame + low
+            values.append(v or None)  # an all-zero row holds no value
             if rows is not None:
                 rows.append((shift >> 1, codes))
             if v == 1:
                 stop = min(stop, len(values) + 1)
             if len(values) < stop:
                 codes, v = second, v2
-                shift -= 2
-                if codes:
-                    low = ((codes & -codes).bit_length() - 1) & -2
-                    if low:
-                        codes >>= low
-                        v //= 3 ** (low >> 1)
-                    shift = frame + low
-                    if ((codes | codes >> 1) & ones).bit_count() != (codes.bit_length() + 1) >> 1:
-                        ones = self._widen(codes)
+                low = ((codes & -codes).bit_length() - 1) & -2
+                if low:
+                    codes >>= low
+                    v //= 3 ** (low >> 1)
+                shift = frame + low
                 values.append(v or None)
                 if rows is not None:
                     rows.append((shift >> 1, codes))
                 if v == 1:
                     stop = min(stop, len(values) + 1)
             # cut the zeros above the top nonzero digit: the highest cell whose
-            # code has its high bit set
+            # code has its high bit set, found through a 1 on each cell's lowest bit
+            ones = ((1 << (codes.bit_length() + 1 & -2)) - 1) // 3
             codes &= (1 << ((codes >> 1 & ones) << 1).bit_length()) - 1
         return codes, shift >> 1
 
     def value(self, row: str) -> int | None:
-        """Integer held by a row string; None for an empty row."""
+        """Integer held by a row string; None for an empty row.  Any other
+        row must pass `check`."""
         if not row:
             return None
-        if EMPTY in row:
-            raise NonContiguousRowError(f"row {row[::-1]!r} has an empty cell inside")
+        self.check(row)
         msd = row[::-1]
         if self.base == 4:
             msd = msd.translate(CA2_DIGITS)
@@ -564,7 +605,9 @@ class RowKernel:
     def run(self, row: str, max_rows: int) -> list[int | None]:
         """Values of `row` and of the rows below it, until one row past the
         first 1 or max_rows values, from one loop that encodes `row` once and
-        never builds a string again."""
+        never builds a string again.  `row` must pass `check`."""
+        if not row:
+            self.check(row)  # an empty row has no nonzero digit
         values = [self.value(row)]
         stop = min(max_rows, 2) if values[0] == 1 else max_rows
         loop = self._fall if self.falling else self._descend
@@ -658,13 +701,13 @@ def extend_frontier(g: Grid, values: list, stop: int) -> None:
     A base-3 row's zeros above its top nonzero digit have EVEN parity, which
     acts as no parity at all: the last row is stepped without them, and each
     new row gets them back up to the fixed high column of row 0.  Row 0's
-    parity layer is set with the first new row.  An empty cell inside the
-    last row can be closed by the sweep (the base-2 kernel steps "1.1" to a
-    "1" four columns higher), so only gaps in new rows raise.
+    parity layer is set with the first new row.  The last row must pass
+    `RowKernel.check`, and every new row then is a kept row.
     """
     kernel = KERNELS[g.variant]
     ca1 = kernel.falling
     last, rows = g.bottom[-1], []
+    kernel.check(last.s)
     loop = kernel._fall if ca1 else kernel._descend
     loop(kernel.encode(last.s.rstrip("0") if ca1 else last.s), values, stop, rows)
     for i, (shift, codes) in enumerate(rows, len(g.bottom)):

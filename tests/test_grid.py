@@ -407,10 +407,9 @@ def test_active_window_shapes():
 
 def test_window_violation_detected():
     g = init_grid(7, CAVariant.CA3, check_windows=True)
-    g.bottom[0] = g.bottom[0].put(40, "1")  # plant a far-away cell; the row below has a gap
-    with pytest.raises(NonContiguousRowError):
-        for _ in range(3):
-            step_frontier(g)
+    g.bottom[0] = g.bottom[0].put(40, "1")  # plant a far-away cell: a gap the step refuses
+    with pytest.raises(NonContiguousRowError, match="has an empty cell"):
+        step_frontier(g)
     g = init_grid(7, CAVariant.CA3, check_windows=True)
     g.bottom[0] = g.bottom[0].put(3, "0" * 37 + "1")  # contiguous, but growth there breaks the window
     with pytest.raises(WindowViolationError):

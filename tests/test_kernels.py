@@ -2,10 +2,12 @@
 
 import copy
 import random
+import re
+from itertools import product
 
 import pytest
 
-from collatz_ca.engine import RunConfig, run_grid, run_single
+from collatz_ca.engine import RunConfig, run_single
 from collatz_ca.digits import DigitString, apply_map
 from collatz_ca.grid import (
     CELL_TABLES,
@@ -221,16 +223,15 @@ def test_packed_rows_round_trip(variant):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_run_rows_wider_than_the_contiguity_mask(variant):
-    # rows far wider than any other test's: the contiguity mask grows to cover them
+def test_run_rows_of_thousands_of_cells(variant):
+    # rows far wider than any other test's; the base-3 zero cut builds its
+    # mask from each row's own width
     kernel = KERNELS[variant]
     for n in (2**4001 - 1, 3**3000, 4**2500 + 1, 3**4500 * 2 + 1, 2**14000 + 7):
         row = start_row(n, variant)
         assert kernel.run(row, 4) == stepped_values(kernel, row, 4), n
-        # the step that grows an empty mask gives the same row, leading zeros dropped
-        fresh = copy.copy(kernel)
-        fresh._ones = 0
-        assert step(fresh, row + "000") == step(kernel, row + "000"), n
+    if variant is CAVariant.CA1:
+        assert_ca1_chain(kernel, _ca1_row(3**3000 + 1) + "0" * 13, 40)
 
 
 def test_tables_stay_within_saturation_bound():
@@ -292,6 +293,22 @@ def _ca1_row(n):
     return out
 
 
+def assert_ca1_chain(kernel, row, steps):
+    """Step the base-3 row string `row` `steps` times, each step against the
+    oracle's row."""
+    full = DigitString(3, [int(c) for c in row])
+    lo = 0
+    for _ in range(steps):
+        shift, row = step(kernel, row)
+        assert row and not row.endswith("0"), full
+        # the oracle keeps the width: same lowest column, then the zeros
+        full = row_oracle(full, CAVariant.CA1)
+        lo += shift
+        assert "".join(map(str, full.digits)) == row.ljust(len(full), "0"), full
+        assert lo == full.offset, full
+        assert kernel.value(row) == full.value(), full
+
+
 def test_ca1_step_drops_leading_zeros():
     kernel = KERNELS[CAVariant.CA1]
     rng = random.Random(7)
@@ -299,27 +316,15 @@ def test_ca1_step_drops_leading_zeros():
     values += [rng.getrandbits(rng.choice([8, 64, 128])) | 1 for _ in range(40)]
     for n in values:
         for zeros in (0, 1, 13):
-            row = _ca1_row(n) + "0" * zeros
-            full = DigitString(3, [int(c) for c in row])
-            lo = 0
-            for _ in range(40):  # a chain of steps, each against the oracle's row
-                shift, row = step(kernel, row)
-                assert row and not row.endswith("0"), (n, zeros)
-                # the oracle keeps the width: same lowest column, then the zeros
-                full = row_oracle(full, CAVariant.CA1)
-                lo += shift
-                assert "".join(map(str, full.digits)) == row.ljust(len(full), "0"), (n, zeros)
-                assert lo == full.offset, (n, zeros)
-                assert kernel.value(row) == full.value(), (n, zeros)
+            assert_ca1_chain(kernel, _ca1_row(n) + "0" * zeros, 40)
             halved = (3 * n + 1) // 2 if n & 1 else n // 2
             assert step(kernel, _ca1_row(n) + "0" * zeros)[1] == _ca1_row(halved)
 
 
 def test_ca1_gap_under_leading_zeros_still_rejected():
-    kernel = KERNELS[CAVariant.CA1]
+    # refused where the row enters, by a run and by a grid step
     for row in ("1" + EMPTY + "0", "21" + EMPTY + "00"):
-        with pytest.raises(NonContiguousRowError):
-            step(kernel, row)
+        assert_refused(CAVariant.CA1, row, "has an empty cell")
 
 
 # --- RowKernel.run against the step/value chain --------------------------------
@@ -419,88 +424,133 @@ def test_run_ca1_row_beyond_int_string_limit():
     assert kernel.run(row, 3) == stepped_values(kernel, row, 3)
 
 
-def planted_kernel(variant, row, planted):
-    """A copy of the variant's kernel whose entry for the one-block row `row`
-    gives the rows `planted` (base 3: two rows) instead."""
-    kernel = copy.copy(KERNELS[variant])
-    kernel.table = dict(kernel.table)
-    # one block: its window is the reach's empty cells, then the row; the
-    # base-3 window starts two columns below the row, and so do its rows
-    below_row = 2 if variant is CAVariant.CA1 else kernel.reach
-    key = kernel.encode(row) << below_row * kernel.bits
-    entry = [x for p in planted for x in (kernel.encode(p), digit_bits(variant, p))]
-    kernel.table[key] = (*entry, 0)
-    return kernel
+def assert_refused(variant, row, rule):
+    """`run`, `value` and a grid step from a planted last row all refuse the
+    row string `row`, with a message naming `rule`; the grid is unchanged."""
+    kernel = KERNELS[variant]
+    message = f"^{variant.value} row {re.escape(repr(row[::-1]))} {rule}"
+    with pytest.raises(NonContiguousRowError, match=message):
+        kernel.run(row, 5)
+    with pytest.raises(NonContiguousRowError, match=message):
+        kernel.value(row)
+    g = init_grid(5, variant)
+    g.bottom[0] = Row(0, row)
+    with pytest.raises(NonContiguousRowError, match=message) as err:
+        step_frontier(g)
+    assert [entry.name for entry in err.traceback][-3:] == ["step_frontier", "extend_frontier", "check"]
+    assert g.bottom == [Row(0, row)] and g.ticks == 0
 
 
 def test_run_rejects_inner_gaps():
-    # gaps that survive one sweep: `step` rejects the row below
+    # "1.1" is refused too, although one sweep would close it to "1"
     for variant, row in (
-        (CAVariant.CA1, "1" + EMPTY + "0"),
-        (CAVariant.CA1, "21" + EMPTY + "00"),
         (CAVariant.CA3, "1" + EMPTY * 4 + "1"),
+        (CAVariant.CA3, "1" + EMPTY + "1"),
+        (CAVariant.CA2, "5" + EMPTY + "7"),
+        (CAVariant.CA1, "2" + EMPTY + "1"),
     ):
-        kernel = KERNELS[variant]
-        with pytest.raises(NonContiguousRowError):
-            step(kernel, row)
-        with pytest.raises(NonContiguousRowError):
-            kernel.run(row, 3)
-    # a gap one sweep closes is not rejected, by the kernel loop or by a grid
-    assert step(KERNELS[CAVariant.CA3], "1" + EMPTY + "1") == (4, "1")
-    g = init_grid(5, CAVariant.CA3)
-    g.bottom[0] = Row(0, "1" + EMPTY + "1")
-    step_frontier(g)
-    assert g.bottom[1] == Row(4, "1")
-    # a gap a macro-cell entry itself leaves below a contiguous row; a base-3
-    # entry holds two rows, 211 -> 120 -> 2010 (with a leading zero) unplanted
-    for variant, row, planted in (
-        (CAVariant.CA3, "1101", [".1.1...."]),
-        (CAVariant.CA3, "1101", [".1.01..."]),  # the gap under a zero digit
-        (CAVariant.CA2, "57", ["7.4."]),
-        (CAVariant.CA2, "57", ["3..0"]),
-        (CAVariant.CA1, "211", ["..2.1.", ".2010."]),
-        (CAVariant.CA1, "211", [".21.00", ".2010."]),  # the gap under leading zeros
-        (CAVariant.CA1, "211", ["..120.", ".2.10."]),  # the gap in the second row
-        (CAVariant.CA1, "211", ["..120.", "21.00."]),
-    ):
-        kernel = planted_kernel(variant, row, planted)
-        with pytest.raises(NonContiguousRowError):
-            kernel.run(row, 3)
-        below = planted[0].strip(EMPTY)
-        if EMPTY in below:
-            with pytest.raises(NonContiguousRowError):
-                step(kernel, row)
-        else:  # the gap was in the second row, which `step` drops
-            shift = planted[0].index(below[0]) - 2 * (variant is CAVariant.CA1)
-            assert step(kernel, row) == (shift, below.rstrip("0"))
-            assert kernel.value(below) == kernel.value(row) // 2
+        assert_refused(variant, row, "has an empty cell")
 
 
 @pytest.mark.parametrize(
-    "variant, n, planted",
+    "variant, row, rule",
     [
-        (CAVariant.CA3, 11, [".1.1...."]),  # row 0 is "1101"
-        (CAVariant.CA1, 14, [".21.00", ".2010."]),  # row 0 is "211"
+        (CAVariant.CA2, "53", "mixes parity tags"),  # T2 gives 13, 10, 5, 1
+        (CAVariant.CA2, "6", "sweeps 6 first, not one of 572"),
+        (CAVariant.CA2, "1", "sweeps 1 first, not one of 572"),
+        (CAVariant.CA3, "011", "sweeps 0 first, not one of 1"),
+        (CAVariant.CA3, "10", "sweeps 0 last, not one of 1"),  # a zero on top
+        (CAVariant.CA1, "0", "has no nonzero digit"),
+        (CAVariant.CA2, "57" + EMPTY + "7", "has an empty cell"),
     ],
 )
-def test_run_grid_rejects_a_gap_at_the_step(monkeypatch, variant, n, planted):
-    kernel = planted_kernel(variant, start_row(n, variant), planted)
-    monkeypatch.setitem(KERNELS, variant, kernel)
-    # the kernel loop under the grid driver raises, for a whole grid and for one step
-    loop = "_fall" if kernel.falling else "_descend"
-    with pytest.raises(NonContiguousRowError) as err:
-        run_grid(n, RunConfig(variant))
-    frames = [entry.name for entry in err.traceback][-4:]
-    assert frames == ["run_grid", "extend_frontier", loop, "_widen"]
-    with pytest.raises(NonContiguousRowError) as err:
-        step_frontier(init_grid(n, variant))
-    frames = [entry.name for entry in err.traceback][-4:]
-    assert frames == ["step_frontier", "extend_frontier", loop, "_widen"]
+def test_run_refuses_rows_outside_the_kept_rows(variant, row, rule):
+    assert_refused(variant, row, rule)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_values_are_right_or_refused(variant):
+    # random short rows of any digits, parity tags, zeros on top and gaps:
+    # a run either refuses the row or gives the map's iterates of its value
+    kernel = KERNELS[variant]
+    mv = variant.map_variant
+    cells = [ch(d) for d in DIGITS[variant] if d is not None]
+    rng = random.Random(f"edge-{variant.value}")
+    kept = 0
+    for _ in range(3000):
+        row = "".join(rng.choice(cells) for _ in range(rng.randint(1, 6)))
+        if rng.random() < 0.1:
+            k = rng.randrange(len(row))
+            row = row[:k] + EMPTY + row[k + 1:]
+        try:
+            values = kernel.run(row, 30)
+        except NonContiguousRowError:
+            continue
+        kept += 1
+        x = digit_bits(variant, row)
+        expected = [x]
+        while len(expected) < 30 and 1 not in expected[:-1]:
+            expected.append(apply_map(mv, expected[-1]))
+        assert values == expected, row
+    assert kept > 300, kept
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_check_refuses_what_the_language_refuses(variant):
+    # `check` tests a whole row string for the language `_read` reads cell by
+    # cell in sweep order (the one the proof explores), plus a nonzero digit:
+    # every row of up to five cells, EMPTY included
+    kernel = KERNELS[variant]
+    cells = [ch(d) for d in DIGITS[variant]]
+    for size in range(1, 6 if len(cells) < 9 else 5):
+        for row in map("".join, product(cells, repeat=size)):
+            state = ""
+            for c in (row[::-1] if kernel.falling else row) + EMPTY:
+                if state is not None:
+                    state = kernel._read(state, c)
+            # a row string has no empty cell at either end, and a nonzero digit
+            kept = state is not None and row[0] != EMPTY != row[-1]
+            kept = kept and any(c not in EMPTY + "04" for c in row)
+            try:
+                kernel.check(row)
+            except NonContiguousRowError:
+                assert not kept, row
+            else:
+                assert kept, row
+
+
+@pytest.mark.parametrize(
+    "variant, key, new",
+    [
+        (CAVariant.CA3, "1111", EMPTY),  # a gap
+        (CAVariant.CA1, "01", EMPTY + "1"),  # a gap
+        (CAVariant.CA2, "777", EMPTY),  # a gap
+        (CAVariant.CA2, "777", "3"),  # a mixed parity tag
+        (CAVariant.CA1, EMPTY + "1", EMPTY * 2),  # "1" steps to an empty row
+    ],
+)
+def test_kernel_refuses_a_table_that_leaves_the_kept_rows(variant, key, new):
+    kernel = KERNELS[variant]
+    RowKernel(variant, kernel.cell, kernel.block)  # the shipped table passes
+    cell = dict(kernel.cell)
+    cell[key] = new
+    witness = "'[0-9.]+'"  # the cells above read so far
+    with pytest.raises(AssertionError, match=f"^{variant.value} steps the kept row {witness} out"):
+        RowKernel(variant, cell, kernel.block)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_refuses_an_empty_row(variant):
+    # the loops step only nonempty rows; `value` still reads an empty row as None
+    kernel = KERNELS[variant]
+    with pytest.raises(NonContiguousRowError, match=f"^{variant.value} row '' has no nonzero digit"):
+        kernel.run("", 3)
+    assert kernel.value("") is None
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_changes_only_the_memo_tables(variant):
-    # rows far wider than the start mask: each run widens its own copy
+    # a kernel holds no state but its tables, whatever the rows' widths
     kernel = KERNELS[variant]
     fresh = RowKernel(variant, kernel.cell, kernel.block)
 
