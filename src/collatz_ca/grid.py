@@ -13,10 +13,13 @@ closed-form rules:
 
 * synchronous stepping is the reference model: every cell is re-evaluated
   against the pre-tick states each tick.  A tick recomputes the whole rows
-  that read a row changed on the tick before, one table lookup per cell of
-  the columns `neighborhood_keys` finds, which is tick-for-tick identical to
-  the naive sweep because transitions are deterministic functions of the
-  neighborhood.
+  that read a row changed on the tick before, which is tick-for-tick
+  identical to the naive sweep because transitions are deterministic
+  functions of the neighborhood.  One tick loop (`_synchronous`) holds the
+  rows it reads as bit-planes, one int per bit of a cell's encoding, and
+  recomputes a row with one call of its layer's row function, a few shifts
+  and boolean operations checked against the single-cell table on every
+  key; it writes the rows it changed back once per call.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
   per automaton (`KERNELS`) steps a row as one int of cell codes, and a run
@@ -28,7 +31,7 @@ closed-form rules:
 `row_oracle` mirrors one row-placement step with plain integer arithmetic and
 is the ground truth the engines are tested against; `row_cells` and
 `ca1_top_states` turn its rows into `Row`s, which the rule learner scans
-with the synchronous engine's `neighborhood_keys`.
+with `neighborhood_keys`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import ne
 
 from .digits import DigitString, odd_part, to_digits
 from .rules import (
@@ -228,6 +230,7 @@ CA2_DIGITS = str.maketrans("4567", "0123")  # drop the parity attribute
 # A packed cell's code is its state + 1, and 0 for EMPTY (see `RowKernel`).
 _CODE_CHAR = {0 if s is None else s + 1: c for s, c in _CHAR.items()}
 _CODE_DIGIT = str.maketrans({c: str(code) for code, c in _CODE_CHAR.items()})
+_OCCUPIED = str.maketrans({c: "0" if c == EMPTY else "1" for c in _STATE})
 
 
 class Row(Mapping):
@@ -380,6 +383,7 @@ class RowKernel:
 
     def __init__(self, variant: CAVariant, cell: dict[str, str], block: int):
         self.variant = variant
+        self.digits = "".join(_CHAR[s] for s in ALPHABETS[LAYERS[variant][0]] if s is not None)
         self.first, self.last = _KEPT_ENDS[variant]
         self.base = variant.base
         self.falling = variant is CAVariant.CA1
@@ -438,11 +442,15 @@ class RowKernel:
                     todo.append(nxt)
 
     def check(self, row: str) -> None:
-        """Raise `NonContiguousRowError` for a row string outside the kept
-        rows (the language `_read` reads cell by cell, checked here on the
-        whole string), with an empty cell, or with no nonzero digit."""
+        """Raise `NonContiguousRowError` for a row string with a cell that is
+        no digit of the automaton, outside the kept rows (the language `_read`
+        reads cell by cell, checked here on the whole string), with an empty
+        cell, or with no nonzero digit."""
         first, last = (row[-1:], row[:1]) if self.falling else (row[:1], row[-1:])
-        if EMPTY in row:
+        foreign = row.strip(self.digits + EMPTY)
+        if foreign:
+            rule = f"has the cell {foreign[0]}, not one of {self.digits}"
+        elif EMPTY in row:
             rule = "has an empty cell"
         elif not row.strip("04"):  # 4 is a 0 tagged odd
             rule = "has no nonzero digit"
@@ -666,14 +674,22 @@ def neighborhood_keys(
 # --- frontier engine ---------------------------------------------------------
 
 
-def _check_window(g: Grid, i: int, row: Row) -> None:
+def _check_window(g: Grid, i: int, cells: int, origin: int) -> None:
+    """Raise WindowViolationError if row i has a non-default cell outside its
+    active window; bit k of `cells` marks a cell at column origin + k."""
     w_lo, w_hi = g.active_window(i)
-    if row and (row.lo < w_lo or row.hi > w_hi):
-        j = min(j for j in row if j < w_lo or j > w_hi)
+    outside = cells & ~((1 << max(w_hi + 1 - origin, 0)) - (1 << max(w_lo - origin, 0)))
+    if outside:
+        j = origin + (outside & -outside).bit_length() - 1
         raise WindowViolationError(
             f"{g.variant.value} row {i}: non-default cell at column {j} "
             f"outside window [{w_lo}, {w_hi}]"
         )
+
+
+def _cells(row: Row) -> int:
+    """The mask of a row's non-default cells, bit k for column row.lo + k."""
+    return int(row.s.translate(_OCCUPIED)[::-1] or "0", 2)
 
 
 def _parity_layer(g: Grid, i: int) -> Row:
@@ -689,7 +705,7 @@ def _parity_layer(g: Grid, i: int) -> Row:
         out.append(p)
     new = Row(row.lo - 1, "".join(reversed(out)).ljust(len(row.s) + 1, _CHAR[EVEN]))
     if g.check_windows:
-        _check_window(g, i, new)
+        _check_window(g, i, _cells(new), new.lo)
     return new
 
 
@@ -717,7 +733,7 @@ def extend_frontier(g: Grid, values: list, stop: int) -> None:
             row = row.ljust(g.row0_hi + 1 - lo, "0")
         new = Row(lo, row)
         if g.check_windows:
-            _check_window(g, i, new)
+            _check_window(g, i, _cells(new), new.lo)
         g.bottom.append(new)
         if ca1:
             if not g.top[i - 1]:
@@ -733,27 +749,208 @@ def step_frontier(g: Grid) -> StepStats:
 
 
 # --- synchronous engine ------------------------------------------------------
+#
+# A tick works on bit-planes: a row of one layer is one int per bit of its
+# cells' encoding, column j at bit j - origin, so one call of the layer's row
+# function updates every cell of the row with a few shifts and boolean
+# operations (multi-spin coding).  A row function takes `planes` (per layer,
+# row index -> planes) and the row index i, reads the rows its table's
+# `NEIGHBORHOODS` names, shifts each read by its column offset (column -1 is
+# a left shift by one), and returns the new planes and the mask of the
+# changed cells.  `_sync_layers` checks every row function against its
+# single-cell table on every key before a variant's first tick.
+
+# Per layer, each state's bit in each plane; EMPTY is 0 in every plane.
+_PLANE_BITS = {
+    TableVariant.CA3: {0: (1, 0), 1: (1, 1)},  # present, value
+    # present, odd tag, low and high digit bits
+    TableVariant.CA2: {s: (1, s >> 2, s & 1, s >> 1 & 1) for s in range(2 * ATTR_ODD)},
+    # the bits of state + 1
+    TableVariant.CA1_BOTTOM: {s: ((s + 1) & 1, (s + 1) >> 1) for s in (0, 1, 2)},
+    TableVariant.CA1_TOP: {s: ((s + 1) & 1, (s + 1) >> 1) for s in (EVEN, ODD_NORMAL, ODD_SPECIAL)},
+}
+
+# Empty columns a call keeps below the lowest cell it holds; bit 0 stays
+# empty, so the right shift of the base-3 parity layer's read loses no cell.
+_MARGIN = 8
 
 
-@cache  # built on a variant's first tick, then looked up once per tick
-def _layer_specs(variant: CAVariant) -> tuple:
-    """Per layer: its single-cell table keyed by tuples of characters (as `zip`
-    gives them), the (layer, row, column) offsets of a key's cells in key
-    order, and the (layer, row offset) of every row that reads the layer."""
-    tables = LAYERS[variant]
-    return tuple(
-        (
-            {tuple(key): new for key, new in CELL_TABLES[tv].items()},
-            tuple(NEIGHBORHOODS[tv][k] for k in _key_order(tv)),
-            {
-                (reader, -dr)
-                for reader, reader_tv in enumerate(tables)
-                for source, dr, _ in NEIGHBORHOODS[reader_tv]
-                if source == layer
-            },
+def _ca3_row(planes: tuple, i: int) -> tuple:
+    """ca3: the odd part of 3x + 1 as the sum (2x + 1) + x, its carry exposed
+    by the sum bit already placed on the right (`transition_ca3`)."""
+    rows = planes[0]
+    a, av = rows[i - 1]  # above: present, value
+    old = rows[i]
+    b, bv, c, cv = a << 1, av << 1, a << 2, av << 2  # above-right, above-right-right
+    d, dv = old[0] << 1, old[1] << 1  # right
+    full = b & c & d
+    carry = bv & cv | (bv | cv) & ~dv
+    p = a & b & ~(av ^ bv | d) | ~(a | b) & cv & ~dv | full
+    v = p & ~full | full & (av ^ bv ^ carry)
+    return (p, v), p ^ old[0] | v ^ old[1]
+
+
+def _ca2_row(planes: tuple, i: int) -> tuple:
+    """ca2: an odd row's digit is b - a - borrow, the borrow exposed by
+    d + b >= 4, and an even row's is 2a + carry, the carry being b >= 2
+    (`transition_ca2`); a tag mixed between a and b leaves the cell empty."""
+    rows = planes[0]
+    pa, ta, la, ha = rows[i - 1]  # above: present, odd tag, digit bits
+    old = rows[i]
+    pb, tb, lb, hb = pa << 1, ta << 1, la << 1, ha << 1  # above-right
+    pd, td, ld, hd = old[0] << 1, old[1] << 1, old[2] << 1, old[3] << 1  # right
+    ok = (pa | pb) & ~(pa & pb & (ta ^ tb))
+    odd = ok & (ta | tb)
+    even = ok ^ odd
+    borrow = hd & hb | (hd ^ hb) & ld & lb
+    low = lb ^ la ^ borrow
+    high = hb ^ ha ^ (~lb & la | ~(lb ^ la) & borrow)
+    po = odd & pb & (low | high | pa & pd)
+    two = odd & ~(pb | pd) & la & ha  # an odd units digit 3 leaves an untagged 2
+    pe = even & pb & (pd & (pa | hb) | ~pd & hb & ~lb)
+    p = po | pe | two
+    t = po & (td | ~pd & low) | pe & (td | ~pd)
+    low = po & low | pe & (hb | ~pd)
+    high = po & high | pe & la | two
+    return (p, t, low, high), p ^ old[0] | t ^ old[1] | low ^ old[2] | high ^ old[3]
+
+
+def _ca1_bottom_row(planes: tuple, i: int) -> tuple:
+    """ca1-bottom: halve the digit above, with the parity above it as the
+    incoming remainder; the marker leaves a 2 (`transition_ca1_bottom`)."""
+    x0, x1 = planes[0][i - 1]  # digit above: the bits of state + 1
+    f0, f1 = planes[1][i - 1]  # parity above
+    old = planes[0][i]
+    even, odd, marker = f0 & ~f1, f1 & ~f0, f0 & f1
+    c0 = marker | even & (x0 ^ x1) | odd & x1
+    c1 = marker | even & x1 | odd & x0
+    return (c0, c1), c0 ^ old[0] | c1 ^ old[1]
+
+
+def _ca1_top_row(planes: tuple, i: int) -> tuple:
+    """ca1-top: the parity of the digit below plus the parity one column
+    left; past the units digit an odd parity leaves the marker
+    (`transition_ca1_top`)."""
+    x0, x1 = planes[0][i]  # digit below: the bits of state + 1
+    old = planes[1][i]
+    l0, l1 = old[0] >> 1, old[1] >> 1  # parity one column left
+    digit = x0 | x1
+    left_odd = l1 & ~l0
+    live = digit & ~(l0 & l1)
+    odd = x1 & ~x0 ^ left_odd
+    marker = left_odd & ~digit
+    c0 = live & ~odd | marker
+    c1 = live & odd | marker
+    return (c0, c1), c0 ^ old[0] | c1 ^ old[1]
+
+
+_ROW_FUNCTIONS = {
+    TableVariant.CA3: _ca3_row,
+    TableVariant.CA2: _ca2_row,
+    TableVariant.CA1_BOTTOM: _ca1_bottom_row,
+    TableVariant.CA1_TOP: _ca1_top_row,
+}
+
+
+class _SyncLayer:
+    """One layer of an automaton on the synchronous engine: its row function
+    (`step`), the (layer, row offset) of every row `step` reads (`reads`) and
+    of every row that reads this layer (`readers`), and the conversions
+    between `Row`s and planes."""
+
+    def __init__(self, variant: CAVariant, layer: int):
+        tables = LAYERS[variant]
+        self.tv = tables[layer]
+        self.step = _ROW_FUNCTIONS[self.tv]
+        self.reads = sorted({(source, dr) for source, dr, _ in NEIGHBORHOODS[self.tv]})
+        self.readers = {
+            (reader, -dr)
+            for reader, reader_tv in enumerate(tables)
+            for source, dr, _ in NEIGHBORHOODS[reader_tv]
+            if source == layer
+        }
+        bits = _PLANE_BITS[self.tv]
+        count = len(next(iter(bits.values())))  # planes per row
+        # a row string -> one '0'/'1' string per plane
+        self.bits = [
+            str.maketrans({EMPTY: "0", **{_CHAR[s]: str(b[k]) for s, b in bits.items()}})
+            for k in range(count)
+        ]
+        # planes -> a row string: `int(f"{plane:b}", base)` spreads a plane's
+        # bits `stride` apart, and each hex digit of the planes spread and
+        # stacked holds 4 // stride cells
+        stride = 2 if count <= 2 else 4
+        self.base = 1 << stride
+        cells = {sum(bit << k for k, bit in enumerate(b)): _CHAR[s] for s, b in bits.items()}
+        cells[0] = EMPTY
+        self.chars = {
+            ord(f"{sum(c << k * stride for k, c in enumerate(codes)):x}"):
+            "".join(map(cells.get, codes))
+            for codes in product(cells, repeat=4 // stride)
+        }
+
+    def planes(self, row: Row, origin: int) -> tuple[int, ...]:
+        if not row.s:
+            return (0,) * len(self.bits)
+        msd, shift = row.s[::-1], row.lo - origin
+        return tuple([int(msd.translate(t), 2) << shift for t in self.bits])
+
+    def row(self, planes: tuple[int, ...], origin: int) -> Row:
+        cells = 0
+        for p in planes:
+            cells |= p
+        if not cells:
+            return Row()
+        low = (cells & -cells).bit_length() - 1
+        spread = 0
+        for k, p in enumerate(planes):
+            spread |= int(f"{p >> low:b}", self.base) << k
+        return Row(origin + low, f"{spread:x}"[::-1].translate(self.chars))
+
+
+@cache  # built and checked on a variant's first tick
+def _sync_layers(variant: CAVariant) -> tuple[_SyncLayer, ...]:
+    layers = tuple(_SyncLayer(variant, layer) for layer in range(len(LAYERS[variant])))
+    for layer in layers:
+        _check_row_function(layer, layers)
+    return layers
+
+
+def _check_row_function(layer: _SyncLayer, layers: tuple[_SyncLayer, ...]) -> None:
+    """Raise AssertionError unless `layer.step` gives its single-cell table's
+    value on every key, from one call: key k's cells are placed by
+    `NEIGHBORHOODS` around column 4k + 2, in rows 0 (above) and 1, and its
+    new cell is read at column 4k + 2 of row 1."""
+    table = CELL_TABLES[layer.tv]
+    reads = NEIGHBORHOODS[layer.tv]
+    keys, values = "".join(table), "".join(table.values())
+    planes = [[[0] * len(source.bits) for _ in range(2)] for source in layers]
+    for q, k in enumerate(_key_order(layer.tv)):
+        source, dr, dc = reads[k]
+        cells = keys[q :: len(reads)]  # the cell of read k in every key
+        for p, bits in enumerate(layers[source].bits):
+            planes[source][1 + dr][p] |= int(cells.translate(bits)[::-1], 16) << 2 + dc
+    new, _ = layer.step(tuple({r: tuple(rows[r]) for r in (0, 1)} for rows in planes), 1)
+    ones = int("1" * len(table), 16) << 2
+    diff = 0
+    for p, bits in enumerate(layer.bits):
+        diff |= new[p] & ones ^ int(values.translate(bits)[::-1], 16) << 2
+    if diff:
+        k = ((diff & -diff).bit_length() - 3) // 4
+        key = keys[k * len(reads) : (k + 1) * len(reads)]
+        raise AssertionError(
+            f"{layer.tv.value} row function differs from its cell table"
+            f" at key {key!r} -> {table[key]!r}"
         )
-        for layer, tv in enumerate(tables)
-    )
+
+
+def _rebase(planes: tuple, origin: int | None, new: int) -> int:
+    """Move every loaded plane to the lower origin `new`, and return it."""
+    if origin is not None:
+        for rows in planes:
+            for i, row in rows.items():
+                rows[i] = tuple(p << origin - new for p in row)
+    return new
 
 
 def ensure_rows(g: Grid, count: int) -> None:
@@ -766,52 +963,85 @@ def ensure_rows(g: Grid, count: int) -> None:
             g.top.append(Row())
 
 
-def step_synchronous(g: Grid) -> StepStats:
-    """One synchronous tick: every cell reacts to the pre-tick states.
+def _synchronous(g: Grid, ticks: int, m: int) -> StepStats | None:
+    """The tick loop: up to `ticks` synchronous ticks, stopping after the
+    first that changes no row at or above row m.  Returns the last tick's
+    stats, or None after no tick.
 
-    A row is recomputed whole, one table lookup per cell, when it is new or a
-    row it reads (every table reads its own row) changed last tick; any other
-    row would reproduce itself.  Columns whose neighborhood and own cell are
-    empty stay empty (`_compile_cell` checks it), so only the others are
-    evaluated: the outcome is the naive full sweep's.
+    A tick recomputes a row, by one call of its layer's row function, when
+    it is new or a row it reads changed on the tick before (`Grid._stale`);
+    any other row would reproduce itself.  Cells whose neighborhood is empty
+    stay empty (`_compile_cell` checks it), so the outcome is the naive full
+    sweep's.  The call loads a row's planes the first time a tick reads it,
+    and writes each row it changed back as a `Row` once, when it returns or
+    raises.  Every loaded plane keeps bit 0 empty: only the base-3 parity
+    layer reads to its left, so only it can reach bit 0, and then every plane
+    moves up (`_rebase`).
     """
-    layers = (g.bottom, g.top)
-    specs = _layer_specs(g.variant)
+    layers = _sync_layers(g.variant)
+    rows = (g.bottom, g.top)
+    planes = tuple({} for _ in layers)  # per layer: row index -> planes
+    origin = None
     nrows = len(g.bottom)
     stale = g._stale
     if stale is None:
-        stale = {(layer, i) for layer in range(len(specs)) for i in range(nrows)}
-    updates = []
-    cells_changed, rows_stable = 0, nrows
-    for layer, i in stale:
-        if layer == 0 and i == 0:
-            continue  # the input row is immutable
-        table, reads, _ = specs[layer]
-        lo, hi, keys = neighborhood_keys(layers, layer, i, reads)
-        if lo > hi:
-            continue
-        new = "".join(map(table.__getitem__, keys))
-        row = layers[layer][i]
-        changed = sum(map(ne, row.span(lo, hi), new))
-        if changed:
-            new_row = row.put(lo, new)
-            if g.check_windows:
-                _check_window(g, i, new_row)
-            updates.append((layer, i, new_row))
-            cells_changed += changed
-            rows_stable = min(rows_stable, i)
-    g._stale = stale = set()
-    for layer, i, new_row in updates:
-        layers[layer][i] = new_row
-        for reader, di in specs[layer][2]:
-            if i + di < nrows:
-                stale.add((reader, i + di))
-    g.ticks += 1
-    return StepStats(tick=g.ticks, cells_changed=cells_changed, rows_stable=rows_stable)
+        stale = {(layer, i) for layer in range(len(layers)) for i in range(nrows)}
+    written = set()
+    stats = None
+    try:
+        for _ in range(ticks):
+            for layer, i in stale:
+                if layer or i:
+                    for source, dr in layers[layer].reads:
+                        if i + dr not in planes[source]:
+                            row = rows[source][i + dr]
+                            if row.s and (origin is None or row.lo <= origin):
+                                origin = _rebase(planes, origin, row.lo - _MARGIN)
+                            planes[source][i + dr] = layers[source].planes(row, origin)
+            updates = []
+            changed, low, grown = 0, nrows, 0
+            for layer, i in stale:
+                if layer or i:  # the input row is immutable
+                    new, mask = layers[layer].step(planes, i)
+                    if mask:
+                        if g.check_windows:
+                            cells = 0
+                            for p in new:
+                                cells |= p
+                            _check_window(g, i, cells, origin)
+                        updates.append((layer, i, new))
+                        changed += mask.bit_count()
+                        grown |= mask
+                        if i < low:
+                            low = i
+            g._stale = stale = set()
+            for layer, i, new in updates:
+                planes[layer][i] = new
+                written.add((layer, i))
+                for reader, di in layers[layer].readers:
+                    if i + di < nrows:
+                        stale.add((reader, i + di))
+            if grown & 1:
+                origin = _rebase(planes, origin, origin - _MARGIN)
+            g.ticks += 1
+            stats = (changed, low)
+            if low > m:
+                break
+    finally:
+        for layer, i in written:
+            rows[layer][i] = layers[layer].row(planes[layer][i], origin)
+    return None if stats is None else StepStats(g.ticks, *stats)
+
+
+def step_synchronous(g: Grid) -> StepStats:
+    """One synchronous tick: every cell reacts to the pre-tick states (the
+    tick loop `_synchronous`, stopped after one tick)."""
+    return _synchronous(g, 1, -1)
 
 
 def run_until_rows_stable(g: Grid, m: int, tick_cap: int = DEFAULT_TICK_CAP) -> Grid:
-    """Advance synchronously until rows 0..m survive a full tick unchanged.
+    """Advance synchronously until rows 0..m survive a full tick unchanged:
+    the tick loop `_synchronous`, stopped by that or by the tick cap.
 
     A row's fixpoint depends only on the rows above it, so once a tick changes
     nothing at or below row m those rows are final.
@@ -819,11 +1049,10 @@ def run_until_rows_stable(g: Grid, m: int, tick_cap: int = DEFAULT_TICK_CAP) -> 
     if m < 0:
         raise ValueError("row index must be nonnegative")
     ensure_rows(g, m + 1)
-    for _ in range(tick_cap):
-        stats = step_synchronous(g)
-        if stats.cells_changed == 0 or stats.rows_stable > m:
-            return g
-    raise RuntimeError(f"rows 0..{m} did not stabilize within {tick_cap} ticks")
+    stats = _synchronous(g, tick_cap, m)
+    if stats is None or stats.rows_stable <= m:
+        raise RuntimeError(f"rows 0..{m} did not stabilize within {tick_cap} ticks")
+    return g
 
 
 # --- row extraction and snapshots -------------------------------------------

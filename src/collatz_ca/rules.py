@@ -333,8 +333,8 @@ def learn_rule_table(variant: TableVariant, n_max: int = 4096) -> RuleTable:
     Lays out consecutive oracle rows for every input in [2, n_max] (plus two
     rows beyond the first 1 to expose the terminal cycle) and records the
     realized (neighborhood -> successor) pairs at every column whose
-    neighborhood (`NEIGHBORHOODS`) holds a cell, scanned by the synchronous
-    engine's `grid.neighborhood_keys`.  The distinct pairs are recorded once
+    neighborhood (`NEIGHBORHOODS`) holds a cell, scanned by
+    `grid.neighborhood_keys`.  The distinct pairs are recorded once
     each, in sorted order.  Conflicting observations raise RuleConflictError,
     since they would mean the rows are not locally determined.
     """

@@ -75,7 +75,7 @@ def test_max_rows_cap():
 
 def test_tick_cap_synchronous():
     cfg = RunConfig(variant=CAVariant.CA3, tick_cap=2, mode="synchronous")
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"^rows 0\.\.1 did not stabilize within 2 ticks$"):
         run_single(27, cfg)
 
 

@@ -1,6 +1,7 @@
 """Grids and engines: row placement, oracle agreement, engine equivalence."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,17 @@ from hypothesis import strategies as st
 from collatz_ca.digits import DigitString, to_digits
 from collatz_ca.engine import RunConfig, TrajectoryRecord, run_grid
 from collatz_ca.grid import (
+    _PLANE_BITS,
+    CELL_TABLES,
+    EMPTY,
     GROWTH_MARGIN,
     Grid,
     NonContiguousRowError,
     Row,
     RowKernel,
     WindowViolationError,
+    _key_order,
+    _sync_layers,
     ca1_top_states,
     ensure_rows,
     extract_row,
@@ -29,11 +35,15 @@ from collatz_ca.grid import (
     step_synchronous,
 )
 from collatz_ca.rules import (
+    ALPHABETS,
     ATTR_ODD,
     EVEN,
+    LAYERS,
+    NEIGHBORHOODS,
     ODD_NORMAL,
     ODD_SPECIAL,
     CAVariant,
+    TableVariant,
     transition_ca1_bottom,
     transition_ca1_top,
     transition_ca2,
@@ -390,6 +400,142 @@ def test_synchronous_tick_is_idempotent_at_fixpoint():
     stats = step_synchronous(g)
     assert stats.cells_changed == 0
     assert g.bottom == before
+
+
+def naive_run(g: Grid, ticks: int):
+    """g's rows as dicts after `ticks` naive ticks, and the (layer, row) of
+    each row the last tick changed."""
+    bottom = [dict(r) for r in g.bottom]
+    top = [dict(r) for r in g.top] if g.top is not None else None
+    changed = set()
+    for _ in range(ticks):
+        new_bottom, new_top = naive_tick(g, bottom, top)
+        changed = {(0, i) for i, (old, new) in enumerate(zip(bottom, new_bottom)) if old != new}
+        if top is not None:
+            changed |= {(1, i) for i, (old, new) in enumerate(zip(top, new_top)) if old != new}
+        bottom, top = new_bottom, new_top
+    return bottom, top, changed
+
+
+def stale_after(g: Grid, changed: set) -> set:
+    """The (layer, row) a tick recomputes after the rows `changed` changed:
+    every row that reads one of them, by `NEIGHBORHOODS`."""
+    tables = LAYERS[g.variant]
+    return {
+        (reader, i - dr)
+        for layer, i in changed
+        for reader, tv in enumerate(tables)
+        for source, dr, _ in NEIGHBORHOODS[tv]
+        if source == layer and i - dr < len(g.bottom)
+    }
+
+
+def test_synchronous_raise_leaves_the_last_full_tick():
+    # the tick cap: the grid after the last tick, rows written back
+    g = init_grid(27, CAVariant.CA3)
+    message = r"^rows 0\.\.40 did not stabilize within 3 ticks$"
+    with pytest.raises(RuntimeError, match=message):
+        run_until_rows_stable(g, 40, tick_cap=3)
+    expected = init_grid(27, CAVariant.CA3)
+    ensure_rows(expected, 41)
+    bottom, _, changed = naive_run(expected, 3)
+    assert (g.bottom, g.ticks, g._stale) == (bottom, 3, stale_after(g, changed))
+    # a window violation on tick 5: the parity sweep reaches the units digit
+    # of a row 0 placed two columns right of its window late
+    g = init_grid(27, CAVariant.CA1, check_windows=True)
+    g.bottom[0] = Row(-2, g.bottom[0].s)
+    ensure_rows(g, 3)
+    bottom, top, changed = naive_run(g, 4)
+    message = r"^ca1 row 0: non-default cell at column -3 outside window \[-2, 5\]$"
+    with pytest.raises(WindowViolationError, match=message):
+        run_until_rows_stable(g, 2)
+    assert (g.bottom, g.top, g.ticks, g._stale) == (bottom, top, 4, stale_after(g, changed))
+
+
+@st.composite
+def planted_grids(draw):
+    """A grid of random cells over each layer's alphabet, with gaps, far-apart
+    and negative columns, mixed base-4 tags and base-3 parity cells below the
+    digits; every cell lies in the columns `naive_tick` sweeps."""
+    variant = draw(st.sampled_from(VARIANTS))
+    hi = draw(st.integers(0, 40))
+
+    def row(tv):
+        states = st.sampled_from(ALPHABETS[tv][1:])
+        cells = draw(st.dictionaries(st.integers(-3, hi), states, max_size=8))
+        lo = min(cells, default=0)
+        hi_cell = max(cells, default=-1)
+        return Row(lo, "".join(str(cells.get(j, EMPTY)) for j in range(lo, hi_cell + 1)))
+
+    bottom_tv, *top_tv = LAYERS[variant]
+    rows = draw(st.integers(2, 6))
+    bottom = [row(bottom_tv) for _ in range(rows)]
+    top = [row(top_tv[0]) for _ in range(rows)] if top_tv else None
+    return Grid(variant, bottom, top, row0_hi=hi)
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_grids(), st.data())
+def test_synchronous_equals_naive_sweep_on_planted_grids(g, data):
+    m = data.draw(st.integers(0, len(g.bottom) - 1))
+    stable = Grid(g.variant, list(g.bottom), g.top and list(g.top), g.row0_hi)
+    bottom = [dict(r) for r in g.bottom]
+    top = [dict(r) for r in g.top] if g.top is not None else None
+    ticks, final = 0, None
+    for tick in range(1, 200):
+        new_bottom, new_top = naive_tick(g, bottom, top)
+        changed, low = naive_diff(bottom, new_bottom)
+        if top is not None:
+            top_changed, top_low = naive_diff(top, new_top)
+            changed, low = changed + top_changed, min(low, top_low)
+        bottom, top = new_bottom, new_top
+        if tick <= 12:
+            stats = step_synchronous(g)
+            assert (g.bottom, g.top) == (bottom, top), tick
+            assert (stats.tick, stats.cells_changed, stats.rows_stable) == (tick, changed, low)
+        if final is None and (changed == 0 or low > m):
+            ticks, final = tick, (bottom, top)
+        if final is not None and tick >= 12:
+            break
+    run_until_rows_stable(stable, m)
+    assert (stable.bottom, stable.top, stable.ticks) == (*final, ticks)
+
+
+def test_row_functions_equal_their_cell_tables():
+    # each key's neighborhood alone, by `_PLANE_BITS`, around column 5
+    for variant in VARIANTS:
+        layers = _sync_layers(variant)
+        for layer in layers:
+            reads = NEIGHBORHOODS[layer.tv]
+            states = {_PLANE_BITS[layer.tv][s]: str(s) for s in _PLANE_BITS[layer.tv]}
+            for key, new in CELL_TABLES[layer.tv].items():
+                planes = [{r: [0] * len(other.bits) for r in (0, 1)} for other in layers]
+                for c, k in zip(key, _key_order(layer.tv)):
+                    source, dr, dc = reads[k]
+                    if c != EMPTY:
+                        tv = LAYERS[variant][source]
+                        for p, bit in enumerate(_PLANE_BITS[tv][int(c)]):
+                            planes[source][1 + dr][p] |= bit << 5 + dc
+                planes = tuple({r: tuple(ps) for r, ps in rows.items()} for rows in planes)
+                out, _ = layer.step(planes, 1)
+                bits = tuple(p >> 5 & 1 for p in out)
+                assert states.get(bits, EMPTY if not any(bits) else None) == new, (layer.tv, key)
+
+
+@pytest.mark.parametrize("tv", list(TableVariant))
+def test_row_function_check_names_a_wrong_table_entry(monkeypatch, tv):
+    variant = next(v for v, tvs in LAYERS.items() if tv in tvs)
+    table = CELL_TABLES[tv]
+    key = list(table)[len(table) // 2]
+    wrong = next(str(s) for s in ALPHABETS[tv][1:] if str(s) != table[key])
+    monkeypatch.setitem(table, key, wrong)
+    _sync_layers.cache_clear()
+    try:
+        message = f"^{tv.value} row function differs from its cell table at key '{re.escape(key)}'"
+        with pytest.raises(AssertionError, match=message):
+            _sync_layers(variant)
+    finally:
+        _sync_layers.cache_clear()
 
 
 # --- windows and extraction --------------------------------------------------

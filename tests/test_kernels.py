@@ -462,6 +462,11 @@ def test_run_rejects_inner_gaps():
         (CAVariant.CA3, "10", "sweeps 0 last, not one of 1"),  # a zero on top
         (CAVariant.CA1, "0", "has no nonzero digit"),
         (CAVariant.CA2, "57" + EMPTY + "7", "has an empty cell"),
+        # a cell that is no digit of the automaton comes first
+        (CAVariant.CA3, "121", "has the cell 2, not one of 01"),
+        (CAVariant.CA1, "131", "has the cell 3, not one of 012"),
+        (CAVariant.CA2, "5957", "has the cell 9, not one of 01234567"),
+        (CAVariant.CA3, "1" + EMPTY + "2", "has the cell 2, not one of 01"),
     ],
 )
 def test_run_refuses_rows_outside_the_kept_rows(variant, row, rule):
