@@ -25,11 +25,11 @@ from .grid import (
     KERNELS,
     Grid,
     extend_frontier,
+    extend_synchronous,
     extract_row,
     init_grid,
     initial_row,
     row_cells,
-    run_until_rows_stable,
 )
 from .rules import NEIGHBORHOODS, CAVariant
 
@@ -117,15 +117,7 @@ def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
     if cfg.mode == "frontier":
         extend_frontier(g, iterates, stop)
     else:
-        while len(iterates) < stop:
-            i = len(iterates)
-            remaining = cfg.tick_cap - g.ticks
-            if remaining <= 0:
-                raise RuntimeError(f"tick cap {cfg.tick_cap} exhausted at row {i}")
-            run_until_rows_stable(g, i, remaining)
-            iterates.append(extract_row(g, i))
-            if iterates[-1] == 1:
-                stop = min(stop, i + 2)
+        extend_synchronous(g, iterates, stop, cfg.tick_cap)
     record = _record(n, cfg, iterates)
     record.ticks_used = g.ticks
     return g, record

@@ -12,14 +12,16 @@ Two engines advance a grid, both through single-cell tables compiled from the
 closed-form rules:
 
 * synchronous stepping is the reference model: every cell is re-evaluated
-  against the pre-tick states each tick.  A tick recomputes the whole rows
-  that read a row changed on the tick before, which is tick-for-tick
-  identical to the naive sweep because transitions are deterministic
-  functions of the neighborhood.  One tick loop (`_synchronous`) holds the
-  rows it reads as bit-planes, one int per bit of a cell's encoding, and
-  recomputes a row with one call of its layer's row function, a few shifts
-  and boolean operations checked against the single-cell table on every
-  key; it writes the rows it changed back once per call.
+  against the pre-tick states each tick.  A call's first tick recomputes
+  every row, and a later tick the whole rows that read a row changed on the
+  tick before, which is tick-for-tick identical to the naive sweep because
+  transitions are deterministic functions of the neighborhood.  One tick
+  loop (`_synchronous`) serves a tick, a run until rows are stable and a
+  whole run row by row (`extend_synchronous`).  It holds the grid's rows as
+  bit-planes, one int per bit of a cell's encoding, recomputes a row with
+  one call of its layer's row function, a few shifts and boolean operations
+  checked against the single-cell table on every key, and writes each changed
+  row back once, when it is final or the call ends: no state outlives a call.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
   per automaton (`KERNELS`) steps a row as one int of cell codes, and a run
@@ -87,7 +89,6 @@ class Grid:
     row0_hi: int
     check_windows: bool = False
     ticks: int = 0
-    _stale: set | None = None  # (layer, row) the next tick recomputes; None: all
 
     def active_window(self, i: int) -> tuple[int, int]:
         """Inclusive column bounds that can hold non-default cells in row i.
@@ -240,7 +241,7 @@ class Row(Mapping):
 
     It reads like the dict of its non-empty cells, column -> state (it
     compares equal to that dict, and iterates its columns in ascending
-    order).  A row is immutable: `put` derives a changed one.
+    order).  A row is immutable.
     """
 
     __slots__ = ("lo", "hi", "s")
@@ -256,15 +257,6 @@ class Row(Mapping):
         if not self.s:
             return EMPTY * (hi - lo + 1)
         return EMPTY * (self.lo - lo) + self.s + EMPTY * (hi - self.hi)
-
-    def put(self, lo: int, s: str) -> Row:
-        """This row with the columns from lo on overwritten by the string s."""
-        if not self.s or (lo <= self.lo and self.hi < lo + len(s)):
-            return Row(lo, s)
-        start = min(self.lo, lo)
-        full = self.span(start, max(self.hi, lo + len(s) - 1))
-        k = lo - start
-        return Row(start, full[:k] + s + full[k + len(s):])
 
     def __getitem__(self, j: int) -> int:
         k = j - self.lo
@@ -854,15 +846,13 @@ _ROW_FUNCTIONS = {
 
 class _SyncLayer:
     """One layer of an automaton on the synchronous engine: its row function
-    (`step`), the (layer, row offset) of every row `step` reads (`reads`) and
-    of every row that reads this layer (`readers`), and the conversions
-    between `Row`s and planes."""
+    (`step`), the (layer, row offset) of every row that reads this layer
+    (`readers`), and the conversions between `Row`s and planes."""
 
     def __init__(self, variant: CAVariant, layer: int):
         tables = LAYERS[variant]
         self.tv = tables[layer]
         self.step = _ROW_FUNCTIONS[self.tv]
-        self.reads = sorted({(source, dr) for source, dr, _ in NEIGHBORHOODS[self.tv]})
         self.readers = {
             (reader, -dr)
             for reader, reader_tv in enumerate(tables)
@@ -944,93 +934,104 @@ def _check_row_function(layer: _SyncLayer, layers: tuple[_SyncLayer, ...]) -> No
         )
 
 
-def _rebase(planes: tuple, origin: int | None, new: int) -> int:
-    """Move every loaded plane to the lower origin `new`, and return it."""
-    if origin is not None:
-        for rows in planes:
-            for i, row in rows.items():
-                rows[i] = tuple(p << origin - new for p in row)
-    return new
-
-
 def ensure_rows(g: Grid, count: int) -> None:
     """Materialize empty rows so the grid holds at least `count` rows."""
     while len(g.bottom) < count:
-        if g._stale is not None:
-            g._stale.update((layer, len(g.bottom)) for layer in range(len(LAYERS[g.variant])))
         g.bottom.append(Row())
         if g.top is not None:
             g.top.append(Row())
 
 
-def _synchronous(g: Grid, ticks: int, m: int) -> StepStats | None:
-    """The tick loop: up to `ticks` synchronous ticks, stopping after the
-    first that changes no row at or above row m.  Returns the last tick's
-    stats, or None after no tick.
+def _synchronous(g: Grid, ticks: int, m: int, values=None, stop: int = 0) -> StepStats | None:
+    """The tick loop: at most `ticks` synchronous ticks, stopping after the
+    first that changes no row at or above row m, else raising.  Returns the
+    last tick's stats.  Given `values`, rows 0..m are final on entry, and
+    each time they are, row m's value is appended and row m + 1 added until
+    `values` holds `stop` (`extend_synchronous`); then it returns None.
 
-    A tick recomputes a row, by one call of its layer's row function, when
-    it is new or a row it reads changed on the tick before (`Grid._stale`);
-    any other row would reproduce itself.  Cells whose neighborhood is empty
-    stay empty (`_compile_cell` checks it), so the outcome is the naive full
-    sweep's.  The call loads a row's planes the first time a tick reads it,
-    and writes each row it changed back as a `Row` once, when it returns or
-    raises.  Every loaded plane keeps bit 0 empty: only the base-3 parity
-    layer reads to its left, so only it can reach bit 0, and then every plane
-    moves up (`_rebase`).
+    The first tick recomputes every row, and a later tick a row that is new
+    or reads a row the tick before changed, each by one call of its layer's
+    row function; any other row would reproduce itself.  Cells whose
+    neighborhood is empty stay empty (`_compile_cell` checks it), so the
+    outcome is the naive full sweep's.  The call loads each row as planes
+    once, when it starts or adds the row, and writes each row it changed
+    back as a `Row` once, when the row is final or the call returns or
+    raises.  Every plane keeps bit 0 empty: only the base-3 parity layer
+    reads to its left, so only it can reach bit 0, and then every plane
+    moves up.
     """
     layers = _sync_layers(g.variant)
     rows = (g.bottom, g.top)
-    planes = tuple({} for _ in layers)  # per layer: row index -> planes
-    origin = None
+    origin = min((row.lo for held in rows if held for row in held if row.s), default=0) - _MARGIN
+    planes = tuple(  # per layer: row index -> planes
+        {i: layer.planes(row, origin) for i, row in enumerate(held)}
+        for layer, held in zip(layers, rows)
+    )
     nrows = len(g.bottom)
-    stale = g._stale
-    if stale is None:
-        stale = {(layer, i) for layer in range(len(layers)) for i in range(nrows)}
+    stale = {(layer, i) for layer in range(len(layers)) for i in range(nrows)}
+    stale.discard((0, 0))  # the input row is immutable
     written = set()
-    stats = None
+    final = values is not None
+    end, start = g.ticks + ticks, g.ticks  # start: the tick row m was added at
+
+    def write_back():
+        for layer, i in written:
+            rows[layer][i] = layers[layer].row(planes[layer][i], origin)
+        written.clear()
+
     try:
-        for _ in range(ticks):
-            for layer, i in stale:
-                if layer or i:
-                    for source, dr in layers[layer].reads:
-                        if i + dr not in planes[source]:
-                            row = rows[source][i + dr]
-                            if row.s and (origin is None or row.lo <= origin):
-                                origin = _rebase(planes, origin, row.lo - _MARGIN)
-                            planes[source][i + dr] = layers[source].planes(row, origin)
+        while True:
+            if final:
+                if len(values) >= stop:
+                    return None
+                if g.ticks >= end:
+                    raise RuntimeError(f"tick cap {ticks} exhausted at row {m + 1}")
+                m, nrows, start = m + 1, m + 2, g.ticks
+                ensure_rows(g, nrows)
+                for layer, sync in enumerate(layers):
+                    planes[layer][m] = sync.planes(rows[layer][m], origin)
+                    stale.add((layer, m))
+            elif g.ticks >= end:
+                raise RuntimeError(f"rows 0..{m} did not stabilize within {end - start} ticks")
             updates = []
             changed, low, grown = 0, nrows, 0
             for layer, i in stale:
-                if layer or i:  # the input row is immutable
-                    new, mask = layers[layer].step(planes, i)
-                    if mask:
-                        if g.check_windows:
-                            cells = 0
-                            for p in new:
-                                cells |= p
-                            _check_window(g, i, cells, origin)
-                        updates.append((layer, i, new))
-                        changed += mask.bit_count()
-                        grown |= mask
-                        if i < low:
-                            low = i
-            g._stale = stale = set()
+                new, mask = layers[layer].step(planes, i)
+                if mask:
+                    if g.check_windows:
+                        cells = 0
+                        for p in new:
+                            cells |= p
+                        _check_window(g, i, cells, origin)
+                    updates.append((layer, i, new))
+                    changed += mask.bit_count()
+                    grown |= mask
+                    if i < low:
+                        low = i
+            stale = set()
             for layer, i, new in updates:
                 planes[layer][i] = new
                 written.add((layer, i))
                 for reader, di in layers[layer].readers:
                     if i + di < nrows:
                         stale.add((reader, i + di))
-            if grown & 1:
-                origin = _rebase(planes, origin, origin - _MARGIN)
+            if grown & 1:  # a cell at bit 0: move every plane up
+                origin -= _MARGIN
+                for held in planes:
+                    for i, row in held.items():
+                        held[i] = tuple(p << _MARGIN for p in row)
             g.ticks += 1
-            stats = (changed, low)
-            if low > m:
-                break
+            final = low > m
+            if final:
+                if values is None:
+                    break
+                write_back()
+                values.append(extract_row(g, m))
+                if values[-1] == 1:
+                    stop = min(stop, len(values) + 1)
     finally:
-        for layer, i in written:
-            rows[layer][i] = layers[layer].row(planes[layer][i], origin)
-    return None if stats is None else StepStats(g.ticks, *stats)
+        write_back()
+    return StepStats(g.ticks, changed, low)
 
 
 def step_synchronous(g: Grid) -> StepStats:
@@ -1041,7 +1042,8 @@ def step_synchronous(g: Grid) -> StepStats:
 
 def run_until_rows_stable(g: Grid, m: int, tick_cap: int = DEFAULT_TICK_CAP) -> Grid:
     """Advance synchronously until rows 0..m survive a full tick unchanged:
-    the tick loop `_synchronous`, stopped by that or by the tick cap.
+    one call of the tick loop `_synchronous`, which raises if the tick cap
+    runs out first.
 
     A row's fixpoint depends only on the rows above it, so once a tick changes
     nothing at or below row m those rows are final.
@@ -1049,10 +1051,15 @@ def run_until_rows_stable(g: Grid, m: int, tick_cap: int = DEFAULT_TICK_CAP) -> 
     if m < 0:
         raise ValueError("row index must be nonnegative")
     ensure_rows(g, m + 1)
-    stats = _synchronous(g, tick_cap, m)
-    if stats is None or stats.rows_stable <= m:
-        raise RuntimeError(f"rows 0..{m} did not stabilize within {tick_cap} ticks")
+    _synchronous(g, tick_cap, m)
     return g
+
+
+def extend_synchronous(g: Grid, values: list, stop: int, tick_cap: int = DEFAULT_TICK_CAP) -> None:
+    """`extend_frontier`'s contract from one synchronous tick loop of at most
+    `tick_cap` ticks: row i comes once rows 0..i-1 are stable, and its value
+    once rows 0..i are."""
+    _synchronous(g, tick_cap, len(g.bottom) - 1, values, stop)
 
 
 # --- row extraction and snapshots -------------------------------------------

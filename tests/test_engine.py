@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_ca import engine
+from collatz_ca.cli import main
 from collatz_ca.engine import (
     MODES,
     BatchConfig,
@@ -22,6 +23,7 @@ from collatz_ca.engine import (
     verify_against_oracle,
     worker_count,
 )
+from collatz_ca.grid import init_grid, run_until_rows_stable
 from collatz_ca.rules import CAVariant
 
 VARIANTS = list(CAVariant)
@@ -73,10 +75,25 @@ def test_max_rows_cap():
     assert rec.rows_computed == 5
 
 
-def test_tick_cap_synchronous():
+def test_tick_cap_synchronous(capsys):
+    # inside a row: the ticks left when the row started
     cfg = RunConfig(variant=CAVariant.CA3, tick_cap=2, mode="synchronous")
     with pytest.raises(RuntimeError, match=r"^rows 0\.\.1 did not stabilize within 2 ticks$"):
         run_single(27, cfg)
+    # at a row boundary: rows 0 and 1 took every tick
+    for variant, cap in ((CAVariant.CA3, 4), (CAVariant.CA1, 9), (CAVariant.CA2, 5)):
+        cfg = RunConfig(variant=variant, tick_cap=cap, mode="synchronous")
+        with pytest.raises(RuntimeError, match=f"^tick cap {cap} exhausted at row 2$"):
+            run_single(27, cfg)
+    # a cap of 0 or less runs no tick
+    for cap in (0, -1):
+        g = init_grid(27, CAVariant.CA3)
+        with pytest.raises(RuntimeError, match=rf"^rows 0\.\.3 did not stabilize within {cap} ticks$"):
+            run_until_rows_stable(g, 3, tick_cap=cap)
+        assert g.ticks == 0
+    argv = ["run", "27", "--variant", "ca3", "--mode", "synchronous", "--tick-cap", "4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "tick cap 4 exhausted at row 2\n"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -18,11 +18,13 @@ from collatz_ca.grid import (
     NonContiguousRowError,
     Row,
     RowKernel,
+    StepStats,
     WindowViolationError,
     _key_order,
     _sync_layers,
     ca1_top_states,
     ensure_rows,
+    extend_synchronous,
     extract_row,
     init_grid,
     initial_row,
@@ -306,6 +308,21 @@ def naive_diff(before, after):
     return changed, min(rows, default=len(before))
 
 
+def assert_next_tick_is_naive(g: Grid) -> None:
+    """One `step_synchronous` gives the naive sweep's next tick of g, in rows
+    and in `StepStats`."""
+    bottom = [dict(r) for r in g.bottom]
+    top = [dict(r) for r in g.top] if g.top is not None else None
+    new_bottom, new_top = naive_tick(g, bottom, top)
+    changed, low = naive_diff(bottom, new_bottom)
+    if top is not None:
+        top_changed, top_low = naive_diff(top, new_top)
+        changed, low = changed + top_changed, min(low, top_low)
+    expected = StepStats(g.ticks + 1, changed, low)
+    assert step_synchronous(g) == expected
+    assert (g.bottom, g.top) == (new_bottom, new_top)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize(
     "n",
@@ -317,22 +334,9 @@ def naive_diff(before, after):
 )
 def test_synchronous_equals_naive_sweep(variant, n):
     g = init_grid(n, variant)
-    rows = len(oracle_rows(n, variant, extra_rows=2))
-    ensure_rows(g, rows)
-    bottom = [dict(r) for r in g.bottom]
-    top = [dict(r) for r in g.top] if g.top is not None else None
-    for tick in range(1, 40):
-        new_bottom, new_top = naive_tick(g, bottom, top)
-        changed, stable = naive_diff(bottom, new_bottom)
-        if top is not None:
-            top_changed, top_stable = naive_diff(top, new_top)
-            changed, stable = changed + top_changed, min(stable, top_stable)
-        bottom, top = new_bottom, new_top
-        stats = step_synchronous(g)
-        assert g.bottom == bottom, (variant, n, tick)
-        if top is not None:
-            assert g.top == top, (variant, n, tick)
-        assert (stats.tick, stats.cells_changed, stats.rows_stable) == (tick, changed, stable)
+    ensure_rows(g, len(oracle_rows(n, variant, extra_rows=2)))
+    for _ in range(1, 40):
+        assert_next_tick_is_naive(g)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -351,7 +355,8 @@ def test_synchronous_converges_to_frontier(variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_frontier_continues_a_synchronous_grid(variant):
-    # the frontier engine steps on from rows (and parity layers) it did not build
+    # the frontier engine steps on from rows (and parity layers) it did not
+    # build, and a synchronous run from rows an earlier call left
     for n in (7, 27, 97):
         rows = len(oracle_rows(n, variant, extra_rows=1))
         f = init_grid(n, variant)
@@ -364,6 +369,12 @@ def test_frontier_continues_a_synchronous_grid(variant):
                 step_frontier(g)
             assert snapshot(g) == snapshot(f), (n, m)
             assert (g.bottom, g.top) == (f.bottom, f.top), (n, m)
+            s = init_grid(n, variant)
+            run_until_rows_stable(s, m)
+            values = [extract_row(s, i) for i in range(m + 1)]
+            extend_synchronous(s, values, rows)
+            assert values == [extract_row(f, i) for i in range(rows)], (n, m)
+            assert (s.bottom, s.top) == (f.bottom, f.top), (n, m)
 
 
 def test_run_until_rows_stable_fixed_point():
@@ -403,53 +414,45 @@ def test_synchronous_tick_is_idempotent_at_fixpoint():
 
 
 def naive_run(g: Grid, ticks: int):
-    """g's rows as dicts after `ticks` naive ticks, and the (layer, row) of
-    each row the last tick changed."""
+    """g's rows as dicts after `ticks` naive ticks."""
     bottom = [dict(r) for r in g.bottom]
     top = [dict(r) for r in g.top] if g.top is not None else None
-    changed = set()
     for _ in range(ticks):
-        new_bottom, new_top = naive_tick(g, bottom, top)
-        changed = {(0, i) for i, (old, new) in enumerate(zip(bottom, new_bottom)) if old != new}
-        if top is not None:
-            changed |= {(1, i) for i, (old, new) in enumerate(zip(top, new_top)) if old != new}
-        bottom, top = new_bottom, new_top
-    return bottom, top, changed
-
-
-def stale_after(g: Grid, changed: set) -> set:
-    """The (layer, row) a tick recomputes after the rows `changed` changed:
-    every row that reads one of them, by `NEIGHBORHOODS`."""
-    tables = LAYERS[g.variant]
-    return {
-        (reader, i - dr)
-        for layer, i in changed
-        for reader, tv in enumerate(tables)
-        for source, dr, _ in NEIGHBORHOODS[tv]
-        if source == layer and i - dr < len(g.bottom)
-    }
+        bottom, top = naive_tick(g, bottom, top)
+    return bottom, top
 
 
 def test_synchronous_raise_leaves_the_last_full_tick():
-    # the tick cap: the grid after the last tick, rows written back
+    # the tick cap: the grid after the last tick, rows written back, and a
+    # next call that ticks on like the naive sweep
     g = init_grid(27, CAVariant.CA3)
     message = r"^rows 0\.\.40 did not stabilize within 3 ticks$"
     with pytest.raises(RuntimeError, match=message):
         run_until_rows_stable(g, 40, tick_cap=3)
     expected = init_grid(27, CAVariant.CA3)
     ensure_rows(expected, 41)
-    bottom, _, changed = naive_run(expected, 3)
-    assert (g.bottom, g.ticks, g._stale) == (bottom, 3, stale_after(g, changed))
+    assert (g.bottom, g.ticks) == (naive_run(expected, 3)[0], 3)
+    assert_next_tick_is_naive(g)
     # a window violation on tick 5: the parity sweep reaches the units digit
     # of a row 0 placed two columns right of its window late
     g = init_grid(27, CAVariant.CA1, check_windows=True)
     g.bottom[0] = Row(-2, g.bottom[0].s)
     ensure_rows(g, 3)
-    bottom, top, changed = naive_run(g, 4)
+    bottom, top = naive_run(g, 4)
     message = r"^ca1 row 0: non-default cell at column -3 outside window \[-2, 5\]$"
     with pytest.raises(WindowViolationError, match=message):
         run_until_rows_stable(g, 2)
-    assert (g.bottom, g.top, g.ticks, g._stale) == (bottom, top, 4, stale_after(g, changed))
+    assert (g.bottom, g.top, g.ticks) == (bottom, top, 4)
+    g.check_windows = False  # the same tick again, which would raise again
+    assert_next_tick_is_naive(g)
+
+
+def planted_row(draw, tv: TableVariant, hi: int) -> Row:
+    """A row of up to 8 random cells over `tv`'s alphabet in columns -3..hi."""
+    states = st.sampled_from(ALPHABETS[tv][1:])
+    cells = draw(st.dictionaries(st.integers(-3, hi), states, max_size=8))
+    lo = min(cells, default=0)
+    return Row(lo, "".join(str(cells.get(j, EMPTY)) for j in range(lo, max(cells, default=-1) + 1)))
 
 
 @st.composite
@@ -459,18 +462,10 @@ def planted_grids(draw):
     digits; every cell lies in the columns `naive_tick` sweeps."""
     variant = draw(st.sampled_from(VARIANTS))
     hi = draw(st.integers(0, 40))
-
-    def row(tv):
-        states = st.sampled_from(ALPHABETS[tv][1:])
-        cells = draw(st.dictionaries(st.integers(-3, hi), states, max_size=8))
-        lo = min(cells, default=0)
-        hi_cell = max(cells, default=-1)
-        return Row(lo, "".join(str(cells.get(j, EMPTY)) for j in range(lo, hi_cell + 1)))
-
     bottom_tv, *top_tv = LAYERS[variant]
     rows = draw(st.integers(2, 6))
-    bottom = [row(bottom_tv) for _ in range(rows)]
-    top = [row(top_tv[0]) for _ in range(rows)] if top_tv else None
+    bottom = [planted_row(draw, bottom_tv, hi) for _ in range(rows)]
+    top = [planted_row(draw, top_tv[0], hi) for _ in range(rows)] if top_tv else None
     return Grid(variant, bottom, top, row0_hi=hi)
 
 
@@ -499,6 +494,11 @@ def test_synchronous_equals_naive_sweep_on_planted_grids(g, data):
             break
     run_until_rows_stable(stable, m)
     assert (stable.bottom, stable.top, stable.ticks) == (*final, ticks)
+    # a row assigned between calls: the next call's tick sweeps it too
+    layer = data.draw(st.integers(0, len(LAYERS[g.variant]) - 1))
+    i = data.draw(st.integers(0, len(stable.bottom) - 1))
+    (stable.bottom, stable.top)[layer][i] = planted_row(data.draw, LAYERS[g.variant][layer], g.row0_hi)
+    assert_next_tick_is_naive(stable)
 
 
 def test_row_functions_equal_their_cell_tables():
@@ -553,11 +553,11 @@ def test_active_window_shapes():
 
 def test_window_violation_detected():
     g = init_grid(7, CAVariant.CA3, check_windows=True)
-    g.bottom[0] = g.bottom[0].put(40, "1")  # plant a far-away cell: a gap the step refuses
+    g.bottom[0] = Row(0, "111" + EMPTY * 37 + "1")  # a far-away cell: a gap the step refuses
     with pytest.raises(NonContiguousRowError, match="has an empty cell"):
         step_frontier(g)
     g = init_grid(7, CAVariant.CA3, check_windows=True)
-    g.bottom[0] = g.bottom[0].put(3, "0" * 37 + "1")  # contiguous, but growth there breaks the window
+    g.bottom[0] = Row(0, "111" + "0" * 37 + "1")  # contiguous, but growth there breaks the window
     with pytest.raises(WindowViolationError):
         for _ in range(3):
             step_frontier(g)
@@ -566,7 +566,7 @@ def test_window_violation_detected():
 def test_synchronous_window_violation_detected():
     g = init_grid(7, CAVariant.CA3, check_windows=True)  # row 0 spans columns 0..2
     # outside the window, inside the evaluated columns
-    g.bottom[0] = g.bottom[0].put(2 + GROWTH_MARGIN + 1, "1")
+    g.bottom[0] = Row(0, "111" + EMPTY * GROWTH_MARGIN + "1")
     with pytest.raises(WindowViolationError, match="ca3 row 1: non-default cell at column 7"):
         run_until_rows_stable(g, 4)
 
@@ -585,19 +585,9 @@ def test_row_reads_like_its_dict():
     assert Row(4, "..1.") == Row(6, "1") == {6: 1}
     empty = Row(3, "...")
     assert not empty and len(empty) == 0 and empty == {} and {} == empty and empty == Row()
-    # a planted cell: left of the span, inside it (filling the gap), right of it
-    for j, state in ((4, 1), (0, 2), (-5, 1)):
-        row = row.put(j, str(state))
-        cells[j] = state
-        assert row == cells and list(row) == sorted(cells), j
-    assert (row.lo, row.s) == (-5, "1..1022..1")
-    assert Row().put(7, "0") == {7: 0}
-    # a row is immutable: `put` leaves the row it derives from unchanged
-    original = Row(-2, "10.2")
-    original.put(0, "2")
-    assert original == {-2: 1, -1: 0, 1: 2}
+    # a row is immutable
     with pytest.raises(TypeError):
-        original[0] = 2
+        row[0] = 2
 
 
 # --- snapshots ---------------------------------------------------------------
