@@ -1,8 +1,9 @@
 """Trajectory drivers: single runs, verification, batches, and shared grids.
 
 `run_single` steps one input until the first row equal to 1 plus one
-confirmation row, keeping only the current row; `run_grid` does the same
-while building the whole grid.  Batches either stack independent grids or
+confirmation row, keeping only the current row (on the synchronous engine,
+the row above and the new row); `run_grid` does the same while building the
+whole grid.  Batches either stack independent grids or
 place several inputs on one shared grid; both fan out across a process pool
 sized by the COLLATZ_CA_THREADS environment variable.  On a shared grid
 non-interference is enforced by a guard gap between adjacent active regions,
@@ -30,6 +31,7 @@ from .grid import (
     init_grid,
     initial_row,
     row_cells,
+    run_synchronous,
 )
 from .rules import NEIGHBORHOODS, CAVariant
 
@@ -124,12 +126,16 @@ def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
 
 
 def run_single(n: int, cfg: RunConfig) -> TrajectoryRecord:
-    """Run one input to the stop condition; the frontier engine keeps one row,
-    stepped by one `RowKernel.run` loop."""
-    if cfg.mode != "frontier":
-        return run_grid(n, cfg)[1]
-    row = row_cells(initial_row(n, cfg.variant), cfg.variant).s
-    return _record(n, cfg, KERNELS[cfg.variant].run(row, cfg.max_rows))
+    """Run one input to the stop condition without a grid: the frontier
+    engine keeps one row, stepped by one `RowKernel.run` loop, and the
+    synchronous engine the row above and the new row (`run_synchronous`)."""
+    row = row_cells(initial_row(n, cfg.variant), cfg.variant)
+    if cfg.mode == "frontier":
+        return _record(n, cfg, KERNELS[cfg.variant].run(row.s, cfg.max_rows))
+    iterates, ticks = run_synchronous(cfg.variant, row, cfg.max_rows, cfg.tick_cap)
+    record = _record(n, cfg, iterates)
+    record.ticks_used = ticks
+    return record
 
 
 @dataclass

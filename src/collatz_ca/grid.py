@@ -12,16 +12,17 @@ Two engines advance a grid, both through single-cell tables compiled from the
 closed-form rules:
 
 * synchronous stepping is the reference model: every cell is re-evaluated
-  against the pre-tick states each tick.  A call's first tick recomputes
-  every row, and a later tick the whole rows that read a row changed on the
-  tick before, which is tick-for-tick identical to the naive sweep because
-  transitions are deterministic functions of the neighborhood.  One tick
-  loop (`_synchronous`) serves a tick, a run until rows are stable and a
-  whole run row by row (`extend_synchronous`).  It holds the grid's rows as
-  bit-planes, one int per bit of a cell's encoding, recomputes a row with
-  one call of its layer's row function, a few shifts and boolean operations
-  checked against the single-cell table on every key, and writes each changed
-  row back once, when it is final or the call ends: no state outlives a call.
+  against the pre-tick states each tick.  A row's state after a tick depends
+  only on its own and the row above's before it, so rows go top down, and
+  one tight loop (`_tick_row`) runs each row through all its ticks under the
+  tick history of the row above (time skewing), skipping the ticks whose
+  inputs did not change; that is tick-for-tick the naive sweep.  A row is
+  held as bit-planes, one int per bit of a cell's encoding, and a tick is
+  one call of its automaton's row function, a few shifts and boolean
+  operations checked against the single-cell tables on every key.  The same
+  loop serves a tick, a run until rows are stable, a whole run row by row
+  (`extend_synchronous`) and a run without a grid (`run_synchronous`), which
+  holds only the row above and the new row; no state outlives a call.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
   per automaton (`KERNELS`) steps a row as one int of cell codes, and a run
@@ -41,8 +42,9 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import cache
-from itertools import product
+from functools import cache, partial, reduce
+from itertools import chain, islice, product, repeat
+from operator import or_
 
 from .digits import DigitString, odd_part, to_digits
 from .rules import (
@@ -742,15 +744,15 @@ def step_frontier(g: Grid) -> StepStats:
 
 # --- synchronous engine ------------------------------------------------------
 #
-# A tick works on bit-planes: a row of one layer is one int per bit of its
-# cells' encoding, column j at bit j - origin, so one call of the layer's row
-# function updates every cell of the row with a few shifts and boolean
-# operations (multi-spin coding).  A row function takes `planes` (per layer,
-# row index -> planes) and the row index i, reads the rows its table's
-# `NEIGHBORHOODS` names, shifts each read by its column offset (column -1 is
-# a left shift by one), and returns the new planes and the mask of the
-# changed cells.  `_sync_layers` checks every row function against its
-# single-cell table on every key before a variant's first tick.
+# A row's state is bit-planes: one int per bit of its cells' encoding, layer
+# by layer (the base-3 digits, then their parity layer), column j at bit
+# j - origin, so one call of the automaton's row function updates every cell
+# of the row with a few shifts and boolean operations (multi-spin coding).  A
+# row function takes the states of the row above and of the row itself
+# before a tick, shifts each read by its column offset (column -1 is a left
+# shift by one), and returns the row's new state and the mask of its changed
+# cells.  `_sync_layers` checks every row function against its layers'
+# single-cell tables on every key before a variant's first tick.
 
 # Per layer, each state's bit in each plane; EMPTY is 0 in every plane.
 _PLANE_BITS = {
@@ -762,35 +764,36 @@ _PLANE_BITS = {
     TableVariant.CA1_TOP: {s: ((s + 1) & 1, (s + 1) >> 1) for s in (EVEN, ODD_NORMAL, ODD_SPECIAL)},
 }
 
-# Empty columns a call keeps below the lowest cell it holds; bit 0 stays
-# empty, so the right shift of the base-3 parity layer's read loses no cell.
+# Bit 0 of every plane stays empty: only the base-3 parity layer reads to its
+# left, and it would drop a cell there.  A row ticks at an origin that puts
+# the lowest cell it starts with or reads at bit 2 up to 4 * _MARGIN - 1,
+# else at bit _MARGIN.  A base-3 digit lies under a parity cell, and the
+# parity layer reaches one column below the digits, so no cell reaches bit 0.
 _MARGIN = 8
 
 
-def _ca3_row(planes: tuple, i: int) -> tuple:
+def _ca3_row(above: tuple, state: tuple) -> tuple:
     """ca3: the odd part of 3x + 1 as the sum (2x + 1) + x, its carry exposed
     by the sum bit already placed on the right (`transition_ca3`)."""
-    rows = planes[0]
-    a, av = rows[i - 1]  # above: present, value
-    old = rows[i]
+    a, av = above  # present, value
+    s, sv = state
     b, bv, c, cv = a << 1, av << 1, a << 2, av << 2  # above-right, above-right-right
-    d, dv = old[0] << 1, old[1] << 1  # right
+    d, dv = s << 1, sv << 1  # right
     full = b & c & d
     carry = bv & cv | (bv | cv) & ~dv
     p = a & b & ~(av ^ bv | d) | ~(a | b) & cv & ~dv | full
     v = p & ~full | full & (av ^ bv ^ carry)
-    return (p, v), p ^ old[0] | v ^ old[1]
+    return (p, v), p ^ s | v ^ sv
 
 
-def _ca2_row(planes: tuple, i: int) -> tuple:
+def _ca2_row(above: tuple, state: tuple) -> tuple:
     """ca2: an odd row's digit is b - a - borrow, the borrow exposed by
     d + b >= 4, and an even row's is 2a + carry, the carry being b >= 2
     (`transition_ca2`); a tag mixed between a and b leaves the cell empty."""
-    rows = planes[0]
-    pa, ta, la, ha = rows[i - 1]  # above: present, odd tag, digit bits
-    old = rows[i]
+    pa, ta, la, ha = above  # present, odd tag, digit bits
+    ps, ts, ls, hs = state
     pb, tb, lb, hb = pa << 1, ta << 1, la << 1, ha << 1  # above-right
-    pd, td, ld, hd = old[0] << 1, old[1] << 1, old[2] << 1, old[3] << 1  # right
+    pd, td, ld, hd = ps << 1, ts << 1, ls << 1, hs << 1  # right
     ok = (pa | pb) & ~(pa & pb & (ta ^ tb))
     odd = ok & (ta | tb)
     even = ok ^ odd
@@ -804,63 +807,61 @@ def _ca2_row(planes: tuple, i: int) -> tuple:
     t = po & (td | ~pd & low) | pe & (td | ~pd)
     low = po & low | pe & (hb | ~pd)
     high = po & high | pe & la | two
-    return (p, t, low, high), p ^ old[0] | t ^ old[1] | low ^ old[2] | high ^ old[3]
+    return (p, t, low, high), p ^ ps | t ^ ts | low ^ ls | high ^ hs
 
 
-def _ca1_bottom_row(planes: tuple, i: int) -> tuple:
-    """ca1-bottom: halve the digit above, with the parity above it as the
-    incoming remainder; the marker leaves a 2 (`transition_ca1_bottom`)."""
-    x0, x1 = planes[0][i - 1]  # digit above: the bits of state + 1
-    f0, f1 = planes[1][i - 1]  # parity above
-    old = planes[0][i]
+def _ca1_row(above: tuple, state: tuple) -> tuple:
+    """ca1, both layers: a digit halves the digit above, with the parity
+    above it as the incoming remainder, and the marker leaves a 2
+    (`transition_ca1_bottom`); a parity is the digit's below it plus the
+    parity one column left, and past the units digit an odd parity leaves
+    the marker (`transition_ca1_top`)."""
+    x0, x1, f0, f1 = above  # digit and parity above: the bits of state + 1
+    b0, b1, t0, t1 = state
     even, odd, marker = f0 & ~f1, f1 & ~f0, f0 & f1
     c0 = marker | even & (x0 ^ x1) | odd & x1
     c1 = marker | even & x1 | odd & x0
-    return (c0, c1), c0 ^ old[0] | c1 ^ old[1]
-
-
-def _ca1_top_row(planes: tuple, i: int) -> tuple:
-    """ca1-top: the parity of the digit below plus the parity one column
-    left; past the units digit an odd parity leaves the marker
-    (`transition_ca1_top`)."""
-    x0, x1 = planes[0][i]  # digit below: the bits of state + 1
-    old = planes[1][i]
-    l0, l1 = old[0] >> 1, old[1] >> 1  # parity one column left
-    digit = x0 | x1
+    l0, l1 = t0 >> 1, t1 >> 1  # parity one column left
+    digit = b0 | b1
     left_odd = l1 & ~l0
     live = digit & ~(l0 & l1)
-    odd = x1 & ~x0 ^ left_odd
+    odd = b1 & ~b0 ^ left_odd
     marker = left_odd & ~digit
-    c0 = live & ~odd | marker
-    c1 = live & odd | marker
-    return (c0, c1), c0 ^ old[0] | c1 ^ old[1]
+    p0 = live & ~odd | marker
+    p1 = live & odd | marker
+    return (c0, c1, p0, p1), c0 ^ b0 | c1 ^ b1 | p0 ^ t0 | p1 ^ t1
 
 
+def _ca1_first(above: tuple, state: tuple) -> tuple:
+    """ca1 row 0: the digits are the input and stay; the parity layer ticks."""
+    new = (*state[:2], *_ca1_row(state, state)[0][2:])
+    return new, new[2] ^ state[2] | new[3] ^ state[3]
+
+
+def _still(above: tuple, state: tuple) -> tuple:
+    """Row 0 of the base-4 and base-2 automata: the input, which never changes."""
+    return state, 0
+
+
+# Per automaton: the row function, and the one for row 0 (whose digits are the input)
 _ROW_FUNCTIONS = {
-    TableVariant.CA3: _ca3_row,
-    TableVariant.CA2: _ca2_row,
-    TableVariant.CA1_BOTTOM: _ca1_bottom_row,
-    TableVariant.CA1_TOP: _ca1_top_row,
+    CAVariant.CA3: (_ca3_row, _still),
+    CAVariant.CA2: (_ca2_row, _still),
+    CAVariant.CA1: (_ca1_row, _ca1_first),
 }
 
 
 class _SyncLayer:
-    """One layer of an automaton on the synchronous engine: its row function
-    (`step`), the (layer, row offset) of every row that reads this layer
-    (`readers`), and the conversions between `Row`s and planes."""
+    """One layer of an automaton on the synchronous engine: where the layer's
+    planes lie in a row's state (`at`, `count`), and the conversions between
+    `Row`s and planes."""
 
     def __init__(self, variant: CAVariant, layer: int):
         tables = LAYERS[variant]
         self.tv = tables[layer]
-        self.step = _ROW_FUNCTIONS[self.tv]
-        self.readers = {
-            (reader, -dr)
-            for reader, reader_tv in enumerate(tables)
-            for source, dr, _ in NEIGHBORHOODS[reader_tv]
-            if source == layer
-        }
+        self.at = sum(len(_PLANE_BITS[tv][0]) for tv in tables[:layer])  # every layer has a state 0
         bits = _PLANE_BITS[self.tv]
-        count = len(next(iter(bits.values())))  # planes per row
+        self.count = count = len(bits[0])  # planes per row
         # a row string -> one '0'/'1' string per plane
         self.bits = [
             str.maketrans({EMPTY: "0", **{_CHAR[s]: str(b[k]) for s, b in bits.items()}})
@@ -881,14 +882,14 @@ class _SyncLayer:
 
     def planes(self, row: Row, origin: int) -> tuple[int, ...]:
         if not row.s:
-            return (0,) * len(self.bits)
+            return (0,) * self.count
         msd, shift = row.s[::-1], row.lo - origin
         return tuple([int(msd.translate(t), 2) << shift for t in self.bits])
 
-    def row(self, planes: tuple[int, ...], origin: int) -> Row:
-        cells = 0
-        for p in planes:
-            cells |= p
+    def row(self, state: tuple[int, ...], origin: int) -> Row:
+        """The layer of a row's state as a `Row`."""
+        planes = state[self.at : self.at + self.count]
+        cells = reduce(or_, planes)
         if not cells:
             return Row()
         low = (cells & -cells).bit_length() - 1
@@ -902,29 +903,29 @@ class _SyncLayer:
 def _sync_layers(variant: CAVariant) -> tuple[_SyncLayer, ...]:
     layers = tuple(_SyncLayer(variant, layer) for layer in range(len(LAYERS[variant])))
     for layer in layers:
-        _check_row_function(layer, layers)
+        _check_row_function(_ROW_FUNCTIONS[variant][0], layer, layers)
     return layers
 
 
-def _check_row_function(layer: _SyncLayer, layers: tuple[_SyncLayer, ...]) -> None:
-    """Raise AssertionError unless `layer.step` gives its single-cell table's
-    value on every key, from one call: key k's cells are placed by
-    `NEIGHBORHOODS` around column 4k + 2, in rows 0 (above) and 1, and its
-    new cell is read at column 4k + 2 of row 1."""
+def _check_row_function(step, layer: _SyncLayer, layers: tuple[_SyncLayer, ...]) -> None:
+    """Raise AssertionError unless the row function `step` gives `layer`'s
+    single-cell table's value on every key, from one call: key k's cells are
+    placed by `NEIGHBORHOODS` around column 4k + 2, in the row above and the
+    row itself, and its new cell is read at column 4k + 2 of the new row."""
     table = CELL_TABLES[layer.tv]
     reads = NEIGHBORHOODS[layer.tv]
     keys, values = "".join(table), "".join(table.values())
-    planes = [[[0] * len(source.bits) for _ in range(2)] for source in layers]
+    rows = [[0] * sum(source.count for source in layers) for _ in range(2)]  # above, itself
     for q, k in enumerate(_key_order(layer.tv)):
         source, dr, dc = reads[k]
         cells = keys[q :: len(reads)]  # the cell of read k in every key
         for p, bits in enumerate(layers[source].bits):
-            planes[source][1 + dr][p] |= int(cells.translate(bits)[::-1], 16) << 2 + dc
-    new, _ = layer.step(tuple({r: tuple(rows[r]) for r in (0, 1)} for rows in planes), 1)
+            rows[1 + dr][layers[source].at + p] |= int(cells.translate(bits)[::-1], 16) << 2 + dc
+    new, _ = step(tuple(rows[0]), tuple(rows[1]))
     ones = int("1" * len(table), 16) << 2
     diff = 0
     for p, bits in enumerate(layer.bits):
-        diff |= new[p] & ones ^ int(values.translate(bits)[::-1], 16) << 2
+        diff |= new[layer.at + p] & ones ^ int(values.translate(bits)[::-1], 16) << 2
     if diff:
         k = ((diff & -diff).bit_length() - 3) // 4
         key = keys[k * len(reads) : (k + 1) * len(reads)]
@@ -932,6 +933,159 @@ def _check_row_function(layer: _SyncLayer, layers: tuple[_SyncLayer, ...]) -> No
             f"{layer.tv.value} row function differs from its cell table"
             f" at key {key!r} -> {table[key]!r}"
         )
+
+
+def _lift(hist: list, shift: int) -> list:
+    """A tick history at an origin `shift` columns lower (higher if
+    negative); a state repeated on consecutive ticks stays one object."""
+    out, prev = [], None
+    for state in hist:
+        if state is not prev:
+            prev, new = state, tuple(p << shift if shift > 0 else p >> -shift for p in state)
+        out.append(new)
+    return out
+
+
+def _tick_row(step, above: list, state: tuple, ticks: int, check=None) -> tuple:
+    """The tick loop: a row's states from `state` on, one per tick, under
+    `above`, the row above's state at each tick (constant past its end).  A
+    tick whose inputs did not change is not computed.  The loop stops at the
+    first tick that changes nothing under the above's last state (the row is
+    stable: the states end at the tick before), after `ticks` ticks, or at
+    the first new state `check` refuses (the states end at the tick before).
+    Returns the states, the mask of every cell that changed, and the error
+    `check` raised or None."""
+    hist, seen, moved, prev, tail = [state], 0, True, None, above[-1]
+    for a in islice(chain(above, repeat(tail)), ticks):
+        if moved or a is not prev:
+            new, mask = step(a, state)
+            if mask:
+                if check is not None:
+                    try:
+                        check(new, state)
+                    except WindowViolationError as error:
+                        return hist, seen, error
+                state, moved = new, True
+                seen |= mask
+            elif a is tail:  # a state is one object from tick to tick until it changes
+                break
+            else:
+                moved = False
+        elif a is tail:
+            break
+        hist.append(state)
+        prev = a
+    return hist, seen, None
+
+
+def _check_layers(g: Grid, layers: tuple, i: int, origin: int, new: tuple, old: tuple) -> None:
+    """Raise WindowViolationError if a layer of row i that changed from `old`
+    to `new` holds a cell outside the row's active window."""
+    for layer in layers:
+        planes = new[layer.at : layer.at + layer.count]
+        if planes != old[layer.at : layer.at + layer.count]:
+            _check_window(g, i, reduce(or_, planes), origin)
+
+
+def _stats(layers: tuple, out: list, last: int, tick: int) -> StepStats:
+    """The `StepStats` of the last tick: the cells it changed, and the lowest
+    row it changed (the number of rows if none)."""
+    changed, low = 0, len(out)
+    for i, (hist, _) in enumerate(out):
+        new, old = hist[min(last, len(hist) - 1)], hist[min(last - 1, len(hist) - 1)]
+        if new is not old:
+            low = min(low, i)
+            for layer in layers:
+                at = slice(layer.at, layer.at + layer.count)
+                changed += reduce(or_, [a ^ b for a, b in zip(new[at], old[at])]).bit_count()
+    return StepStats(tick, changed, low)
+
+
+def _synchronous(
+    variant: CAVariant, rows: list, t: int, ticks: int, m: int, values=None, stop: int = 0, g=None
+):
+    """Tick grid rows 0.. (`rows`: each row's layers as `Row`s) from tick t
+    until the first tick that changes no row at or above row m, and return
+    that tick's `StepStats`; raise if `ticks` ticks run out first.  Rows go
+    top down, each through all its ticks in one `_tick_row` call: rows 0..m
+    until they are stable, the rows below up to the stop tick, one past the
+    latest tick that changed one of rows 0..m.  The tick cap or the earliest
+    window violation of `g` (the earliest tick, then the lowest row) cuts
+    every row at the last full tick.  If `g` is given, each row that changed
+    is written back to it and its tick count set, also before a raise.
+
+    Given `values`, `rows` holds rows 0..m-1: row m ticks together with them
+    until all are stable, and its value is appended; then row m + 1 ticks
+    alone under row m's last state, and so on, until `values` holds `stop`
+    values or one past the first 1.  Returns the tick reached."""
+    layers = _sync_layers(variant)
+    step, first = _ROW_FUNCTIONS[variant]
+    empty = (0,) * sum(layer.count for layer in layers)
+    end, base, hist, seen, origin = t + ticks, 0, [()], 0, 0  # nothing above row 0
+    if values is not None:
+        rows = [*rows, None]  # a new row
+    while True:
+        if values is not None:
+            if len(values) >= stop:
+                return t
+            if t >= end:
+                raise RuntimeError(f"tick cap {ticks} exhausted at row {m}")
+        elif t >= end:
+            raise RuntimeError(f"rows 0..{m} did not stabilize within {ticks} ticks")
+        horizon, settled, last, error, out = end - t, True, 1, None, []
+        for k, row in enumerate(rows, base):
+            # an origin that holds every cell the row starts with or reads
+            lows = [r.lo for r in row if r.s] if row else []
+            if seen:
+                lows.append(origin + (seen & -seen).bit_length() - 1)
+            if lows and not 2 <= min(lows) - origin < 4 * _MARGIN:
+                shift = origin - min(lows) + _MARGIN
+                hist, origin = _lift(hist, shift) if seen else hist, origin - shift
+            state = empty
+            if row:
+                state = tuple(p for layer, r in zip(layers, row) for p in layer.planes(r, origin))
+            check = None
+            if g is not None and g.check_windows:
+                check = partial(_check_layers, g, layers, k, origin)
+            hist, seen, cut = _tick_row(
+                step if k else first, hist, state, horizon if k <= m else min(horizon, last), check
+            )
+            if cut is not None:
+                horizon, error, settled = len(hist) - 1, cut, False
+            elif k <= m and len(hist) > horizon:
+                settled = False  # still changing when the ticks ran out
+            if k <= m:  # the stop tick: one past the latest change of rows 0..m
+                last = max(last, len(hist)) if settled else horizon
+            seen |= reduce(or_, state)
+            out.append((hist, origin))
+        if error is None and not settled:
+            error = RuntimeError(f"rows 0..{m} did not stabilize within {end - t} ticks")
+        last = min(horizon, last)
+        t += last
+        if g is not None:
+            for k, (states, at) in enumerate(out):
+                state = states[min(last, len(states) - 1)]
+                if rows[k] is None or state is not states[0]:
+                    for held, layer in zip((g.bottom, g.top), layers):
+                        if base + k < len(held):
+                            held[base + k] = layer.row(state, at)
+                        else:
+                            held.append(layer.row(state, at))
+            g.ticks = t
+        if error is not None:
+            raise error
+        if values is None:
+            return _stats(layers, out, last, t)
+        values.append(KERNELS[variant].value(layers[0].row(hist[-1], origin).s))
+        if values[-1] == 1:
+            stop = min(stop, len(values) + 1)
+        # the new row m + 1 reads only row m's last state
+        hist, seen, rows, base, m = hist[-1:], reduce(or_, hist[-1]), [None], m + 1, m + 1
+
+
+def _grid_rows(g: Grid) -> list:
+    """Each grid row's layers as `Row`s."""
+    return list(zip(*(held for held in (g.bottom, g.top) if held is not None)))
 
 
 def ensure_rows(g: Grid, count: int) -> None:
@@ -942,124 +1096,42 @@ def ensure_rows(g: Grid, count: int) -> None:
             g.top.append(Row())
 
 
-def _synchronous(g: Grid, ticks: int, m: int, values=None, stop: int = 0) -> StepStats | None:
-    """The tick loop: at most `ticks` synchronous ticks, stopping after the
-    first that changes no row at or above row m, else raising.  Returns the
-    last tick's stats.  Given `values`, rows 0..m are final on entry, and
-    each time they are, row m's value is appended and row m + 1 added until
-    `values` holds `stop` (`extend_synchronous`); then it returns None.
-
-    The first tick recomputes every row, and a later tick a row that is new
-    or reads a row the tick before changed, each by one call of its layer's
-    row function; any other row would reproduce itself.  Cells whose
-    neighborhood is empty stay empty (`_compile_cell` checks it), so the
-    outcome is the naive full sweep's.  The call loads each row as planes
-    once, when it starts or adds the row, and writes each row it changed
-    back as a `Row` once, when the row is final or the call returns or
-    raises.  Every plane keeps bit 0 empty: only the base-3 parity layer
-    reads to its left, so only it can reach bit 0, and then every plane
-    moves up.
-    """
-    layers = _sync_layers(g.variant)
-    rows = (g.bottom, g.top)
-    origin = min((row.lo for held in rows if held for row in held if row.s), default=0) - _MARGIN
-    planes = tuple(  # per layer: row index -> planes
-        {i: layer.planes(row, origin) for i, row in enumerate(held)}
-        for layer, held in zip(layers, rows)
-    )
-    nrows = len(g.bottom)
-    stale = {(layer, i) for layer in range(len(layers)) for i in range(nrows)}
-    stale.discard((0, 0))  # the input row is immutable
-    written = set()
-    final = values is not None
-    end, start = g.ticks + ticks, g.ticks  # start: the tick row m was added at
-
-    def write_back():
-        for layer, i in written:
-            rows[layer][i] = layers[layer].row(planes[layer][i], origin)
-        written.clear()
-
-    try:
-        while True:
-            if final:
-                if len(values) >= stop:
-                    return None
-                if g.ticks >= end:
-                    raise RuntimeError(f"tick cap {ticks} exhausted at row {m + 1}")
-                m, nrows, start = m + 1, m + 2, g.ticks
-                ensure_rows(g, nrows)
-                for layer, sync in enumerate(layers):
-                    planes[layer][m] = sync.planes(rows[layer][m], origin)
-                    stale.add((layer, m))
-            elif g.ticks >= end:
-                raise RuntimeError(f"rows 0..{m} did not stabilize within {end - start} ticks")
-            updates = []
-            changed, low, grown = 0, nrows, 0
-            for layer, i in stale:
-                new, mask = layers[layer].step(planes, i)
-                if mask:
-                    if g.check_windows:
-                        cells = 0
-                        for p in new:
-                            cells |= p
-                        _check_window(g, i, cells, origin)
-                    updates.append((layer, i, new))
-                    changed += mask.bit_count()
-                    grown |= mask
-                    if i < low:
-                        low = i
-            stale = set()
-            for layer, i, new in updates:
-                planes[layer][i] = new
-                written.add((layer, i))
-                for reader, di in layers[layer].readers:
-                    if i + di < nrows:
-                        stale.add((reader, i + di))
-            if grown & 1:  # a cell at bit 0: move every plane up
-                origin -= _MARGIN
-                for held in planes:
-                    for i, row in held.items():
-                        held[i] = tuple(p << _MARGIN for p in row)
-            g.ticks += 1
-            final = low > m
-            if final:
-                if values is None:
-                    break
-                write_back()
-                values.append(extract_row(g, m))
-                if values[-1] == 1:
-                    stop = min(stop, len(values) + 1)
-    finally:
-        write_back()
-    return StepStats(g.ticks, changed, low)
-
-
 def step_synchronous(g: Grid) -> StepStats:
-    """One synchronous tick: every cell reacts to the pre-tick states (the
-    tick loop `_synchronous`, stopped after one tick)."""
-    return _synchronous(g, 1, -1)
+    """One synchronous tick: every cell reacts to the pre-tick states."""
+    return _synchronous(g.variant, _grid_rows(g), g.ticks, 1, -1, g=g)
 
 
 def run_until_rows_stable(g: Grid, m: int, tick_cap: int = DEFAULT_TICK_CAP) -> Grid:
-    """Advance synchronously until rows 0..m survive a full tick unchanged:
-    one call of the tick loop `_synchronous`, which raises if the tick cap
-    runs out first.
+    """Advance synchronously until rows 0..m survive a full tick unchanged,
+    raising if the tick cap runs out first.
 
     A row's fixpoint depends only on the rows above it, so once a tick changes
-    nothing at or below row m those rows are final.
+    nothing at or above row m those rows are final.
     """
     if m < 0:
         raise ValueError("row index must be nonnegative")
     ensure_rows(g, m + 1)
-    _synchronous(g, tick_cap, m)
+    _synchronous(g.variant, _grid_rows(g), g.ticks, tick_cap, m, g=g)
     return g
 
 
 def extend_synchronous(g: Grid, values: list, stop: int, tick_cap: int = DEFAULT_TICK_CAP) -> None:
-    """`extend_frontier`'s contract from one synchronous tick loop of at most
-    `tick_cap` ticks: row i comes once rows 0..i-1 are stable, and its value
-    once rows 0..i are."""
-    _synchronous(g, tick_cap, len(g.bottom) - 1, values, stop)
+    """`extend_frontier`'s contract from the synchronous engine, in at most
+    `tick_cap` ticks: a new row comes once the rows above it are stable, and
+    its value once it is (`run_synchronous`'s loop, writing each row into
+    the grid)."""
+    _synchronous(g.variant, _grid_rows(g), g.ticks, tick_cap, len(g.bottom), values, stop, g)
+
+
+def run_synchronous(variant: CAVariant, row: Row, max_rows: int, tick_cap: int) -> tuple[list, int]:
+    """Values of row 0 `row` (`row_cells`) and of the rows below it, until one
+    row past the first 1 or max_rows values, and the ticks used, from the
+    synchronous engine without a grid: it holds only the row above and the
+    new row, and reads each value through `RowKernel.value`."""
+    values = [KERNELS[variant].value(row.s)]
+    stop = min(max_rows, 2) if values[0] == 1 else max_rows
+    first = (row, Row())[: len(LAYERS[variant])]  # base 3: an empty parity layer
+    return values, _synchronous(variant, [first], 0, tick_cap, 1, values, stop)
 
 
 # --- row extraction and snapshots -------------------------------------------

@@ -68,6 +68,19 @@ def test_synchronous_mode_same_iterates(variant):
         assert f.ca_steps_to_one == s.ca_steps_to_one
 
 
+@pytest.mark.parametrize(
+    "variant, ticks", [(CAVariant.CA1, 123242), (CAVariant.CA2, 67209), (CAVariant.CA3, 44412)]
+)
+def test_synchronous_tick_counts(variant, ticks):
+    # the synchronous engine's ticks, pinned; a run without a grid gives the
+    # grid's record
+    cfg = RunConfig(variant=variant, mode="synchronous")
+    records = [run_single(n, cfg) for n in range(1, 513)]
+    assert sum(r.ticks_used for r in records) == ticks
+    for n, record in enumerate(records, 1):
+        assert record == run_grid(n, cfg)[1], n
+
+
 def test_max_rows_cap():
     rec = run_single(27, RunConfig(variant=CAVariant.CA3, max_rows=5))
     assert not rec.reached_one

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatz_ca import grid
 from collatz_ca.digits import DigitString, to_digits
 from collatz_ca.engine import RunConfig, TrajectoryRecord, run_grid
 from collatz_ca.grid import (
@@ -422,6 +423,46 @@ def naive_run(g: Grid, ticks: int):
     return bottom, top
 
 
+def naive_until_stable(g: Grid, m: int):
+    """g's rows as dicts after the naive sweep's first tick that changes no
+    row at or above row m, and that tick."""
+    bottom, top = naive_run(g, 0)
+    ticks = 0
+    while True:
+        new_bottom, new_top = naive_tick(g, bottom, top)
+        ticks += 1
+        quiet = new_bottom[: m + 1] == bottom[: m + 1]
+        quiet = quiet and (top is None or new_top[: m + 1] == top[: m + 1])
+        bottom, top = new_bottom, new_top
+        if quiet:
+            return bottom, top, ticks
+
+
+@pytest.mark.parametrize(
+    "g, ticks",
+    [
+        # row 1 empties on tick 1; a lone 0 writes nothing, so rows 2 and 3 never change
+        (Grid(CAVariant.CA3, [Row(), Row(0, "0"), Row(), Row()], None, row0_hi=0), 2),
+        (
+            Grid(
+                CAVariant.CA1,
+                [Row(), Row(-2, "0"), Row(-2, "21"), Row(-1, "2")],
+                [Row(-2, "001"), Row(-3, "0..2"), Row(-2, "002"), Row(-1, "21")],
+                row0_hi=0,
+            ),
+            5,
+        ),
+    ],
+)
+def test_synchronous_stops_after_every_row_above_m_is_stable(g, ticks):
+    # a row above m still changes after row m has settled: the stop tick is
+    # one past the latest change of any row 0..m, not of row m alone
+    m = len(g.bottom) - 1
+    bottom, top, naive_ticks = naive_until_stable(g, m)
+    run_until_rows_stable(g, m)
+    assert (g.bottom, g.top, g.ticks) == (bottom, top, naive_ticks) and naive_ticks == ticks
+
+
 def test_synchronous_raise_leaves_the_last_full_tick():
     # the tick cap: the grid after the last tick, rows written back, and a
     # next call that ticks on like the naive sweep
@@ -445,6 +486,27 @@ def test_synchronous_raise_leaves_the_last_full_tick():
     assert (g.bottom, g.top, g.ticks) == (bottom, top, 4)
     g.check_windows = False  # the same tick again, which would raise again
     assert_next_tick_is_naive(g)
+
+
+def test_synchronous_origin_shift_equals_naive_sweep(monkeypatch):
+    # the base-3 digits grow one column right per odd row, below the origin
+    # of the rows above, so a row moves to a lower origin with the row it reads
+    lifts = []
+    lift = grid._lift
+    monkeypatch.setattr(grid, "_lift", lambda hist, shift: lifts.append(shift) or lift(hist, shift))
+    g = init_grid(27, CAVariant.CA1)
+    ensure_rows(g, 13)
+    bottom, top, ticks = naive_until_stable(g, 12)
+    run_until_rows_stable(g, 12)
+    assert (g.bottom, g.top, g.ticks) == (bottom, top, ticks) and ticks == 39
+    assert len(lifts) == 1 and lifts[0] > 0  # once, to a lower origin
+    # a run row by row: each row ticks under the last state of the row above
+    lifts.clear()
+    g, values = init_grid(27, CAVariant.CA1), [27]
+    extend_synchronous(g, values, 13)
+    f, record = run_grid(27, RunConfig(CAVariant.CA1, max_rows=13))
+    assert (values, g.bottom, g.top, g.ticks) == (record.iterates, f.bottom, f.top, 78)
+    assert len(lifts) == 1 and lifts[0] > 0  # once, to a lower origin
 
 
 def planted_row(draw, tv: TableVariant, hi: int) -> Row:
@@ -504,21 +566,21 @@ def test_synchronous_equals_naive_sweep_on_planted_grids(g, data):
 def test_row_functions_equal_their_cell_tables():
     # each key's neighborhood alone, by `_PLANE_BITS`, around column 5
     for variant in VARIANTS:
-        layers = _sync_layers(variant)
+        layers, step = _sync_layers(variant), grid._ROW_FUNCTIONS[variant][0]
         for layer in layers:
             reads = NEIGHBORHOODS[layer.tv]
             states = {_PLANE_BITS[layer.tv][s]: str(s) for s in _PLANE_BITS[layer.tv]}
             for key, new in CELL_TABLES[layer.tv].items():
-                planes = [{r: [0] * len(other.bits) for r in (0, 1)} for other in layers]
+                # the row above, and the row itself
+                rows = [[0] * sum(other.count for other in layers) for _ in (0, 1)]
                 for c, k in zip(key, _key_order(layer.tv)):
                     source, dr, dc = reads[k]
                     if c != EMPTY:
                         tv = LAYERS[variant][source]
                         for p, bit in enumerate(_PLANE_BITS[tv][int(c)]):
-                            planes[source][1 + dr][p] |= bit << 5 + dc
-                planes = tuple({r: tuple(ps) for r, ps in rows.items()} for rows in planes)
-                out, _ = layer.step(planes, 1)
-                bits = tuple(p >> 5 & 1 for p in out)
+                            rows[1 + dr][layers[source].at + p] |= bit << 5 + dc
+                out, _ = step(tuple(rows[0]), tuple(rows[1]))
+                bits = tuple(p >> 5 & 1 for p in out[layer.at : layer.at + layer.count])
                 assert states.get(bits, EMPTY if not any(bits) else None) == new, (layer.tv, key)
 
 
