@@ -619,9 +619,8 @@ class RowKernel:
 
 def _parse(msd: str, base: int) -> int:
     # int() refuses long strings in bases that are not powers of two
-    # (sys.get_int_max_str_digits); base-3 grid rows (`extract_row`) still
-    # carry the leading zeros the kernel drops
-    msd = msd.lstrip("0") or "0"
+    # (sys.get_int_max_str_digits), leading zeros included; base-3 rows and
+    # the synchronous engine's base-3 planes (`_ca1_value`) are split
     if len(msd) <= 4000:
         return int(msd, base)
     half = len(msd) // 2
@@ -854,7 +853,8 @@ _ROW_FUNCTIONS = {
 class _SyncLayer:
     """One layer of an automaton on the synchronous engine: where the layer's
     planes lie in a row's state (`at`, `count`), and the conversions between
-    `Row`s and planes."""
+    `Row`s and planes.  Values are read from the planes (`_PLANE_VALUES`);
+    `row` serves grid write-back and the rows a plane reader refuses."""
 
     def __init__(self, variant: CAVariant, layer: int):
         tables = LAYERS[variant]
@@ -887,7 +887,8 @@ class _SyncLayer:
         return tuple([int(msd.translate(t), 2) << shift for t in self.bits])
 
     def row(self, state: tuple[int, ...], origin: int) -> Row:
-        """The layer of a row's state as a `Row`."""
+        """The layer of a row's state as a `Row`, for a grid or for the
+        string path of a row that its plane reader refuses."""
         planes = state[self.at : self.at + self.count]
         cells = reduce(or_, planes)
         if not cells:
@@ -897,6 +898,55 @@ class _SyncLayer:
         for k, p in enumerate(planes):
             spread |= int(f"{p >> low:b}", self.base) << k
         return Row(origin + low, f"{spread:x}"[::-1].translate(self.chars))
+
+
+# A row's value read straight from its layer-0 planes.  A reader accepts only
+# rows that `RowKernel.check` passes: present cells in one run, no bit outside
+# the present plane, one parity tag, ends that `_KEPT_ENDS` allows, and a
+# nonzero digit.  It gives None for empty planes, and 0, which no kept row
+# holds, for a row it leaves to the string path (`_SyncLayer.row`, then
+# `RowKernel.value`), which raises that row's refusal.
+
+
+def _ca3_value(state: tuple) -> int | None:
+    p, v = state
+    if v & ~p:
+        return 0
+    if not p:
+        return None
+    low = (p & -p).bit_length() - 1
+    p, v = p >> low, v >> low
+    return v if not p & (p + 1) and v & 1 and v > p >> 1 else 0  # a 1 at both ends
+
+
+def _ca2_value(state: tuple) -> int | None:
+    p, t, l, h = state
+    if (t | l | h) & ~p:
+        return 0
+    if not p:
+        return None
+    low = (p & -p).bit_length() - 1
+    p, t, l, h = p >> low, t >> low, l >> low, h >> low
+    # the lowest cell is a 5 or 7 tagged odd, or an untagged 2
+    if p & (p + 1) or t and t != p or not (l if t else h & ~l) & 1:
+        return 0
+    return int(f"{l:b}", 4) + 2 * int(f"{h:b}", 4)
+
+
+def _ca1_value(state: tuple) -> int | None:
+    b0, b1 = state[0], state[1]  # the bits of digit + 1
+    p = b0 | b1
+    if not p:
+        return None
+    low = (p & -p).bit_length() - 1
+    p, b0, b1 = p >> low, b0 >> low, b1 >> low
+    if p & (p + 1):
+        return 0
+    # a digit is b1 + (b0 & b1), so a row of zeros reads 0
+    return _parse(f"{b1:b}", 3) + _parse(f"{b0 & b1:b}", 3)
+
+
+_PLANE_VALUES = {CAVariant.CA3: _ca3_value, CAVariant.CA2: _ca2_value, CAVariant.CA1: _ca1_value}
 
 
 @cache  # built and checked on a variant's first tick
@@ -1015,11 +1065,13 @@ def _synchronous(
     is written back to it and its tick count set, also before a raise.
 
     Given `values`, `rows` holds rows 0..m-1: row m ticks together with them
-    until all are stable, and its value is appended; then row m + 1 ticks
-    alone under row m's last state, and so on, until `values` holds `stop`
-    values or one past the first 1.  Returns the tick reached."""
+    until all are stable, and its value, read from its planes
+    (`_PLANE_VALUES`), is appended; then row m + 1 ticks alone under row m's
+    last state, and so on, until `values` holds `stop` values or one past the
+    first 1.  Returns the tick reached."""
     layers = _sync_layers(variant)
     step, first = _ROW_FUNCTIONS[variant]
+    read = _PLANE_VALUES[variant]
     empty = (0,) * sum(layer.count for layer in layers)
     end, base, hist, seen, origin = t + ticks, 0, [()], 0, 0  # nothing above row 0
     if values is not None:
@@ -1076,8 +1128,11 @@ def _synchronous(
             raise error
         if values is None:
             return _stats(layers, out, last, t)
-        values.append(KERNELS[variant].value(layers[0].row(hist[-1], origin).s))
-        if values[-1] == 1:
+        value = read(hist[-1])
+        if value == 0:  # not a kept row
+            value = KERNELS[variant].value(layers[0].row(hist[-1], origin).s)
+        values.append(value)
+        if value == 1:
             stop = min(stop, len(values) + 1)
         # the new row m + 1 reads only row m's last state
         hist, seen, rows, base, m = hist[-1:], reduce(or_, hist[-1]), [None], m + 1, m + 1
@@ -1127,7 +1182,9 @@ def run_synchronous(variant: CAVariant, row: Row, max_rows: int, tick_cap: int) 
     """Values of row 0 `row` (`row_cells`) and of the rows below it, until one
     row past the first 1 or max_rows values, and the ticks used, from the
     synchronous engine without a grid: it holds only the row above and the
-    new row, and reads each value through `RowKernel.value`."""
+    new row, and reads each value from the new row's planes, behind a plane
+    check that accepts only rows `RowKernel.check` passes; a refused row
+    takes the string path, `RowKernel.value`, which raises its refusal."""
     values = [KERNELS[variant].value(row.s)]
     stop = min(max_rows, 2) if values[0] == 1 else max_rows
     first = (row, Row())[: len(LAYERS[variant])]  # base 3: an empty parity layer

@@ -61,7 +61,9 @@ def test_run_grid_returns_grid_and_record():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_synchronous_mode_same_iterates(variant):
-    for n in (7, 27):
+    # n = 7 and 27, and inputs of the size the sync-engine benchmark times
+    rng = random.Random(7)
+    for n in (7, 27, *(rng.randrange(2**16, 2**17) for _ in range(12))):
         f = run_single(n, RunConfig(variant=variant, mode="frontier"))
         s = run_single(n, RunConfig(variant=variant, mode="synchronous"))
         assert f.iterates == s.iterates

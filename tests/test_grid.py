@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from collatz_ca.grid import (
     CELL_TABLES,
     EMPTY,
     GROWTH_MARGIN,
+    KERNELS,
     Grid,
     NonContiguousRowError,
     Row,
@@ -598,6 +600,93 @@ def test_row_function_check_names_a_wrong_table_entry(monkeypatch, tv):
             _sync_layers(variant)
     finally:
         _sync_layers.cache_clear()
+
+
+def plane_value(variant: CAVariant, row: Row, origin: int) -> int | None:
+    """The synchronous engine's value of a row read from its layer-0 planes
+    at `origin`; 0 where the reader leaves the row to the string path."""
+    return grid._PLANE_VALUES[variant](_sync_layers(variant)[0].planes(row, origin))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_plane_value_is_the_kernel_value_on_every_short_row(variant):
+    # every row string up to width 5 (ca1: 7) over layer 0's cells and EMPTY,
+    # at two origins: the reader gives exactly `RowKernel.value`, None for an
+    # empty row, and defers every row that `check` refuses
+    kernel = KERNELS[variant]
+    for width in range(1, (7 if variant is CAVariant.CA1 else 5) + 1):
+        for cells in product(kernel.digits + EMPTY, repeat=width):
+            row = Row(4, "".join(cells))
+            try:
+                want = kernel.value(row.s)
+            except NonContiguousRowError:
+                want = 0
+            assert plane_value(variant, row, 4) == plane_value(variant, row, -37) == want, row
+
+
+@pytest.mark.parametrize(
+    "variant, row", [(CAVariant.CA2, "5"), (CAVariant.CA2, ""), (CAVariant.CA3, "11"), (CAVariant.CA3, "")]
+)
+def test_plane_value_defers_a_bit_outside_the_present_plane(variant, row):
+    # a digit or tag bit with no present cell under it, below or above a kept
+    # row or on empty planes, is no kept row
+    read = grid._PLANE_VALUES[variant]
+    planes = _sync_layers(variant)[0].planes(Row(0, row), -2)
+    assert read(planes) == KERNELS[variant].value(row)
+    for k in range(1, len(planes)):
+        for bit in (1, 1 << 8):
+            assert read((*planes[:k], planes[k] | bit, *planes[k + 1 :])) == 0, (k, bit)
+
+
+def kept_row(variant: CAVariant, rng: random.Random, width: int) -> str:
+    """A random row string that `RowKernel.check` passes."""
+    if variant is CAVariant.CA3:
+        return "1" + "".join(rng.choice("01") for _ in range(width - 2)) + "1"
+    if variant is CAVariant.CA2:
+        first = rng.choice("572")
+        return first + "".join(rng.choice("0123" if first == "2" else "4567") for _ in range(width - 1))
+    cells = [rng.choice("012") for _ in range(width)]
+    cells[rng.randrange(width)] = rng.choice("12")
+    return "".join(cells)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_plane_value_accepts_random_kept_rows(variant):
+    rng = random.Random(21)
+    kernel = KERNELS[variant]
+    for _ in range(2000):
+        row = Row(rng.randrange(-50, 50), kept_row(variant, rng, rng.randrange(8, 201)))
+        kernel.check(row.s)
+        assert plane_value(variant, row, row.lo - rng.randrange(40)) == kernel.value(row.s), row
+
+
+def test_plane_value_beyond_int_string_limit():
+    # base-3 planes of more than 4300 cells, also with 2000 zeros on top:
+    # int() alone refuses that many base-3 digits
+    n = 3**4500 * 2 + 1
+    row = row_cells(to_digits(n, 3), CAVariant.CA1)
+    assert len(row.s) > 4300
+    for cells in (row.s, row.s + "0" * 2000):
+        padded = Row(row.lo, cells)
+        assert plane_value(CAVariant.CA1, padded, -3) == KERNELS[CAVariant.CA1].value(cells) == n
+
+
+def test_synchronous_values_refusal_and_empty_rows():
+    # a row the plane reader refuses raises the string path's message
+    g = init_grid(7, CAVariant.CA3)
+    g.bottom[0] = Row(0, "111" + EMPTY * 5 + "1")
+    values = []
+    with pytest.raises(NonContiguousRowError) as err:
+        extend_synchronous(g, values, 4, 500)
+    assert str(err.value) == "ca3 row '1.....1011' has an empty cell"
+    assert values == []
+    # planted rows whose next rows are empty: no values
+    for variant, row in ((CAVariant.CA2, "53"), (CAVariant.CA3, "10")):
+        g = init_grid(7, variant)
+        g.bottom[0] = Row(0, row)
+        values = []
+        extend_synchronous(g, values, 4, 500)
+        assert values == [None] * 4, variant
 
 
 # --- windows and extraction --------------------------------------------------
