@@ -17,12 +17,15 @@ closed-form rules:
   one tight loop (`_tick_row`) runs each row through all its ticks under the
   tick history of the row above (time skewing), skipping the ticks whose
   inputs did not change; that is tick-for-tick the naive sweep.  A row is
-  held as bit-planes, one int per bit of a cell's encoding, and a tick is
-  one call of its automaton's row function, a few shifts and boolean
-  operations checked against the single-cell tables on every key.  The same
-  loop serves a tick, a run until rows are stable, a whole run row by row
-  (`extend_synchronous`) and a run without a grid (`run_synchronous`), which
-  holds only the row above and the new row; no state outlives a call.
+  held as bit-planes, one int per bit of a cell's encoding.  Its automaton's
+  row function, curried on the row above's state, returns the row's tick: a
+  few shifts and boolean operations, checked against the single-cell tables
+  on every key.  That loop serves a tick and a run until rows are stable.  A
+  whole run row by row (`extend_synchronous`, and `run_synchronous` without a
+  grid) takes its first rows through that loop once; from then on each new
+  row ticks alone under the last state of the row above, in a lean per-row
+  loop (`_row_by_row`) that holds only those two rows.  No state outlives a
+  call.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
   per automaton (`KERNELS`) steps a row as one int of cell codes, and a run
@@ -40,7 +43,7 @@ with `neighborhood_keys`.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import chain, islice, product, repeat
@@ -745,13 +748,19 @@ def step_frontier(g: Grid) -> StepStats:
 #
 # A row's state is bit-planes: one int per bit of its cells' encoding, layer
 # by layer (the base-3 digits, then their parity layer), column j at bit
-# j - origin, so one call of the automaton's row function updates every cell
-# of the row with a few shifts and boolean operations (multi-spin coding).  A
-# row function takes the states of the row above and of the row itself
-# before a tick, shifts each read by its column offset (column -1 is a left
-# shift by one), and returns the row's new state and the mask of its changed
-# cells.  `_sync_layers` checks every row function against its layers'
-# single-cell tables on every key before a variant's first tick.
+# j - origin, so one tick updates every cell of the row with a few shifts and
+# boolean operations (multi-spin coding).  An automaton's row function is
+# curried on the row above: it takes that row's state, computes once every
+# term that reads only it, and returns the row's tick, which takes the row's
+# own state before a tick and returns its new state and the mask of its
+# changed cells.  Each read is shifted by its column offset (column -1 is a
+# left shift by one).  A row ticks several times under one state of the row
+# above (a new row 5 to 9 times on average), and the terms that read only
+# that state are computed once for all of them.  `_sync_layers` checks every
+# row function against its layers' single-cell tables on every key before a
+# variant's first tick.
+
+_Tick = Callable[[tuple], tuple]  # a row's state -> (its new state, the changed cells)
 
 # Per layer, each state's bit in each plane; EMPTY is 0 in every plane.
 _PLANE_BITS = {
@@ -771,75 +780,106 @@ _PLANE_BITS = {
 _MARGIN = 8
 
 
-def _ca3_row(above: tuple, state: tuple) -> tuple:
+def _ca3_row(above: tuple) -> _Tick:
     """ca3: the odd part of 3x + 1 as the sum (2x + 1) + x, its carry exposed
     by the sum bit already placed on the right (`transition_ca3`)."""
     a, av = above  # present, value
-    s, sv = state
     b, bv, c, cv = a << 1, av << 1, a << 2, av << 2  # above-right, above-right-right
-    d, dv = s << 1, sv << 1  # right
-    full = b & c & d
-    carry = bv & cv | (bv | cv) & ~dv
-    p = a & b & ~(av ^ bv | d) | ~(a | b) & cv & ~dv | full
-    v = p & ~full | full & (av ^ bv ^ carry)
-    return (p, v), p ^ s | v ^ sv
+    bc, x = b & c, av ^ bv
+    gen, prop = bv & cv, bv | cv  # the carry generated and propagated above
+    pair = a & b & ~x  # a present pair of equal values
+    lone = ~(a | b) & cv  # a 1 above-right-right with no cell nearer
+
+    def tick(state):
+        s, sv = state
+        d, dv = s << 1, sv << 1  # right
+        full = bc & d
+        ndv = ~dv
+        p = pair & ~d | lone & ndv | full
+        v = p ^ full & ~(x ^ (gen | prop & ndv))  # a full column holds the sum bit
+        return (p, v), p ^ s | v ^ sv
+
+    return tick
 
 
-def _ca2_row(above: tuple, state: tuple) -> tuple:
+def _ca2_row(above: tuple) -> _Tick:
     """ca2: an odd row's digit is b - a - borrow, the borrow exposed by
     d + b >= 4, and an even row's is 2a + carry, the carry being b >= 2
     (`transition_ca2`); a tag mixed between a and b leaves the cell empty."""
     pa, ta, la, ha = above  # present, odd tag, digit bits
-    ps, ts, ls, hs = state
     pb, tb, lb, hb = pa << 1, ta << 1, la << 1, ha << 1  # above-right
-    pd, td, ld, hd = ps << 1, ts << 1, ls << 1, hs << 1  # right
     ok = (pa | pb) & ~(pa & pb & (ta ^ tb))
     odd = ok & (ta | tb)
     even = ok ^ odd
-    borrow = hd & hb | (hd ^ hb) & ld & lb
-    low = lb ^ la ^ borrow
-    high = hb ^ ha ^ (~lb & la | ~(lb ^ la) & borrow)
-    po = odd & pb & (low | high | pa & pd)
-    two = odd & ~(pb | pd) & la & ha  # an odd units digit 3 leaves an untagged 2
-    pe = even & pb & (pd & (pa | hb) | ~pd & hb & ~lb)
-    p = po | pe | two
-    t = po & (td | ~pd & low) | pe & (td | ~pd)
-    low = po & low | pe & (hb | ~pd)
-    high = po & high | pe & la | two
-    return (p, t, low, high), p ^ ps | t ^ ts | low ^ ls | high ^ hs
+    low0, high0 = lb ^ la, hb ^ ha  # b - a before the borrow
+    under, level = ~lb & la, ~low0  # the low digits' own borrow, and where they let one through
+    podd = odd & pb
+    podd_a = podd & pa
+    two0 = odd & ~pb & la & ha  # an odd units digit 3 leaves an untagged 2
+    peven = even & pb
+    pe_off = peven & hb & ~lb  # an even row's cell with no cell on its right
+    pe_flip = peven & (pa | hb) ^ pe_off  # and what a cell on its right changes
+
+    def tick(state):
+        ps, ts, ls, hs = state
+        pd, td, ld, hd = ps << 1, ts << 1, ls << 1, hs << 1  # right
+        npd = ~pd
+        borrow = hd & hb | (hd ^ hb) & ld & lb
+        low = low0 ^ borrow
+        high = high0 ^ (under | level & borrow)
+        po = podd & (low | high) | podd_a & pd
+        pe = pe_off ^ pd & pe_flip
+        two = two0 & npd
+        ope = po | pe
+        p = ope | two
+        pol = po & low
+        t = td & ope | npd & (pol | pe)
+        low = pol | pe & (hb | npd)
+        high = po & high | pe & la | two
+        return (p, t, low, high), p ^ ps | t ^ ts | low ^ ls | high ^ hs
+
+    return tick
 
 
-def _ca1_row(above: tuple, state: tuple) -> tuple:
+def _ca1_row(above: tuple) -> _Tick:
     """ca1, both layers: a digit halves the digit above, with the parity
     above it as the incoming remainder, and the marker leaves a 2
-    (`transition_ca1_bottom`); a parity is the digit's below it plus the
-    parity one column left, and past the units digit an odd parity leaves
-    the marker (`transition_ca1_top`)."""
+    (`transition_ca1_bottom`), so the new digits read only the row above; a
+    parity is the digit's below it plus the parity one column left, and past
+    the units digit an odd parity leaves the marker (`transition_ca1_top`)."""
     x0, x1, f0, f1 = above  # digit and parity above: the bits of state + 1
-    b0, b1, t0, t1 = state
     even, odd, marker = f0 & ~f1, f1 & ~f0, f0 & f1
     c0 = marker | even & (x0 ^ x1) | odd & x1
     c1 = marker | even & x1 | odd & x0
-    l0, l1 = t0 >> 1, t1 >> 1  # parity one column left
-    digit = b0 | b1
-    left_odd = l1 & ~l0
-    live = digit & ~(l0 & l1)
-    odd = b1 & ~b0 ^ left_odd
-    marker = left_odd & ~digit
-    p0 = live & ~odd | marker
-    p1 = live & odd | marker
-    return (c0, c1, p0, p1), c0 ^ b0 | c1 ^ b1 | p0 ^ t0 | p1 ^ t1
+
+    def tick(state):
+        b0, b1, t0, t1 = state
+        l0, l1 = t0 >> 1, t1 >> 1  # parity one column left
+        digit = b0 | b1
+        left_odd = l1 & ~l0
+        live = digit & ~(l0 & l1)
+        odd = b1 & ~b0 ^ left_odd
+        marker = left_odd & ~digit
+        p0 = live & ~odd | marker
+        p1 = live & odd | marker
+        return (c0, c1, p0, p1), c0 ^ b0 | c1 ^ b1 | p0 ^ t0 | p1 ^ t1
+
+    return tick
 
 
-def _ca1_first(above: tuple, state: tuple) -> tuple:
+def _ca1_first(above: tuple) -> _Tick:
     """ca1 row 0: the digits are the input and stay; the parity layer ticks."""
-    new = (*state[:2], *_ca1_row(state, state)[0][2:])
-    return new, new[2] ^ state[2] | new[3] ^ state[3]
+
+    def tick(state):
+        new = (*state[:2], *_ca1_row(state)(state)[0][2:])
+        return new, new[2] ^ state[2] | new[3] ^ state[3]
+
+    return tick
 
 
-def _still(above: tuple, state: tuple) -> tuple:
+def _still(above: tuple) -> _Tick:
     """Row 0 of the base-4 and base-2 automata: the input, which never changes."""
-    return state, 0
+    return lambda state: (state, 0)
 
 
 # Per automaton: the row function, and the one for row 0 (whose digits are the input)
@@ -959,9 +999,10 @@ def _sync_layers(variant: CAVariant) -> tuple[_SyncLayer, ...]:
 
 def _check_row_function(step, layer: _SyncLayer, layers: tuple[_SyncLayer, ...]) -> None:
     """Raise AssertionError unless the row function `step` gives `layer`'s
-    single-cell table's value on every key, from one call: key k's cells are
-    placed by `NEIGHBORHOODS` around column 4k + 2, in the row above and the
-    row itself, and its new cell is read at column 4k + 2 of the new row."""
+    single-cell table's value on every key, from one tick: key k's cells are
+    placed by `NEIGHBORHOODS` around column 4k + 2, in the row above (which
+    the tick is built on) and the row itself, and its new cell is read at
+    column 4k + 2 of the new row."""
     table = CELL_TABLES[layer.tv]
     reads = NEIGHBORHOODS[layer.tv]
     keys, values = "".join(table), "".join(table.values())
@@ -971,7 +1012,7 @@ def _check_row_function(step, layer: _SyncLayer, layers: tuple[_SyncLayer, ...])
         cells = keys[q :: len(reads)]  # the cell of read k in every key
         for p, bits in enumerate(layers[source].bits):
             rows[1 + dr][layers[source].at + p] |= int(cells.translate(bits)[::-1], 16) << 2 + dc
-    new, _ = step(tuple(rows[0]), tuple(rows[1]))
+    new, _ = step(tuple(rows[0]))(tuple(rows[1]))
     ones = int("1" * len(table), 16) << 2
     diff = 0
     for p, bits in enumerate(layer.bits):
@@ -996,35 +1037,36 @@ def _lift(hist: list, shift: int) -> list:
     return out
 
 
-def _tick_row(step, above: list, state: tuple, ticks: int, check=None) -> tuple:
+def _tick_row(make, above: list, state: tuple, ticks: int, check=None) -> tuple:
     """The tick loop: a row's states from `state` on, one per tick, under
-    `above`, the row above's state at each tick (constant past its end).  A
-    tick whose inputs did not change is not computed.  The loop stops at the
-    first tick that changes nothing under the above's last state (the row is
-    stable: the states end at the tick before), after `ticks` ticks, or at
-    the first new state `check` refuses (the states end at the tick before).
-    Returns the states, the mask of every cell that changed, and the error
-    `check` raised or None."""
+    `above`, the row above's state at each tick (constant past its end).  The
+    row function `make` builds a tick once per state of the row above (a
+    state is one object from tick to tick until it changes), and a tick whose
+    inputs did not change is not computed.  The loop stops at the first tick
+    that changes nothing under the above's last state (the row is stable: the
+    states end at the tick before), after `ticks` ticks, or at the first new
+    state `check` refuses (the states end at the tick before).  Returns the
+    states, the mask of every cell that changed, and the error `check` raised
+    or None."""
     hist, seen, moved, prev, tail = [state], 0, True, None, above[-1]
     for a in islice(chain(above, repeat(tail)), ticks):
-        if moved or a is not prev:
-            new, mask = step(a, state)
+        if a is not prev:
+            prev, tick, moved = a, make(a), True
+        if moved:
+            new, mask = tick(state)
             if mask:
                 if check is not None:
                     try:
                         check(new, state)
                     except WindowViolationError as error:
                         return hist, seen, error
-                state, moved = new, True
+                state = new
                 seen |= mask
-            elif a is tail:  # a state is one object from tick to tick until it changes
-                break
             else:
                 moved = False
-        elif a is tail:
+        if not moved and a is tail:
             break
         hist.append(state)
-        prev = a
     return hist, seen, None
 
 
@@ -1054,88 +1096,136 @@ def _stats(layers: tuple, out: list, last: int, tick: int) -> StepStats:
 def _synchronous(
     variant: CAVariant, rows: list, t: int, ticks: int, m: int, values=None, stop: int = 0, g=None
 ):
-    """Tick grid rows 0.. (`rows`: each row's layers as `Row`s) from tick t
-    until the first tick that changes no row at or above row m, and return
-    that tick's `StepStats`; raise if `ticks` ticks run out first.  Rows go
-    top down, each through all its ticks in one `_tick_row` call: rows 0..m
-    until they are stable, the rows below up to the stop tick, one past the
-    latest tick that changed one of rows 0..m.  The tick cap or the earliest
-    window violation of `g` (the earliest tick, then the lowest row) cuts
-    every row at the last full tick.  If `g` is given, each row that changed
-    is written back to it and its tick count set, also before a raise.
+    """Tick grid rows 0.. (`rows`: each row's layers as `Row`s, None for a new
+    row) from tick t until the first tick that changes no row at or above row
+    m, and return that tick's `StepStats`; raise if `ticks` ticks run out
+    first.  One pass takes the rows top down, each through all its ticks in
+    one `_tick_row` call: rows 0..m until they are stable, the rows below up
+    to the stop tick, one past the latest tick that changed one of rows 0..m.
+    The tick cap or the earliest window violation of `g` (the earliest tick,
+    then the lowest row) cuts every row at the last full tick.  If `g` is
+    given, each row that changed is written back to it and its tick count
+    set, also before a raise.
 
-    Given `values`, `rows` holds rows 0..m-1: row m ticks together with them
-    until all are stable, and its value, read from its planes
-    (`_PLANE_VALUES`), is appended; then row m + 1 ticks alone under row m's
-    last state, and so on, until `values` holds `stop` values or one past the
-    first 1.  Returns the tick reached."""
+    Given `values`, `rows` ends at row m, a new row, and row m's last state
+    goes on to the per-row loop `_row_by_row`, which appends the values from
+    row m on until `values` holds `stop` values or one past the first 1.
+    Returns the tick reached."""
+    if values is not None:
+        if len(values) >= stop:
+            return t
+        if ticks <= 0:
+            raise RuntimeError(f"tick cap {ticks} exhausted at row {m}")
+    elif ticks <= 0:
+        raise RuntimeError(f"rows 0..{m} did not stabilize within {ticks} ticks")
     layers = _sync_layers(variant)
     step, first = _ROW_FUNCTIONS[variant]
-    read = _PLANE_VALUES[variant]
     empty = (0,) * sum(layer.count for layer in layers)
-    end, base, hist, seen, origin = t + ticks, 0, [()], 0, 0  # nothing above row 0
-    if values is not None:
-        rows = [*rows, None]  # a new row
+    end, hist, seen, origin = t + ticks, [()], 0, 0  # nothing above row 0
+    horizon, settled, last, error, out = ticks, True, 1, None, []
+    for k, row in enumerate(rows):
+        # an origin that holds every cell the row starts with or reads
+        lows = [r.lo for r in row if r.s] if row else []
+        if seen:
+            lows.append(origin + (seen & -seen).bit_length() - 1)
+        if lows and not 2 <= min(lows) - origin < 4 * _MARGIN:
+            shift = origin - min(lows) + _MARGIN
+            hist, origin = _lift(hist, shift) if seen else hist, origin - shift
+        state = empty
+        if row:
+            state = tuple(p for layer, r in zip(layers, row) for p in layer.planes(r, origin))
+        check = None
+        if g is not None and g.check_windows:
+            check = partial(_check_layers, g, layers, k, origin)
+        hist, seen, cut = _tick_row(
+            step if k else first, hist, state, horizon if k <= m else min(horizon, last), check
+        )
+        if cut is not None:
+            horizon, error, settled = len(hist) - 1, cut, False
+        elif k <= m and len(hist) > horizon:
+            settled = False  # still changing when the ticks ran out
+        if k <= m:  # the stop tick: one past the latest change of rows 0..m
+            last = max(last, len(hist)) if settled else horizon
+        seen |= reduce(or_, state)
+        out.append((hist, origin))
+    if error is None and not settled:
+        error = RuntimeError(f"rows 0..{m} did not stabilize within {ticks} ticks")
+    last = min(horizon, last)
+    t += last
+    if g is not None:
+        for k, (states, at) in enumerate(out):
+            state = states[min(last, len(states) - 1)]
+            if rows[k] is None or state is not states[0]:
+                for held, layer in zip((g.bottom, g.top), layers):
+                    if k < len(held):
+                        held[k] = layer.row(state, at)
+                    else:
+                        held.append(layer.row(state, at))
+        g.ticks = t
+    if error is not None:
+        raise error
+    if values is None:
+        return _stats(layers, out, last, t)
+    return _row_by_row(variant, hist[-1], origin, m, t, end, ticks, values, stop, g)
+
+
+def _row_by_row(
+    variant: CAVariant, state: tuple, origin: int, m: int, t: int, end: int, cap: int,
+    values: list, stop: int, g=None,
+) -> int:
+    """The per-row loop of a synchronous run.  `state` is row m's last state
+    at `origin`, stable at tick t.  Appends row m's value, read from its
+    planes (`_PLANE_VALUES`), and applies the stop rule; then row m + 1 ticks
+    alone under that state through one tick, the row function curried on it,
+    until a tick changes nothing, and so on, until `values` holds `stop`
+    values or one past the first 1.  The tick cap `cap` ends at tick `end`.
+    If `g` is given, its windows are checked on every tick that changes a
+    row, and each new row is appended to it and its tick count set, also
+    before a raise.  Returns the tick reached."""
+    layers = _sync_layers(variant)
+    make, read = _ROW_FUNCTIONS[variant][0], _PLANE_VALUES[variant]
+    empty = (0,) * len(state)
+    check = g is not None and g.check_windows
     while True:
-        if values is not None:
-            if len(values) >= stop:
-                return t
-            if t >= end:
-                raise RuntimeError(f"tick cap {ticks} exhausted at row {m}")
-        elif t >= end:
-            raise RuntimeError(f"rows 0..{m} did not stabilize within {ticks} ticks")
-        horizon, settled, last, error, out = end - t, True, 1, None, []
-        for k, row in enumerate(rows, base):
-            # an origin that holds every cell the row starts with or reads
-            lows = [r.lo for r in row if r.s] if row else []
-            if seen:
-                lows.append(origin + (seen & -seen).bit_length() - 1)
-            if lows and not 2 <= min(lows) - origin < 4 * _MARGIN:
-                shift = origin - min(lows) + _MARGIN
-                hist, origin = _lift(hist, shift) if seen else hist, origin - shift
-            state = empty
-            if row:
-                state = tuple(p for layer, r in zip(layers, row) for p in layer.planes(r, origin))
-            check = None
-            if g is not None and g.check_windows:
-                check = partial(_check_layers, g, layers, k, origin)
-            hist, seen, cut = _tick_row(
-                step if k else first, hist, state, horizon if k <= m else min(horizon, last), check
-            )
-            if cut is not None:
-                horizon, error, settled = len(hist) - 1, cut, False
-            elif k <= m and len(hist) > horizon:
-                settled = False  # still changing when the ticks ran out
-            if k <= m:  # the stop tick: one past the latest change of rows 0..m
-                last = max(last, len(hist)) if settled else horizon
-            seen |= reduce(or_, state)
-            out.append((hist, origin))
-        if error is None and not settled:
-            error = RuntimeError(f"rows 0..{m} did not stabilize within {end - t} ticks")
-        last = min(horizon, last)
-        t += last
-        if g is not None:
-            for k, (states, at) in enumerate(out):
-                state = states[min(last, len(states) - 1)]
-                if rows[k] is None or state is not states[0]:
-                    for held, layer in zip((g.bottom, g.top), layers):
-                        if base + k < len(held):
-                            held[base + k] = layer.row(state, at)
-                        else:
-                            held.append(layer.row(state, at))
-            g.ticks = t
-        if error is not None:
-            raise error
-        if values is None:
-            return _stats(layers, out, last, t)
-        value = read(hist[-1])
+        value = read(state)
         if value == 0:  # not a kept row
-            value = KERNELS[variant].value(layers[0].row(hist[-1], origin).s)
+            value = KERNELS[variant].value(layers[0].row(state, origin).s)
         values.append(value)
         if value == 1:
             stop = min(stop, len(values) + 1)
-        # the new row m + 1 reads only row m's last state
-        hist, seen, rows, base, m = hist[-1:], reduce(or_, hist[-1]), [None], m + 1, m + 1
+        if len(values) >= stop:
+            return t
+        m += 1
+        if t >= end:
+            raise RuntimeError(f"tick cap {cap} exhausted at row {m}")
+        # an origin that holds every cell the new row reads
+        cells = reduce(or_, state)
+        low = (cells & -cells).bit_length() - 1
+        if cells and not 2 <= low < 4 * _MARGIN:
+            [state] = _lift([state], _MARGIN - low)
+            origin -= _MARGIN - low
+        tick, row, error = make(state), empty, None
+        for ticks in range(1, end - t + 1):
+            new, mask = tick(row)
+            if not mask:
+                break
+            if check:
+                try:
+                    _check_layers(g, layers, m, origin, new, row)
+                except WindowViolationError as cut:
+                    ticks, error = ticks - 1, cut
+                    break
+            row = new
+        else:
+            error = RuntimeError(f"rows 0..{m} did not stabilize within {end - t} ticks")
+        t += ticks
+        if g is not None:
+            for held, layer in zip((g.bottom, g.top), layers):
+                held.append(layer.row(row, origin))
+            g.ticks = t
+        if error is not None:
+            raise error
+        state = row
 
 
 def _grid_rows(g: Grid) -> list:
@@ -1175,7 +1265,8 @@ def extend_synchronous(g: Grid, values: list, stop: int, tick_cap: int = DEFAULT
     `tick_cap` ticks: a new row comes once the rows above it are stable, and
     its value once it is (`run_synchronous`'s loop, writing each row into
     the grid)."""
-    _synchronous(g.variant, _grid_rows(g), g.ticks, tick_cap, len(g.bottom), values, stop, g)
+    rows = [*_grid_rows(g), None]
+    _synchronous(g.variant, rows, g.ticks, tick_cap, len(g.bottom), values, stop, g)
 
 
 def run_synchronous(variant: CAVariant, row: Row, max_rows: int, tick_cap: int) -> tuple[list, int]:
@@ -1188,7 +1279,7 @@ def run_synchronous(variant: CAVariant, row: Row, max_rows: int, tick_cap: int) 
     values = [KERNELS[variant].value(row.s)]
     stop = min(max_rows, 2) if values[0] == 1 else max_rows
     first = (row, Row())[: len(LAYERS[variant])]  # base 3: an empty parity layer
-    return values, _synchronous(variant, [first], 0, tick_cap, 1, values, stop)
+    return values, _synchronous(variant, [first, None], 0, tick_cap, 1, values, stop)
 
 
 # --- row extraction and snapshots -------------------------------------------

@@ -111,6 +111,36 @@ def test_tick_cap_synchronous(capsys):
     assert capsys.readouterr().err == "tick cap 4 exhausted at row 2\n"
 
 
+def capped(run, n: int, cfg: RunConfig):
+    """The record of `run(n, cfg)`, or the message of the RuntimeError it raised."""
+    try:
+        return run(n, cfg)
+    except RuntimeError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tick_cap_sweep(variant):
+    # every cap up to one past the run's ticks: a run with a grid and one
+    # without agree; a cap that ends between rows names the next row, and any
+    # other names the rows so far and the ticks left when the last one started
+    for n in (1, 2, 27, 97, 255):
+        record = run_single(n, RunConfig(variant=variant, mode="synchronous"))
+        start, row = 0, 1  # rows 0 and 1 start together
+        for cap in range(1, record.ticks_used + 2):
+            cfg = RunConfig(variant=variant, mode="synchronous", tick_cap=cap)
+            got = capped(run_single, n, cfg)
+            assert got == capped(lambda n, cfg: run_grid(n, cfg)[1], n, cfg), (n, cap)
+            if cap >= record.ticks_used:
+                assert got == record, (n, cap)
+            elif got == f"tick cap {cap} exhausted at row {row + 1}":
+                start, row = cap, row + 1
+            else:
+                message = f"rows 0..{row} did not stabilize within {cap - start} ticks"
+                assert got == message, (n, cap)
+        assert row == len(record.iterates) - 1, n
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_nonpositive_inputs_rejected(variant):
     for n in (0, -3):

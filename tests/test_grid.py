@@ -1,5 +1,6 @@
 """Grids and engines: row placement, oracle agreement, engine equivalence."""
 
+import hashlib
 import random
 import re
 from itertools import product
@@ -511,6 +512,35 @@ def test_synchronous_origin_shift_equals_naive_sweep(monkeypatch):
     assert len(lifts) == 1 and lifts[0] > 0  # once, to a lower origin
 
 
+@pytest.mark.parametrize(
+    "variant, column, window, values, ticks, digest",
+    [
+        (CAVariant.CA1, -2, "[-5, -3]", [27, 41, 62], 12, "f2e30b8a9dfb61fa"),
+        (CAVariant.CA2, 2, "[-2, 0]", [27, 82, 41], 9, "885a72ad8166c9bb"),
+        (CAVariant.CA3, 4, "[-2, 0]", [27, 41, 31], 11, "b10a91eb89570ead"),
+    ],
+)
+def test_window_violation_while_a_row_ticks_alone(
+    monkeypatch, variant, column, window, values, ticks, digest
+):
+    # the window narrows to three columns from row 3, which outgrows it while
+    # it ticks alone under row 2: the grid keeps row 3 at the tick before
+    g = init_grid(27, variant, check_windows=True)
+    wide = g.active_window
+
+    def narrow(i: int) -> tuple[int, int]:
+        lo, hi = wide(i)
+        return (lo, lo + 2) if i >= 3 else (lo, hi)
+
+    monkeypatch.setattr(g, "active_window", narrow)
+    got = [27]
+    message = f"{variant.value} row 3: non-default cell at column {column} outside window {window}"
+    with pytest.raises(WindowViolationError, match=f"^{re.escape(message)}$"):
+        extend_synchronous(g, got, 20)
+    assert (got, g.ticks, len(g.bottom)) == (values, ticks, 4)
+    assert hashlib.sha256(snapshot(g).encode()).hexdigest()[:16] == digest
+
+
 def planted_row(draw, tv: TableVariant, hi: int) -> Row:
     """A row of up to 8 random cells over `tv`'s alphabet in columns -3..hi."""
     states = st.sampled_from(ALPHABETS[tv][1:])
@@ -581,9 +611,35 @@ def test_row_functions_equal_their_cell_tables():
                         tv = LAYERS[variant][source]
                         for p, bit in enumerate(_PLANE_BITS[tv][int(c)]):
                             rows[1 + dr][layers[source].at + p] |= bit << 5 + dc
-                out, _ = step(tuple(rows[0]), tuple(rows[1]))
+                out, _ = step(tuple(rows[0]))(tuple(rows[1]))
                 bits = tuple(p >> 5 & 1 for p in out[layer.at : layer.at + layer.count])
                 assert states.get(bits, EMPTY if not any(bits) else None) == new, (layer.tv, key)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_tick_keeps_no_state_between_calls(variant):
+    # a tick built on one row above gives each state of the row what a fresh
+    # tick gives it, whichever state it ticks first
+    layers = _sync_layers(variant)
+    rng = random.Random(22)
+
+    def state() -> tuple:
+        """Random cells of every layer, gaps included, as planes."""
+        planes = []
+        for layer in layers:
+            cells = "".join(str(s) for s in ALPHABETS[layer.tv][1:]) + EMPTY
+            row = Row(rng.randrange(-3, 4), "".join(rng.choice(cells) for _ in range(rng.randrange(1, 12))))
+            planes += layer.planes(row, -8)
+        return tuple(planes)
+
+    for make in grid._ROW_FUNCTIONS[variant]:
+        for _ in range(300):
+            above, s, u = state(), state(), state()
+            tick = make(above)
+            first, second = tick(s), tick(u)
+            assert (first, second) == (make(above)(s), make(above)(u))
+            tick = make(above)
+            assert (tick(u), tick(s)) == (second, first)
 
 
 @pytest.mark.parametrize("tv", list(TableVariant))
