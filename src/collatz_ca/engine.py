@@ -29,8 +29,6 @@ from .grid import (
     extend_synchronous,
     extract_row,
     init_grid,
-    initial_row,
-    row_cells,
     run_synchronous,
 )
 from .rules import NEIGHBORHOODS, CAVariant
@@ -127,12 +125,13 @@ def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
 
 def run_single(n: int, cfg: RunConfig) -> TrajectoryRecord:
     """Run one input to the stop condition without a grid: the frontier
-    engine keeps one row, stepped by one `RowKernel.run` loop, and the
+    engine keeps one row, stepped by one `RowKernel.run` loop from the packed
+    codes and value that `RowKernel.start` builds from n's bits, and the
     synchronous engine the row above and the new row (`run_synchronous`)."""
-    row = row_cells(initial_row(n, cfg.variant), cfg.variant)
     if cfg.mode == "frontier":
-        return _record(n, cfg, KERNELS[cfg.variant].run(row.s, cfg.max_rows))
-    iterates, ticks = run_synchronous(cfg.variant, row, cfg.max_rows, cfg.tick_cap)
+        kernel = KERNELS[cfg.variant]
+        return _record(n, cfg, kernel.run(*kernel.start(n), cfg.max_rows))
+    iterates, ticks = run_synchronous(cfg.variant, n, cfg.max_rows, cfg.tick_cap)
     record = _record(n, cfg, iterates)
     record.ticks_used = ticks
     return record
@@ -164,9 +163,9 @@ def verify_against_oracle(n: int, variant: CAVariant, cfg: RunConfig | None = No
     record = run_single(n, cfg)
     oracle = oracle_trajectory(variant.map_variant, record.iterates[0])
     rows = min(len(oracle.iterates), len(record.iterates))
-    for i in range(rows):
-        if record.iterates[i] != oracle.iterates[i]:
-            return VerifyReport(n, variant, False, i + 1, (i, record.iterates[i], oracle.iterates[i]))
+    if record.iterates[:rows] != oracle.iterates[:rows]:  # one compare; the loop names the row
+        i = next(i for i in range(rows) if record.iterates[i] != oracle.iterates[i])
+        return VerifyReport(n, variant, False, i + 1, (i, record.iterates[i], oracle.iterates[i]))
     if oracle.reached_one and len(record.iterates) < len(oracle.iterates):
         return VerifyReport(n, variant, False, rows, None, cap_reached=True)
     matched = record.reached_one == oracle.reached_one
@@ -243,7 +242,8 @@ def _columns(
     iterate the map continues; a vanished run's columns end above its empty row.
     """
     x = iterates[0]
-    top = len(initial_row(x, variant)) - 1
+    if variant is CAVariant.CA1:  # row 0's top column: 2 code bits per base-3 digit
+        top = (KERNELS[variant].start(x)[0].bit_length() >> 1) - 1
     bits = 2 if variant is CAVariant.CA2 else 1  # per digit, base 4 or base 2
     lo, lows, highs = 0, [], []
     for i in range(rows):

@@ -4,9 +4,9 @@ A grid is a list of rows, one per trajectory iterate.  Each row is a `Row`,
 the one row type of the package: the row kernels' string of cell characters,
 lowest column first, and the column of its first character.  It is immutable
 and reads like the dict of its non-empty cells.  Columns grow to the left:
-column j+1 is immediately left of column j.  Row 0 is placed from the input
-(`row_cells`) and its digit cells never change; every later row is derived
-from the row above it by the local transition rules.
+column j+1 is immediately left of column j.  Row 0 is placed from the input's
+bits (`RowKernel.start`) and its digit cells never change; every later row is
+derived from the row above it by the local transition rules.
 
 Two engines advance a grid, both through single-cell tables compiled from the
 closed-form rules:
@@ -35,9 +35,9 @@ closed-form rules:
   sweeps each new base-3 row for its parity layer.
 
 `row_oracle` mirrors one row-placement step with plain integer arithmetic and
-is the ground truth the engines are tested against; `row_cells` and
-`ca1_top_states` turn its rows into `Row`s, which the rule learner scans
-with `neighborhood_keys`.
+is the ground truth the engines are tested against; `initial_row` gives its
+row 0 by one digit per `divmod`, and `row_cells` and `ca1_top_states` turn
+its rows into `Row`s, which the rule learner scans with `neighborhood_keys`.
 """
 
 from __future__ import annotations
@@ -110,24 +110,27 @@ class Grid:
 
 
 def init_grid(n: int, variant: CAVariant, check_windows: bool = False) -> Grid:
-    """Place the digits of n as row 0.
+    """Place the digits of n as row 0, decoded once from the packed codes
+    that `RowKernel.start` builds from n's bits.
 
     The base-2 automaton stores the odd part of n (trailing zero bits are one
     halving each, already done); the base-4 automaton likewise drops trailing
     zero digits, so its row 0 holds n with every factor of four divided out.
     Parity attributes tag the value actually stored in the row.
     """
-    row0 = initial_row(n, variant)
+    kernel = KERNELS[variant]
+    row0 = Row(0, kernel.decode(kernel.start(n)[0]))
     return Grid(
         variant=variant,
-        bottom=[row_cells(row0, variant)],
+        bottom=[row0],
         top=[Row()] if variant is CAVariant.CA1 else None,
-        row0_hi=len(row0) - 1,
+        row0_hi=row0.hi,
         check_windows=check_windows,
     )
 
 
 def initial_row(n: int, variant: CAVariant) -> DigitString:
+    """Row 0 of the input n as the oracle's digits (`init_grid`'s row 0)."""
     if n < 1:
         raise ValueError("grid input must be a positive integer")
     if variant is CAVariant.CA1:
@@ -320,6 +323,18 @@ _KEPT_ENDS = {
 }
 
 
+# Row 0's packed codes from the input (`RowKernel.start`).  Base 3: the codes
+# of the six digits of each value below 3**6, lowest digit in the lowest bits.
+_TRITS = [d0 | d1 << 2 | d2 << 4 for d2 in (1, 2, 3) for d1 in (1, 2, 3) for d0 in (1, 2, 3)]
+_CA1_BLOCKS = [low | high << 6 for high in _TRITS for low in _TRITS]
+# Base 4, per parity tag: a hex digit of the input -> the hex codes of its two
+# base-4 digits, the higher first.
+_CA2_CODES = [
+    str.maketrans({f"{h:x}": f"{(h >> 2) + 1 + tag:x}{(h & 3) + 1 + tag:x}" for h in range(16)})
+    for tag in (0, ATTR_ODD)
+]
+
+
 def _compile_ca1() -> dict[str, str]:
     """(parity one column left, digit) -> new digit + this column's parity.
 
@@ -361,8 +376,9 @@ class RowKernel:
     then the codes of the next carried cells, already shifted into the key's
     carry fields.
     Cells past either end of a row read as code 0, so windows need no
-    padding, and no string is built or parsed per row.  `encode` and
-    `decode` convert at the edge, to and from row strings.
+    padding, and no string is built or parsed per row.  A run starts from
+    the codes `start` builds from the input's bits; `encode` and `decode`
+    convert at the edge, to and from row strings.
 
     The base-4 and base-2 automata sweep from the lowest column up, carrying
     the new cell on the right; a block's number is its digit bits
@@ -607,16 +623,46 @@ class RowKernel:
             msd = msd.translate(CA2_DIGITS)
         return _parse(msd, self.base)
 
-    def run(self, row: str, max_rows: int) -> list[int | None]:
-        """Values of `row` and of the rows below it, until one row past the
-        first 1 or max_rows values, from one loop that encodes `row` once and
-        never builds a string again.  `row` must pass `check`."""
-        if not row:
-            self.check(row)  # an empty row has no nonzero digit
-        values = [self.value(row)]
-        stop = min(max_rows, 2) if values[0] == 1 else max_rows
-        loop = self._fall if self.falling else self._descend
-        loop(self.encode(row), values, stop)
+    def start(self, n: int) -> tuple[int, int]:
+        """Row 0 of the input n: its packed codes and its value, converted
+        from n's bits several digits per operation, with no row string.
+
+        Base 2 holds the odd part m of n, whose bit k becomes code bit + 1 at
+        cell k.  Base 4 holds n with its factors of four divided out; each hex
+        digit of it is two cells, tagged odd if it is odd.  Base 3 holds n,
+        one `divmod` by 3**6 per six digits, cut above its top nonzero digit.
+
+        Every positive n gives a kept row (see `check`), so no row 0 is
+        checked: base 2's m is odd, so its units and top cells are 1s; base
+        4's row is not a multiple of 4, so its units digit is an odd digit
+        tagged odd or an untagged 2, and every cell has that one tag; base 3's
+        top digit is nonzero.  None has a gap.
+        """
+        if n < 1:
+            raise ValueError("grid input must be a positive integer")
+        if self.base == 2:
+            m = n >> (n & -n).bit_length() - 1
+            return int(f"{m:b}", 4) + ((1 << 2 * m.bit_length()) - 1) // 3, m
+        if self.base == 4:
+            m = n >> ((n & -n).bit_length() - 1 & -2)
+            codes = int(f"{m:x}".translate(_CA2_CODES[m & 1]), 16)
+            return codes & (1 << ((m.bit_length() + 1) >> 1 << 2)) - 1, m
+        codes, shift, m = 0, 0, n
+        while m >= 729:
+            m, r = divmod(m, 729)
+            codes |= _CA1_BLOCKS[r] << shift
+            shift += 12
+        # the top block's zeros above its top nonzero digit, whose code has its high bit set
+        top = _CA1_BLOCKS[m]
+        return codes | (top & (2 << (top >> 1 & 0x555).bit_length()) - 1) << shift, n
+
+    def run(self, codes: int, value: int, max_rows: int) -> list[int | None]:
+        """Values of the kept row `codes`, which holds `value`, and of the
+        rows below it, until one row past the first 1 or max_rows values,
+        from one loop that never builds a string."""
+        values = [value]
+        stop = min(max_rows, 2) if value == 1 else max_rows
+        (self._fall if self.falling else self._descend)(codes, values, stop)
         return values
 
 
@@ -1269,16 +1315,21 @@ def extend_synchronous(g: Grid, values: list, stop: int, tick_cap: int = DEFAULT
     _synchronous(g.variant, rows, g.ticks, tick_cap, len(g.bottom), values, stop, g)
 
 
-def run_synchronous(variant: CAVariant, row: Row, max_rows: int, tick_cap: int) -> tuple[list, int]:
-    """Values of row 0 `row` (`row_cells`) and of the rows below it, until one
-    row past the first 1 or max_rows values, and the ticks used, from the
-    synchronous engine without a grid: it holds only the row above and the
-    new row, and reads each value from the new row's planes, behind a plane
-    check that accepts only rows `RowKernel.check` passes; a refused row
-    takes the string path, `RowKernel.value`, which raises its refusal."""
-    values = [KERNELS[variant].value(row.s)]
-    stop = min(max_rows, 2) if values[0] == 1 else max_rows
-    first = (row, Row())[: len(LAYERS[variant])]  # base 3: an empty parity layer
+def run_synchronous(variant: CAVariant, n: int, max_rows: int, tick_cap: int) -> tuple[list, int]:
+    """Values of the input n's row 0 and of the rows below it, until one row
+    past the first 1 or max_rows values, and the ticks used, from the
+    synchronous engine without a grid.  Row 0 and its value come from n's
+    bits (`RowKernel.start`), decoded once to a `Row`.  The engine holds only
+    the row above and the new row, and reads each value from the new row's
+    planes, behind a plane check that accepts only rows `RowKernel.check`
+    passes; a refused row takes the string path, `RowKernel.value`, which
+    raises its refusal."""
+    kernel = KERNELS[variant]
+    codes, value = kernel.start(n)
+    values = [value]
+    stop = min(max_rows, 2) if value == 1 else max_rows
+    # base 3: an empty parity layer
+    first = (Row(0, kernel.decode(codes)), Row())[: len(LAYERS[variant])]
     return values, _synchronous(variant, [first, None], 0, tick_cap, 1, values, stop)
 
 

@@ -244,7 +244,7 @@ def test_drift_past_the_stop_is_the_closed_form(variant):
     inputs += [rng.getrandbits(rng.choice([8, 40, 128])) | 1 for _ in range(20)]
     for n in inputs:
         row = row_cells(initial_row(n, variant), variant).s
-        values = kernel.run(row, 10**5)
+        values = kernel.run(*kernel.start(n), 10**5)
         for rows in (1, len(values), len(values) + 40):
             expected = drifted_extents(kernel, row, rows)
             assert engine._columns(variant, values, rows) == expected, (n, rows)

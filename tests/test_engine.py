@@ -145,9 +145,9 @@ def test_tick_cap_sweep(variant):
 def test_nonpositive_inputs_rejected(variant):
     for n in (0, -3):
         for mode in MODES:
-            with pytest.raises(ValueError, match="grid input must be a positive integer"):
+            with pytest.raises(ValueError, match="^grid input must be a positive integer$"):
                 run_single(n, RunConfig(variant=variant, mode=mode))
-        with pytest.raises(ValueError, match="grid input must be a positive integer"):
+        with pytest.raises(ValueError, match="^grid input must be a positive integer$"):
             verify_against_oracle(n, variant)
 
 

@@ -229,7 +229,7 @@ def test_run_rows_of_thousands_of_cells(variant):
     kernel = KERNELS[variant]
     for n in (2**4001 - 1, 3**3000, 4**2500 + 1, 3**4500 * 2 + 1, 2**14000 + 7):
         row = start_row(n, variant)
-        assert kernel.run(row, 4) == stepped_values(kernel, row, 4), n
+        assert run(kernel, row, 4) == stepped_values(kernel, row, 4), n
     if variant is CAVariant.CA1:
         assert_ca1_chain(kernel, _ca1_row(3**3000 + 1) + "0" * 13, 40)
 
@@ -348,6 +348,41 @@ def start_row(n, variant):
     return row_cells(initial_row(n, variant), variant).s
 
 
+def start_inputs():
+    """Small n, powers and near-powers, random n of 8 to 300 bits, and two
+    inputs past the int-string limit (over 4300 base-3 digits)."""
+    rng = random.Random(23)
+    inputs = list(range(1, 3001))
+    inputs += [4**k * m for k in range(1, 60, 4) for m in (1, 2, 3, 6, 7, 4**9 + 1)]
+    inputs += [2**k - 1 for k in range(1, 400, 3)] + [3**k for k in range(300)]
+    for _ in range(1500):
+        bits = rng.randint(8, 300)
+        inputs.append(rng.getrandbits(bits) | 1 << bits - 1)
+    return inputs + [2**14000 + 7, 3**4500 * 2 + 1]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_start_is_the_oracle_row_0(variant):
+    # row 0 from n's bits: the codes and value of the oracle's row 0, and a
+    # kept row by construction, as `start` argues
+    kernel = KERNELS[variant]
+    for n in start_inputs():
+        row = start_row(n, variant)
+        codes, value = kernel.start(n)
+        assert codes == kernel.encode(row) and value == kernel.value(row), n
+        kernel.check(kernel.decode(codes))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="^grid input must be a positive integer$"):
+            kernel.start(n)
+
+
+def run(kernel, row, max_rows):
+    """A run from the row string `row`: `check` where it enters, then
+    `RowKernel.run` from its codes and value."""
+    kernel.check(row)
+    return kernel.run(kernel.encode(row), kernel.value(row), max_rows)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_matches_step_value_chain(variant):
     kernel = KERNELS[variant]
@@ -359,8 +394,8 @@ def test_run_matches_step_value_chain(variant):
         full = stepped_values(kernel, row, 10**5)
         assert full[-2] == 1 and 1 not in full[:-2], n
         for max_rows in (1, 2, 3, len(full) - 1, len(full), len(full) + 1):
-            assert kernel.run(row, max_rows) == stepped_values(kernel, row, max_rows), (n, max_rows)
-        assert kernel.run(row, 10**5) == full, n
+            assert run(kernel, row, max_rows) == stepped_values(kernel, row, max_rows), (n, max_rows)
+        assert run(kernel, row, 10**5) == full, n
 
 
 @pytest.mark.parametrize(
@@ -377,10 +412,10 @@ def test_run_from_a_row_of_1(variant, starts):
     for n in starts:
         row = start_row(n, variant)
         assert len(row) == 1 and kernel.value(row) == 1
-        assert kernel.run(row, 1) == [1]
+        assert run(kernel, row, 1) == [1]
         # one confirmation row, then stop: ca1 gives 2, the others 1 again
         for max_rows in (2, 3, 100):
-            assert kernel.run(row, max_rows) == [1, apply_map(mv, 1)] == stepped_values(kernel, row, max_rows)
+            assert run(kernel, row, max_rows) == [1, apply_map(mv, 1)] == stepped_values(kernel, row, max_rows)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -388,9 +423,9 @@ def test_run_first_one_on_last_allowed_row(variant):
     kernel = KERNELS[variant]
     for n in (7, 27, 97):
         row = start_row(n, variant)
-        full = kernel.run(row, 10**5)
+        full = run(kernel, row, 10**5)
         last = len(full) - 1  # the values up to and including the first 1
-        values = kernel.run(row, last)
+        values = run(kernel, row, last)
         assert values == full[:last] and values[-1] == 1, n
         assert values == stepped_values(kernel, row, last)
 
@@ -410,7 +445,7 @@ def test_ca1_run_stops_in_either_row_of_a_pass():
             landed.add(first_one % 2)  # 1: on the first row of a pass
         for m in [*range(1, 7), first_one, first_one + 1, first_one + 2, first_one + 3]:
             if m >= 1:
-                assert kernel.run(_ca1_row(n), m) == trajectory[:m], (n, m)
+                assert run(kernel, _ca1_row(n), m) == trajectory[:m], (n, m)
     assert landed == {0, 1}
 
 
@@ -420,8 +455,8 @@ def test_run_ca1_row_beyond_int_string_limit():
     row = _ca1_row(n)
     assert len(row) > 4000
     t1 = apply_map(CAVariant.CA1.map_variant, n)
-    assert kernel.run(row, 3) == [n, t1, apply_map(CAVariant.CA1.map_variant, t1)]
-    assert kernel.run(row, 3) == stepped_values(kernel, row, 3)
+    assert run(kernel, row, 3) == [n, t1, apply_map(CAVariant.CA1.map_variant, t1)]
+    assert run(kernel, row, 3) == stepped_values(kernel, row, 3)
 
 
 def assert_refused(variant, row, rule):
@@ -430,7 +465,7 @@ def assert_refused(variant, row, rule):
     kernel = KERNELS[variant]
     message = f"^{variant.value} row {re.escape(repr(row[::-1]))} {rule}"
     with pytest.raises(NonContiguousRowError, match=message):
-        kernel.run(row, 5)
+        run(kernel, row, 5)
     with pytest.raises(NonContiguousRowError, match=message):
         kernel.value(row)
     g = init_grid(5, variant)
@@ -488,7 +523,7 @@ def test_run_values_are_right_or_refused(variant):
             k = rng.randrange(len(row))
             row = row[:k] + EMPTY + row[k + 1:]
         try:
-            values = kernel.run(row, 30)
+            values = run(kernel, row, 30)
         except NonContiguousRowError:
             continue
         kept += 1
@@ -549,7 +584,7 @@ def test_run_refuses_an_empty_row(variant):
     # the loops step only nonempty rows; `value` still reads an empty row as None
     kernel = KERNELS[variant]
     with pytest.raises(NonContiguousRowError, match=f"^{variant.value} row '' has no nonzero digit"):
-        kernel.run("", 3)
+        run(kernel, "", 3)
     assert kernel.value("") is None
 
 
@@ -565,6 +600,6 @@ def test_run_changes_only_the_memo_tables(variant):
     before = copy.deepcopy(state())
     for n in (2**4001 - 1, 3**3000, 27):
         row = start_row(n, variant)
-        assert fresh.run(row, 4) == kernel.run(row, 4), n
+        assert run(fresh, row, 4) == run(kernel, row, 4), n
         assert step(fresh, row) == step(kernel, row), n
     assert state() == before
