@@ -27,9 +27,8 @@ from .grid import (
     Grid,
     extend_frontier,
     extend_synchronous,
-    extract_row,
-    init_grid,
     run_synchronous,
+    start_grid,
 )
 from .rules import NEIGHBORHOODS, CAVariant
 
@@ -111,8 +110,8 @@ def _record(n: int, cfg: RunConfig, iterates: list[int | None]) -> TrajectoryRec
 def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
     """Run one input to the stop condition and return the grid with its record:
     row values until one row past the first 1, or max_rows values."""
-    g = init_grid(n, cfg.variant)
-    iterates = [extract_row(g, 0)]
+    g, value = start_grid(n, cfg.variant)
+    iterates = [value]
     stop = min(cfg.max_rows, 2) if iterates[0] == 1 else cfg.max_rows
     if cfg.mode == "frontier":
         extend_frontier(g, iterates, stop)

@@ -18,14 +18,14 @@ closed-form rules:
   tick history of the row above (time skewing), skipping the ticks whose
   inputs did not change; that is tick-for-tick the naive sweep.  A row is
   held as bit-planes, one int per bit of a cell's encoding.  Its automaton's
-  row function, curried on the row above's state, returns the row's tick: a
-  few shifts and boolean operations, checked against the single-cell tables
-  on every key.  That loop serves a tick and a run until rows are stable.  A
-  whole run row by row (`extend_synchronous`, and `run_synchronous` without a
-  grid) takes its first rows through that loop once; from then on each new
-  row ticks alone under the last state of the row above, in a lean per-row
-  loop (`_row_by_row`) that holds only those two rows.  No state outlives a
-  call.
+  row function, curried on the row above's state, returns the row's settle,
+  which ticks it until it is stable or a cap: a few shifts and boolean
+  operations a tick, checked against the single-cell tables on every key.
+  That loop ticks once per settle call.  A whole run row by row
+  (`extend_synchronous`, and `run_synchronous` without a grid) takes its
+  first rows through that loop once; then each new row settles alone under
+  the last state of the row above, in one call, in a lean per-row loop
+  (`_row_by_row`) that holds only those two rows.  No state outlives a call.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
   per automaton (`KERNELS`) steps a row as one int of cell codes, and a run
@@ -118,15 +118,16 @@ def init_grid(n: int, variant: CAVariant, check_windows: bool = False) -> Grid:
     zero digits, so its row 0 holds n with every factor of four divided out.
     Parity attributes tag the value actually stored in the row.
     """
+    return start_grid(n, variant, check_windows)[0]
+
+
+def start_grid(n: int, variant: CAVariant, check_windows: bool = False) -> tuple[Grid, int]:
+    """`init_grid`'s grid, and row 0's value, both from `RowKernel.start`."""
     kernel = KERNELS[variant]
-    row0 = Row(0, kernel.decode(kernel.start(n)[0]))
-    return Grid(
-        variant=variant,
-        bottom=[row0],
-        top=[Row()] if variant is CAVariant.CA1 else None,
-        row0_hi=row0.hi,
-        check_windows=check_windows,
-    )
+    codes, value = kernel.start(n)
+    row0 = Row(0, kernel.decode(codes))
+    top = [Row()] if variant is CAVariant.CA1 else None
+    return Grid(variant, [row0], top, row0.hi, check_windows), value
 
 
 def initial_row(n: int, variant: CAVariant) -> DigitString:
@@ -797,16 +798,18 @@ def step_frontier(g: Grid) -> StepStats:
 # j - origin, so one tick updates every cell of the row with a few shifts and
 # boolean operations (multi-spin coding).  An automaton's row function is
 # curried on the row above: it takes that row's state, computes once every
-# term that reads only it, and returns the row's tick, which takes the row's
-# own state before a tick and returns its new state and the mask of its
-# changed cells.  Each read is shifted by its column offset (column -1 is a
-# left shift by one).  A row ticks several times under one state of the row
-# above (a new row 5 to 9 times on average), and the terms that read only
-# that state are computed once for all of them.  `_sync_layers` checks every
-# row function against its layers' single-cell tables on every key before a
-# variant's first tick.
+# term that reads only it, and returns the row's `settle`.  That runs up to
+# `limit` ticks from the row's state, the planes held as local ints, until a
+# tick changes nothing, and returns the row's state, the number of ticks that
+# changed it, and its cells (the present plane, which holds every other
+# plane's bits; base 3, with none, ors its planes).  Each read is shifted by
+# its column offset (column -1 is a left shift by one).  A new row starts
+# empty, so its first tick reads only the row above: `settle(None, limit)`
+# starts from that tick, folded into the terms of the row above.
+# `_sync_layers` checks every row function against its layers' single-cell
+# tables on every key, and that folded tick against a tick of the empty row.
 
-_Tick = Callable[[tuple], tuple]  # a row's state -> (its new state, the changed cells)
+_Settle = Callable[[tuple | None, int], tuple]  # (state or None, limit) -> (state, ticks, cells)
 
 # Per layer, each state's bit in each plane; EMPTY is 0 in every plane.
 _PLANE_BITS = {
@@ -826,7 +829,7 @@ _PLANE_BITS = {
 _MARGIN = 8
 
 
-def _ca3_row(above: tuple) -> _Tick:
+def _ca3_row(above: tuple) -> _Settle:
     """ca3: the odd part of 3x + 1 as the sum (2x + 1) + x, its carry exposed
     by the sum bit already placed on the right (`transition_ca3`)."""
     a, av = above  # present, value
@@ -836,19 +839,27 @@ def _ca3_row(above: tuple) -> _Tick:
     pair = a & b & ~x  # a present pair of equal values
     lone = ~(a | b) & cv  # a 1 above-right-right with no cell nearer
 
-    def tick(state):
-        s, sv = state
-        d, dv = s << 1, sv << 1  # right
-        full = bc & d
-        ndv = ~dv
-        p = pair & ~d | lone & ndv | full
-        v = p ^ full & ~(x ^ (gen | prop & ndv))  # a full column holds the sum bit
-        return (p, v), p ^ s | v ^ sv
+    def settle(state, limit):
+        if state is None:  # the first tick: no cell on the right, so no full column
+            s = sv = pair | lone
+            n = 1 if s else 0
+        else:
+            (s, sv), n = state, 0
+        while n < limit:
+            d, dv = s << 1, sv << 1  # right
+            full = bc & d
+            ndv = ~dv
+            p = pair & ~d | lone & ndv | full
+            v = p ^ full & ~(x ^ (gen | prop & ndv))  # a full column holds the sum bit
+            if p == s and v == sv:
+                break
+            s, sv, n = p, v, n + 1
+        return (s, sv), n, s
 
-    return tick
+    return settle
 
 
-def _ca2_row(above: tuple) -> _Tick:
+def _ca2_row(above: tuple) -> _Settle:
     """ca2: an odd row's digit is b - a - borrow, the borrow exposed by
     d + b >= 4, and an even row's is 2a + carry, the carry being b >= 2
     (`transition_ca2`); a tag mixed between a and b leaves the cell empty."""
@@ -866,66 +877,86 @@ def _ca2_row(above: tuple) -> _Tick:
     pe_off = peven & hb & ~lb  # an even row's cell with no cell on its right
     pe_flip = peven & (pa | hb) ^ pe_off  # and what a cell on its right changes
 
-    def tick(state):
-        ps, ts, ls, hs = state
-        pd, td, ld, hd = ps << 1, ts << 1, ls << 1, hs << 1  # right
-        npd = ~pd
-        borrow = hd & hb | (hd ^ hb) & ld & lb
-        low = low0 ^ borrow
-        high = high0 ^ (under | level & borrow)
-        po = podd & (low | high) | podd_a & pd
-        pe = pe_off ^ pd & pe_flip
-        two = two0 & npd
-        ope = po | pe
-        p = ope | two
-        pol = po & low
-        t = td & ope | npd & (pol | pe)
-        low = pol | pe & (hb | npd)
-        high = po & high | pe & la | two
-        return (p, t, low, high), p ^ ps | t ^ ts | low ^ ls | high ^ hs
+    def settle(state, limit):
+        if state is None:  # the first tick: no cell on the right, so no borrow
+            hs = high0 ^ under
+            po = podd & (low0 | hs)
+            ps, ts = po | pe_off | two0, po & low0 | pe_off
+            ls, hs = ts, po & hs | pe_off & la | two0
+            n = 1 if ps else 0
+        else:
+            (ps, ts, ls, hs), n = state, 0
+        while n < limit:
+            pd, td, ld, hd = ps << 1, ts << 1, ls << 1, hs << 1  # right
+            npd = ~pd
+            borrow = hd & hb | (hd ^ hb) & ld & lb
+            low = low0 ^ borrow
+            high = high0 ^ (under | level & borrow)
+            po = podd & (low | high) | podd_a & pd
+            pe = pe_off ^ pd & pe_flip
+            two = two0 & npd
+            ope = po | pe
+            p = ope | two
+            pol = po & low
+            t = td & ope | npd & (pol | pe)
+            low = pol | pe & (hb | npd)
+            high = po & high | pe & la | two
+            if p == ps and t == ts and low == ls and high == hs:
+                break
+            ps, ts, ls, hs, n = p, t, low, high, n + 1
+        return (ps, ts, ls, hs), n, ps
 
-    return tick
+    return settle
 
 
-def _ca1_row(above: tuple) -> _Tick:
+def _ca1_row(above: tuple) -> _Settle:
     """ca1, both layers: a digit halves the digit above, with the parity
     above it as the incoming remainder, and the marker leaves a 2
-    (`transition_ca1_bottom`), so the new digits read only the row above; a
-    parity is the digit's below it plus the parity one column left, and past
-    the units digit an odd parity leaves the marker (`transition_ca1_top`)."""
+    (`transition_ca1_bottom`), so the new digits read only the row above."""
     x0, x1, f0, f1 = above  # digit and parity above: the bits of state + 1
     even, odd, marker = f0 & ~f1, f1 & ~f0, f0 & f1
-    c0 = marker | even & (x0 ^ x1) | odd & x1
-    c1 = marker | even & x1 | odd & x0
-
-    def tick(state):
-        b0, b1, t0, t1 = state
-        l0, l1 = t0 >> 1, t1 >> 1  # parity one column left
-        digit = b0 | b1
-        left_odd = l1 & ~l0
-        live = digit & ~(l0 & l1)
-        odd = b1 & ~b0 ^ left_odd
-        marker = left_odd & ~digit
-        p0 = live & ~odd | marker
-        p1 = live & odd | marker
-        return (c0, c1, p0, p1), c0 ^ b0 | c1 ^ b1 | p0 ^ t0 | p1 ^ t1
-
-    return tick
+    return _ca1_settle(marker | even & (x0 ^ x1) | odd & x1, marker | even & x1 | odd & x0)
 
 
-def _ca1_first(above: tuple) -> _Tick:
-    """ca1 row 0: the digits are the input and stay; the parity layer ticks."""
+def _ca1_settle(c0: int, c1: int) -> _Settle:
+    """ca1 under the digits c0, c1, which a row takes on its first tick and
+    keeps: a parity is the digit's below it on the tick before plus the
+    parity one column left, and past the units digit an odd parity leaves
+    the marker (`transition_ca1_top`)."""
 
-    def tick(state):
-        new = (*state[:2], *_ca1_row(state)(state)[0][2:])
-        return new, new[2] ^ state[2] | new[3] ^ state[3]
+    def settle(state, limit):
+        if state is None:  # the first tick: the digits, over an empty parity layer
+            b0, b1, t0, t1, n, moved = c0, c1, 0, 0, 1 if c0 | c1 else 0, False
+        else:  # the first tick reads the row's own digits and moves them to c
+            b0, b1, t0, t1 = state
+            n, moved = 0, b0 != c0 or b1 != c1
+        digit, one = b0 | b1, b1 & ~b0  # a digit, and a digit 1
+        while n < limit:
+            l0, l1 = t0 >> 1, t1 >> 1  # parity one column left
+            left_odd = l1 & ~l0
+            live = digit & ~(l0 & l1)
+            odd = one ^ left_odd
+            marker = left_odd & ~digit
+            p0, p1 = live & ~odd | marker, live & odd | marker
+            if p0 == t0 and p1 == t1 and not moved:
+                break
+            t0, t1, n = p0, p1, n + 1
+            if moved and n < limit:
+                digit, one, moved = c0 | c1, c1 & ~c0, False
+        return (c0, c1, t0, t1), n, c0 | c1 | t0 | t1
 
-    return tick
+    return settle
 
 
-def _still(above: tuple) -> _Tick:
+def _ca1_first(own: tuple) -> _Settle:
+    """ca1 row 0, curried on its own state (nothing is above it): the
+    digits are the input and stay; the parity layer ticks."""
+    return _ca1_settle(own[0], own[1])
+
+
+def _still(own: tuple) -> _Settle:
     """Row 0 of the base-4 and base-2 automata: the input, which never changes."""
-    return lambda state: (state, 0)
+    return lambda state, limit: (state, 0, reduce(or_, state))
 
 
 # Per automaton: the row function, and the one for row 0 (whose digits are the input)
@@ -1047,8 +1078,8 @@ def _check_row_function(step, layer: _SyncLayer, layers: tuple[_SyncLayer, ...])
     """Raise AssertionError unless the row function `step` gives `layer`'s
     single-cell table's value on every key, from one tick: key k's cells are
     placed by `NEIGHBORHOODS` around column 4k + 2, in the row above (which
-    the tick is built on) and the row itself, and its new cell is read at
-    column 4k + 2 of the new row."""
+    `settle` is curried on) and the row itself, and its new cell is read at
+    column 4k + 2 of the new row; and `settle(None, 1)` is a tick of zeros."""
     table = CELL_TABLES[layer.tv]
     reads = NEIGHBORHOODS[layer.tv]
     keys, values = "".join(table), "".join(table.values())
@@ -1058,7 +1089,8 @@ def _check_row_function(step, layer: _SyncLayer, layers: tuple[_SyncLayer, ...])
         cells = keys[q :: len(reads)]  # the cell of read k in every key
         for p, bits in enumerate(layers[source].bits):
             rows[1 + dr][layers[source].at + p] |= int(cells.translate(bits)[::-1], 16) << 2 + dc
-    new, _ = step(tuple(rows[0]))(tuple(rows[1]))
+    settle = step(tuple(rows[0]))
+    new, _, _ = settle(tuple(rows[1]), 1)
     ones = int("1" * len(table), 16) << 2
     diff = 0
     for p, bits in enumerate(layer.bits):
@@ -1070,6 +1102,8 @@ def _check_row_function(step, layer: _SyncLayer, layers: tuple[_SyncLayer, ...])
             f"{layer.tv.value} row function differs from its cell table"
             f" at key {key!r} -> {table[key]!r}"
         )
+    if settle(None, 1) != settle((0,) * len(new), 1):
+        raise AssertionError(f"{layer.tv.value} row function's first tick differs from a tick of the empty row")
 
 
 def _lift(hist: list, shift: int) -> list:
@@ -1086,30 +1120,28 @@ def _lift(hist: list, shift: int) -> list:
 def _tick_row(make, above: list, state: tuple, ticks: int, check=None) -> tuple:
     """The tick loop: a row's states from `state` on, one per tick, under
     `above`, the row above's state at each tick (constant past its end).  The
-    row function `make` builds a tick once per state of the row above (a
-    state is one object from tick to tick until it changes), and a tick whose
-    inputs did not change is not computed.  The loop stops at the first tick
-    that changes nothing under the above's last state (the row is stable: the
-    states end at the tick before), after `ticks` ticks, or at the first new
-    state `check` refuses (the states end at the tick before).  Returns the
-    states, the mask of every cell that changed, and the error `check` raised
-    or None."""
-    hist, seen, moved, prev, tail = [state], 0, True, None, above[-1]
+    row function `make` builds the row's `settle` once per state of the row
+    above (a state is one object from tick to tick until it changes), and a
+    tick is one `settle(state, 1)` call, made only if its inputs changed.
+    The loop stops at the first tick that changes nothing under the above's
+    last state (the row is stable: the states end at the tick before), after
+    `ticks` ticks, or at the first new state `check` refuses (the states end
+    at the tick before).  Returns the states, every cell they hold, and the
+    error `check` raised or None."""
+    hist, seen, moved, prev, tail = [state], reduce(or_, state), True, None, above[-1]
     for a in islice(chain(above, repeat(tail)), ticks):
         if a is not prev:
-            prev, tick, moved = a, make(a), True
+            prev, settle, moved = a, make(a), True
         if moved:
-            new, mask = tick(state)
-            if mask:
+            new, moved, cells = settle(state, 1)
+            if moved:
                 if check is not None:
                     try:
                         check(new, state)
                     except WindowViolationError as error:
                         return hist, seen, error
                 state = new
-                seen |= mask
-            else:
-                moved = False
+                seen |= cells
         if not moved and a is tail:
             break
         hist.append(state)
@@ -1167,7 +1199,7 @@ def _synchronous(
     layers = _sync_layers(variant)
     step, first = _ROW_FUNCTIONS[variant]
     empty = (0,) * sum(layer.count for layer in layers)
-    end, hist, seen, origin = t + ticks, [()], 0, 0  # nothing above row 0
+    end, hist, seen, origin = t + ticks, None, 0, 0
     horizon, settled, last, error, out = ticks, True, 1, None, []
     for k, row in enumerate(rows):
         # an origin that holds every cell the row starts with or reads
@@ -1183,8 +1215,9 @@ def _synchronous(
         check = None
         if g is not None and g.check_windows:
             check = partial(_check_layers, g, layers, k, origin)
+        above = hist if k else [state]  # row 0's function is curried on itself: nothing is above it
         hist, seen, cut = _tick_row(
-            step if k else first, hist, state, horizon if k <= m else min(horizon, last), check
+            step if k else first, above, state, horizon if k <= m else min(horizon, last), check
         )
         if cut is not None:
             horizon, error, settled = len(hist) - 1, cut, False
@@ -1192,7 +1225,6 @@ def _synchronous(
             settled = False  # still changing when the ticks ran out
         if k <= m:  # the stop tick: one past the latest change of rows 0..m
             last = max(last, len(hist)) if settled else horizon
-        seen |= reduce(or_, state)
         out.append((hist, origin))
     if error is None and not settled:
         error = RuntimeError(f"rows 0..{m} did not stabilize within {ticks} ticks")
@@ -1222,16 +1254,15 @@ def _row_by_row(
     """The per-row loop of a synchronous run.  `state` is row m's last state
     at `origin`, stable at tick t.  Appends row m's value, read from its
     planes (`_PLANE_VALUES`), and applies the stop rule; then row m + 1 ticks
-    alone under that state through one tick, the row function curried on it,
-    until a tick changes nothing, and so on, until `values` holds `stop`
-    values or one past the first 1.  The tick cap `cap` ends at tick `end`.
-    If `g` is given, its windows are checked on every tick that changes a
-    row, and each new row is appended to it and its tick count set, also
-    before a raise.  Returns the tick reached."""
+    alone under that state until a tick changes nothing, in one `settle(None,
+    ticks left)` call, and so on, until `values` holds `stop` values or one
+    past the first 1.  The tick cap `cap` ends at tick `end`.  If `g` is
+    given, each new row is appended to it and its tick count set, also
+    before a raise, and if it checks windows, `_tick_row` ticks each row and
+    checks every tick that changes it.  Returns the tick reached."""
     layers = _sync_layers(variant)
     make, read = _ROW_FUNCTIONS[variant][0], _PLANE_VALUES[variant]
-    empty = (0,) * len(state)
-    check = g is not None and g.check_windows
+    check, cells = g is not None and g.check_windows, reduce(or_, state)
     while True:
         value = read(state)
         if value == 0:  # not a kept row
@@ -1242,29 +1273,23 @@ def _row_by_row(
         if len(values) >= stop:
             return t
         m += 1
-        if t >= end:
+        limit = end - t
+        if limit <= 0:
             raise RuntimeError(f"tick cap {cap} exhausted at row {m}")
         # an origin that holds every cell the new row reads
-        cells = reduce(or_, state)
         low = (cells & -cells).bit_length() - 1
         if cells and not 2 <= low < 4 * _MARGIN:
             [state] = _lift([state], _MARGIN - low)
             origin -= _MARGIN - low
-        tick, row, error = make(state), empty, None
-        for ticks in range(1, end - t + 1):
-            new, mask = tick(row)
-            if not mask:
-                break
-            if check:
-                try:
-                    _check_layers(g, layers, m, origin, new, row)
-                except WindowViolationError as cut:
-                    ticks, error = ticks - 1, cut
-                    break
-            row = new
+        if check:
+            window = partial(_check_layers, g, layers, m, origin)
+            hist, _, error = _tick_row(make, [state], (0,) * len(state), limit, window)
+            row, changed, cells = hist[-1], len(hist) - 1, reduce(or_, hist[-1])
         else:
-            error = RuntimeError(f"rows 0..{m} did not stabilize within {end - t} ticks")
-        t += ticks
+            (row, changed, cells), error = make(state)(None, limit), None
+        if error is None and changed == limit:
+            error = RuntimeError(f"rows 0..{m} did not stabilize within {limit} ticks")
+        t += changed + (error is None)  # and the tick that changed nothing
         if g is not None:
             for held, layer in zip((g.bottom, g.top), layers):
                 held.append(layer.row(row, origin))
@@ -1320,10 +1345,11 @@ def run_synchronous(variant: CAVariant, n: int, max_rows: int, tick_cap: int) ->
     past the first 1 or max_rows values, and the ticks used, from the
     synchronous engine without a grid.  Row 0 and its value come from n's
     bits (`RowKernel.start`), decoded once to a `Row`.  The engine holds only
-    the row above and the new row, and reads each value from the new row's
-    planes, behind a plane check that accepts only rows `RowKernel.check`
-    passes; a refused row takes the string path, `RowKernel.value`, which
-    raises its refusal."""
+    the row above and the new row, settles each new row in one call of the
+    row function curried on the row above, and reads each value from the
+    new row's planes, behind a plane check that accepts only rows
+    `RowKernel.check` passes; a refused row takes the string path,
+    `RowKernel.value`, which raises its refusal."""
     kernel = KERNELS[variant]
     codes, value = kernel.start(n)
     values = [value]

@@ -3,7 +3,9 @@
 import hashlib
 import random
 import re
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -611,35 +613,71 @@ def test_row_functions_equal_their_cell_tables():
                         tv = LAYERS[variant][source]
                         for p, bit in enumerate(_PLANE_BITS[tv][int(c)]):
                             rows[1 + dr][layers[source].at + p] |= bit << 5 + dc
-                out, _ = step(tuple(rows[0]))(tuple(rows[1]))
+                out, _, _ = step(tuple(rows[0]))(tuple(rows[1]), 1)
                 bits = tuple(p >> 5 & 1 for p in out[layer.at : layer.at + layer.count])
                 assert states.get(bits, EMPTY if not any(bits) else None) == new, (layer.tv, key)
 
 
+def planted_state(variant: CAVariant, rng: random.Random) -> tuple:
+    """Random cells of every layer, gaps and mixed tags included, as planes."""
+    planes = []
+    for layer in _sync_layers(variant):
+        cells = "".join(str(s) for s in ALPHABETS[layer.tv][1:]) + EMPTY
+        row = Row(rng.randrange(-3, 4), "".join(rng.choice(cells) for _ in range(rng.randrange(1, 12))))
+        planes += layer.planes(row, -8)
+    return tuple(planes)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_tick_keeps_no_state_between_calls(variant):
-    # a tick built on one row above gives each state of the row what a fresh
-    # tick gives it, whichever state it ticks first
-    layers = _sync_layers(variant)
+    # a row's settle built on one row above gives each state of the row what
+    # a fresh one gives it, whichever state it ticks first
     rng = random.Random(22)
-
-    def state() -> tuple:
-        """Random cells of every layer, gaps included, as planes."""
-        planes = []
-        for layer in layers:
-            cells = "".join(str(s) for s in ALPHABETS[layer.tv][1:]) + EMPTY
-            row = Row(rng.randrange(-3, 4), "".join(rng.choice(cells) for _ in range(rng.randrange(1, 12))))
-            planes += layer.planes(row, -8)
-        return tuple(planes)
-
     for make in grid._ROW_FUNCTIONS[variant]:
         for _ in range(300):
-            above, s, u = state(), state(), state()
-            tick = make(above)
-            first, second = tick(s), tick(u)
-            assert (first, second) == (make(above)(s), make(above)(u))
-            tick = make(above)
-            assert (tick(u), tick(s)) == (second, first)
+            above, s, u = (planted_state(variant, rng) for _ in range(3))
+            settle = make(above)
+            first, second = settle(s, 1), settle(u, 1)
+            assert (first, second) == (make(above)(s, 1), make(above)(u, 1))
+            settle = make(above)
+            assert (settle(u, 1), settle(s, 1)) == (second, first)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_settle_equals_ticks_one_at_a_time(variant):
+    # a new row under kept rows (their parity layer settled, as in a run) and
+    # planted ones: one settle(None, cap) call gives the state and tick count
+    # of settle(., 1) calls from the empty row until a tick changes nothing,
+    # at caps k - 1, k and k + 1 around the row's tick count k; and so does
+    # one settle(state, cap) call from a planted state of the row
+    layers, (make, first) = _sync_layers(variant), grid._ROW_FUNCTIONS[variant]
+    rng = random.Random(24)
+    counts = set()
+    for planted in range(600):
+        if planted % 2:
+            above = planted_state(variant, rng)
+        else:
+            rows = (Row(rng.randrange(-3, 4), kept_row(variant, rng, rng.randrange(2, 40))), Row())
+            own = tuple(p for layer, row in zip(layers, rows) for p in layer.planes(row, -8))
+            above = first(own)(own, 10**6)[0]
+        settle = make(above)
+        for start in (None, planted_state(variant, rng)):
+            states = [(0,) * len(above) if start is None else start]
+            while len(states) < 500:
+                new, changed, cells = settle(states[-1], 1)
+                assert cells == reduce(or_, new), (above, new)
+                if not changed:
+                    break
+                states.append(new)
+            k = len(states) - 1
+            assert k < 499, above
+            counts.add(k)
+            for cap in (k - 1, k, k + 1):
+                if cap >= 1:
+                    state = states[min(cap, k)]
+                    want = (state, min(cap, k), reduce(or_, state))
+                    assert settle(start, cap) == want, (above, start, cap)
+    assert len(counts) > 5  # rows of many tick counts
 
 
 @pytest.mark.parametrize("tv", list(TableVariant))
@@ -652,6 +690,31 @@ def test_row_function_check_names_a_wrong_table_entry(monkeypatch, tv):
     _sync_layers.cache_clear()
     try:
         message = f"^{tv.value} row function differs from its cell table at key '{re.escape(key)}'"
+        with pytest.raises(AssertionError, match=message):
+            _sync_layers(variant)
+    finally:
+        _sync_layers.cache_clear()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_row_function_check_names_a_wrong_folded_tick(monkeypatch, variant):
+    # a first tick from None that differs by one bit from a tick of the empty row
+    make, first = grid._ROW_FUNCTIONS[variant]
+
+    def planted(above: tuple):
+        settle = make(above)
+
+        def wrong(state, limit):
+            new, changed, cells = settle(state, limit)
+            return ((new[0] ^ 1, *new[1:]) if state is None else new), changed, cells
+
+        return wrong
+
+    monkeypatch.setitem(grid._ROW_FUNCTIONS, variant, (planted, first))
+    _sync_layers.cache_clear()
+    try:
+        tv = LAYERS[variant][0].value
+        message = f"^{tv} row function's first tick differs from a tick of the empty row$"
         with pytest.raises(AssertionError, match=message):
             _sync_layers(variant)
     finally:
