@@ -116,7 +116,7 @@ def cmd_run(args) -> int:
     elif args.format == "csv":
         print("row,value")
         for i, v in enumerate(rec.iterates):
-            print(f"{i},{'' if v is None else v}")
+            print(f"{i},{v}")
     else:
         shown = rec.iterates[: rec.ca_steps_to_one + 1] if rec.reached_one else rec.iterates
         print(" ".join(str(v) for v in shown))

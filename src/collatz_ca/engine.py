@@ -94,7 +94,7 @@ class BatchConfig:
             raise ValueError("need exactly one spacing per adjacent input pair")
 
 
-def _record(n: int, cfg: RunConfig, iterates: list[int | None]) -> TrajectoryRecord:
+def _record(n: int, cfg: RunConfig, iterates: list[int]) -> TrajectoryRecord:
     """The record of a run whose rows held `iterates`; one tick per row."""
     first_one = iterates.index(1) if 1 in iterates else None
     return TrajectoryRecord(
@@ -143,7 +143,7 @@ class VerifyReport:
     matched: bool
     rows_checked: int
     # (row index, grid value, oracle value) at the first disagreement
-    first_divergence: tuple[int, int | None, int | None] | None
+    first_divergence: tuple[int, int, int] | None
     # every computed row agreed, but the row cap ran out before the first 1
     cap_reached: bool = False
 
@@ -229,7 +229,7 @@ def run_batch_stacked(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryReco
 
 
 def _columns(
-    variant: CAVariant, iterates: list[int | None], rows: int
+    variant: CAVariant, iterates: list[int], rows: int
 ) -> tuple[list[int], list[int]]:
     """Lowest and highest column of a run's first `rows` rows, relative to row
     0's lowest column, by the placement `row_oracle` uses.
@@ -238,7 +238,7 @@ def _columns(
     its stripped factors of four, and by one column per halving.  A base-3
     row keeps row 0's high column (its leading zeros keep that width on a
     grid), and its low column falls by one below each odd row.  Past the last
-    iterate the map continues; a vanished run's columns end above its empty row.
+    iterate the map continues.
     """
     x = iterates[0]
     if variant is CAVariant.CA1:  # row 0's top column: 2 code bits per base-3 digit
@@ -248,8 +248,6 @@ def _columns(
     for i in range(rows):
         if i:
             y = iterates[i] if i < len(iterates) else apply_map(variant.map_variant, x)
-            if y is None:
-                break
             if variant is CAVariant.CA1:
                 lo -= x & 1
             elif variant is CAVariant.CA2 and not x & 1:
@@ -268,15 +266,12 @@ def _check_placement(
     spacings: list[int],
     guard: int,
 ) -> None:
-    """Raise at the first row where a run vanished or two neighbours came
-    closer than `guard`; within a row, vanished runs first, each kind in
-    placement order.  Each input's row 0 starts `spacing` columns left of the
-    top column of its right-hand neighbour's row 0.
+    """Raise at the first row where two neighbours came closer than `guard`,
+    the first pair in placement order within a row.  Each input's row 0
+    starts `spacing` columns left of the top column of its right-hand
+    neighbour's row 0.
     """
-    events = [
-        (r.iterates.index(None), 0, i) for i, r in enumerate(records) if None in r.iterates
-    ]
-    bases = [0]
+    bases, events = [0], []
     for i, spacing in enumerate(spacings):  # columns grow leftward
         lows, highs = extents[i + 1][0], extents[i][1]
         bases.append(bases[i] + highs[0] + spacing)
@@ -284,12 +279,10 @@ def _check_placement(
         limit = guard + 1 - (bases[i + 1] - bases[i])
         if min(map(sub, lows, highs)) < limit:
             row = next(r for r, d in enumerate(map(sub, lows, highs)) if d < limit)
-            events.append((row, 1, i))
+            events.append((row, i))
     if not events:
         return
-    row, kind, i = min(events)
-    if kind == 0:
-        raise RuntimeError(f"run of input {records[i].input} vanished at row {row}")
+    row, i = min(events)
     columns = (bases[i] + extents[i][1][row], bases[i + 1] + extents[i + 1][0][row])
     raise CollisionError(row, records[i + 1].input, records[i].input, columns)
 
@@ -316,7 +309,7 @@ def run_shared_grid(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryRecord
       batch has at most W + 2 rows, so no row lies more than W + 1 rows below
       row 0.
 
-    So automatic spacing raises only when a run vanished or did not reach 1.
+    So automatic spacing raises only when a run did not reach 1.
     """
     if any(n < 1 for n in batch.inputs):
         raise ValueError("inputs must be positive")
@@ -329,8 +322,6 @@ def run_shared_grid(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryRecord
         _check_placement(records, extents, batch.spacings, GUARD_GAP)
         return records
     for r in records:
-        if None in r.iterates:
-            raise RuntimeError(f"run of input {r.input} vanished at row {r.iterates.index(None)}")
         if not r.reached_one:
             raise RuntimeError(f"cannot estimate spacing: {r.input} did not reach 1")
     return records

@@ -590,7 +590,7 @@ class RowKernel:
             codes >>= low
             v //= 3 ** (low >> 1)
             shift = frame + low
-            values.append(v or None)  # an all-zero row holds no value
+            values.append(v)
             if rows is not None:
                 rows.append((shift >> 1, codes))
             if v == 1:
@@ -602,7 +602,7 @@ class RowKernel:
                     codes >>= low
                     v //= 3 ** (low >> 1)
                 shift = frame + low
-                values.append(v or None)
+                values.append(v)
                 if rows is not None:
                     rows.append((shift >> 1, codes))
                 if v == 1:
@@ -657,10 +657,11 @@ class RowKernel:
         top = _CA1_BLOCKS[m]
         return codes | (top & (2 << (top >> 1 & 0x555).bit_length()) - 1) << shift, n
 
-    def run(self, codes: int, value: int, max_rows: int) -> list[int | None]:
+    def run(self, codes: int, value: int, max_rows: int) -> list[int]:
         """Values of the kept row `codes`, which holds `value`, and of the
         rows below it, until one row past the first 1 or max_rows values,
-        from one loop that never builds a string."""
+        from one loop that never builds a string.  Every row below a kept row
+        is kept (`_prove`) and holds a value of at least 1."""
         values = [value]
         stop = min(max_rows, 2) if value == 1 else max_rows
         (self._fall if self.falling else self._descend)(codes, values, stop)
@@ -971,7 +972,7 @@ class _SyncLayer:
     """One layer of an automaton on the synchronous engine: where the layer's
     planes lie in a row's state (`at`, `count`), and the conversions between
     `Row`s and planes.  Values are read from the planes (`_PLANE_VALUES`);
-    `row` serves grid write-back and the rows a plane reader refuses."""
+    `row` serves grid write-back and the checked first row of `_row_by_row`."""
 
     def __init__(self, variant: CAVariant, layer: int):
         tables = LAYERS[variant]
@@ -1005,7 +1006,7 @@ class _SyncLayer:
 
     def row(self, state: tuple[int, ...], origin: int) -> Row:
         """The layer of a row's state as a `Row`, for a grid or for the
-        string path of a row that its plane reader refuses."""
+        string path of `_row_by_row`'s first row."""
         planes = state[self.at : self.at + self.count]
         cells = reduce(or_, planes)
         if not cells:
@@ -1017,37 +1018,21 @@ class _SyncLayer:
         return Row(origin + low, f"{spread:x}"[::-1].translate(self.chars))
 
 
-# A row's value read straight from its layer-0 planes.  A reader accepts only
-# rows that `RowKernel.check` passes: present cells in one run, no bit outside
-# the present plane, one parity tag, ends that `_KEPT_ENDS` allows, and a
-# nonzero digit.  It gives None for empty planes, and 0, which no kept row
-# holds, for a row it leaves to the string path (`_SyncLayer.row`, then
-# `RowKernel.value`), which raises that row's refusal.
+# A row's value from its layer-0 planes: shift down to the lowest present cell
+# and convert; None for empty planes.  No reader checks its row (`_row_by_row`).
 
 
 def _ca3_value(state: tuple) -> int | None:
     p, v = state
-    if v & ~p:
-        return 0
-    if not p:
-        return None
-    low = (p & -p).bit_length() - 1
-    p, v = p >> low, v >> low
-    return v if not p & (p + 1) and v & 1 and v > p >> 1 else 0  # a 1 at both ends
+    return v >> (p & -p).bit_length() - 1 if p else None
 
 
 def _ca2_value(state: tuple) -> int | None:
-    p, t, l, h = state
-    if (t | l | h) & ~p:
-        return 0
+    p, _, l, h = state
     if not p:
         return None
     low = (p & -p).bit_length() - 1
-    p, t, l, h = p >> low, t >> low, l >> low, h >> low
-    # the lowest cell is a 5 or 7 tagged odd, or an untagged 2
-    if p & (p + 1) or t and t != p or not (l if t else h & ~l) & 1:
-        return 0
-    return int(f"{l:b}", 4) + 2 * int(f"{h:b}", 4)
+    return int(f"{l >> low:b}", 4) + 2 * int(f"{h >> low:b}", 4)
 
 
 def _ca1_value(state: tuple) -> int | None:
@@ -1056,11 +1041,9 @@ def _ca1_value(state: tuple) -> int | None:
     if not p:
         return None
     low = (p & -p).bit_length() - 1
-    p, b0, b1 = p >> low, b0 >> low, b1 >> low
-    if p & (p + 1):
-        return 0
-    # a digit is b1 + (b0 & b1), so a row of zeros reads 0
-    return _parse(f"{b1:b}", 3) + _parse(f"{b0 & b1:b}", 3)
+    b1 >>= low
+    # a digit is b1 + (b0 & b1)
+    return _parse(f"{b1:b}", 3) + _parse(f"{b0 >> low & b1:b}", 3)
 
 
 _PLANE_VALUES = {CAVariant.CA3: _ca3_value, CAVariant.CA2: _ca2_value, CAVariant.CA1: _ca1_value}
@@ -1251,22 +1234,28 @@ def _row_by_row(
     variant: CAVariant, state: tuple, origin: int, m: int, t: int, end: int, cap: int,
     values: list, stop: int, g=None,
 ) -> int:
-    """The per-row loop of a synchronous run.  `state` is row m's last state
-    at `origin`, stable at tick t.  Appends row m's value, read from its
-    planes (`_PLANE_VALUES`), and applies the stop rule; then row m + 1 ticks
-    alone under that state until a tick changes nothing, in one `settle(None,
-    ticks left)` call, and so on, until `values` holds `stop` values or one
-    past the first 1.  The tick cap `cap` ends at tick `end`.  If `g` is
-    given, each new row is appended to it and its tick count set, also
-    before a raise, and if it checks windows, `_tick_row` ticks each row and
-    checks every tick that changes it.  Returns the tick reached."""
+    """The per-row loop of a synchronous run.  `state` is row m's last state at
+    `origin`, stable at tick t.  Appends row m's value and applies the stop
+    rule; then row m + 1 ticks alone under that state until a tick changes
+    nothing, in one `settle(None, ticks left)` call, and so on, until `values`
+    holds `stop` values or one past the first 1.  The tick cap `cap` ends at
+    tick `end`.  If `g` is given, each new row is appended to it and its tick
+    count set, also before a raise, and if it checks windows, `_tick_row` ticks
+    each row and checks every tick that changes it.  Returns the tick reached.
+
+    Only row m is checked: its value comes from `RowKernel.value`, which raises
+    `check`'s refusal.  Every later value is read from the planes
+    (`_PLANE_VALUES`), as a row below a kept row is kept: `_check_row_function`
+    makes the row function the single-cell tables on every key, so a row
+    settled from empty under a fixed row above is their unique fixpoint, the
+    frontier sweep's row; `RowKernel._prove` shows that the sweep takes a kept
+    row to a nonempty kept row; and a value of at least 1 maps to one of at
+    least 1, so no base-3 row becomes all zeros."""
     layers = _sync_layers(variant)
     make, read = _ROW_FUNCTIONS[variant][0], _PLANE_VALUES[variant]
     check, cells = g is not None and g.check_windows, reduce(or_, state)
+    value = KERNELS[variant].value(layers[0].row(state, origin).s)
     while True:
-        value = read(state)
-        if value == 0:  # not a kept row
-            value = KERNELS[variant].value(layers[0].row(state, origin).s)
         values.append(value)
         if value == 1:
             stop = min(stop, len(values) + 1)
@@ -1297,6 +1286,7 @@ def _row_by_row(
         if error is not None:
             raise error
         state = row
+        value = read(state)
 
 
 def _grid_rows(g: Grid) -> list:
@@ -1347,9 +1337,8 @@ def run_synchronous(variant: CAVariant, n: int, max_rows: int, tick_cap: int) ->
     bits (`RowKernel.start`), decoded once to a `Row`.  The engine holds only
     the row above and the new row, settles each new row in one call of the
     row function curried on the row above, and reads each value from the
-    new row's planes, behind a plane check that accepts only rows
-    `RowKernel.check` passes; a refused row takes the string path,
-    `RowKernel.value`, which raises its refusal."""
+    new row's planes with no check (`_row_by_row`): row 0 is kept by
+    construction, and the first new row is checked once all the same."""
     kernel = KERNELS[variant]
     codes, value = kernel.start(n)
     values = [value]

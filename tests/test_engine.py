@@ -83,6 +83,23 @@ def test_synchronous_tick_counts(variant, ticks):
         assert record == run_grid(n, cfg)[1], n
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_record_holds_none(variant, mode):
+    # every row below a kept row is kept and holds a value of at least 1, so
+    # no run vanishes: n in [1, 3000] and 200 random odd 8- to 300-bit n
+    # (the synchronous engine: every 5th such n and 40 of the random ones)
+    rng = random.Random(f"no-none-{variant.value}")
+    widths = [rng.randint(8, 300) for _ in range(200)]
+    wide = [rng.getrandbits(k - 1) | 1 << k - 1 | 1 for k in widths]
+    inputs = [*range(1, 3001), *wide]
+    if mode == "synchronous":
+        inputs = [*range(1, 3001, 5), *wide[:40]]
+    cfg = RunConfig(variant=variant, mode=mode)
+    for n in inputs:
+        assert None not in run_single(n, cfg).iterates, n
+
+
 def test_max_rows_cap():
     rec = run_single(27, RunConfig(variant=CAVariant.CA3, max_rows=5))
     assert not rec.reached_one

@@ -723,38 +723,95 @@ def test_row_function_check_names_a_wrong_folded_tick(monkeypatch, variant):
 
 def plane_value(variant: CAVariant, row: Row, origin: int) -> int | None:
     """The synchronous engine's value of a row read from its layer-0 planes
-    at `origin`; 0 where the reader leaves the row to the string path."""
+    at `origin`, with no check: None for an empty row."""
     return grid._PLANE_VALUES[variant](_sync_layers(variant)[0].planes(row, origin))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_plane_value_is_the_kernel_value_on_every_short_row(variant):
     # every row string up to width 5 (ca1: 7) over layer 0's cells and EMPTY,
-    # at two origins: the reader gives exactly `RowKernel.value`, None for an
-    # empty row, and defers every row that `check` refuses
+    # at two origins: on each row that `check` passes the reader gives exactly
+    # `RowKernel.value`, and on the empty row None
     kernel = KERNELS[variant]
+    assert plane_value(variant, Row(), 4) is None
+    kept = 0
     for width in range(1, (7 if variant is CAVariant.CA1 else 5) + 1):
         for cells in product(kernel.digits + EMPTY, repeat=width):
             row = Row(4, "".join(cells))
             try:
                 want = kernel.value(row.s)
             except NonContiguousRowError:
-                want = 0
+                continue
+            kept += 1
             assert plane_value(variant, row, 4) == plane_value(variant, row, -37) == want, row
+    assert kept > 10, kept
 
 
-@pytest.mark.parametrize(
-    "variant, row", [(CAVariant.CA2, "5"), (CAVariant.CA2, ""), (CAVariant.CA3, "11"), (CAVariant.CA3, "")]
-)
-def test_plane_value_defers_a_bit_outside_the_present_plane(variant, row):
-    # a digit or tag bit with no present cell under it, below or above a kept
-    # row or on empty planes, is no kept row
+def settle_below(variant: CAVariant, row: Row, origin: int) -> tuple:
+    """The state of the synchronous row below a row 0 holding `row` at
+    `origin`: row 0 settles (base 3: its parity layer ticks under its
+    digits), then the row below settles from empty in one `settle(None, cap)`
+    call."""
+    layers = _sync_layers(variant)
+    make, first = grid._ROW_FUNCTIONS[variant]
+    own = layers[0].planes(row, origin) + (0,) * sum(layer.count for layer in layers[1:])
+    cap = 10_000
+    above, changed, _ = first(own)(own, cap)
+    assert changed < cap
+    below, changed, _ = make(above)(None, cap)
+    assert changed < cap
+    return below
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_row_below_a_kept_row_is_the_kernel_row_and_kept(variant):
+    # the argument that lets `_row_by_row` read every row after its first with
+    # no check: on every kept row of up to 5 cells (ca1: 7), at two origins,
+    # the row settled from empty below it is the kernel's next row (up to
+    # ca1's leading zeros), `check` passes it, and the plain reader gives the
+    # kernel's value
+    kernel = KERNELS[variant]
+    layer = _sync_layers(variant)[0]
     read = grid._PLANE_VALUES[variant]
-    planes = _sync_layers(variant)[0].planes(Row(0, row), -2)
-    assert read(planes) == KERNELS[variant].value(row)
-    for k in range(1, len(planes)):
-        for bit in (1, 1 << 8):
-            assert read((*planes[:k], planes[k] | bit, *planes[k + 1 :])) == 0, (k, bit)
+    sweep = kernel._fall if kernel.falling else kernel._descend
+    kept = 0
+    for width in range(1, (7 if variant is CAVariant.CA1 else 5) + 1):
+        for cells in product(kernel.digits, repeat=width):
+            s = "".join(cells)
+            try:
+                kernel.check(s)
+            except NonContiguousRowError:
+                continue
+            kept += 1
+            values, rows = [kernel.value(s)], []
+            sweep(kernel.encode(s), values, 2, rows)
+            (shift, codes), value = rows[0], values[1]
+            zeros = "0" if kernel.falling else ""  # ca1's leading zeros may differ
+            want = Row(4 + shift, kernel.decode(codes).rstrip(zeros))
+            for origin in (-4, -37):
+                below = settle_below(variant, Row(4, s), origin)
+                got = layer.row(below, origin)
+                assert Row(got.lo, got.s.rstrip(zeros)) == want, (s, origin)
+                kernel.check(got.s)
+                assert read(below) == value, (s, origin)
+    assert kept > 10, kept
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_synchronous_runs_check_one_row_per_call(monkeypatch, variant):
+    # `RowKernel.check` runs once per `run_synchronous` and per
+    # `extend_synchronous` call, on the first new row, however long the run
+    calls = []
+    check = RowKernel.check
+    monkeypatch.setattr(RowKernel, "check", lambda self, row: calls.append(row) or check(self, row))
+    for n, max_rows in ((1, 2), (7, 3), (27, 100_000), (2**61 - 1, 100_000)):
+        calls.clear()
+        values, _ = grid.run_synchronous(variant, n, max_rows, grid.DEFAULT_TICK_CAP)
+        assert len(values) >= 2 and len(calls) == 1, (n, max_rows)
+        g, value = grid.start_grid(n, variant)
+        calls.clear()
+        extend_synchronous(g, [value], max_rows)
+        assert len(calls) == 1, (n, max_rows)
 
 
 def kept_row(variant: CAVariant, rng: random.Random, width: int) -> str:
