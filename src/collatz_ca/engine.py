@@ -301,10 +301,11 @@ def run_shared_grid(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryRecord
     check, because every gap stays at or above 2*GUARD_GAP:
 
     * On every automaton the gap between two neighbouring runs shrinks by at
-      most one column per row.  Base 2: a top column rises by at most 2, and
-      the left neighbour's lowest column rises by at least 1.  Base 4: a top
-      column rises by at most 1, and a lowest column never falls.  Base 3:
-      the top column is fixed, and the lowest column falls by at most 1.
+      most one column per row, by the rule tables' growth bounds
+      (`grid._check_growth`): row i of a run whose row 0 spans columns 0..H
+      lies within [i, H + 2i] (base 2), [0, H + i] (base 4), or, its digits,
+      [-i, H] (base 3).  So by row i a top column has risen by at most 2i, i
+      and 0, and a lowest column has risen by at least i, 0 and -i.
     * The gap on row 0 is the spacing less one.  If every run reaches 1, the
       batch has at most W + 2 rows, so no row lies more than W + 1 rows below
       row 0.

@@ -6,7 +6,8 @@ lowest column first, and the column of its first character.  It is immutable
 and reads like the dict of its non-empty cells.  Columns grow to the left:
 column j+1 is immediately left of column j.  Row 0 is placed from the input's
 bits (`RowKernel.start`) and its digit cells never change; every later row is
-derived from the row above it by the local transition rules.
+derived from the row above it by the local transition rules.  How far a row
+can grow follows from the rule tables alone (`_check_growth`).
 
 Two engines advance a grid, both through single-cell tables compiled from the
 closed-form rules:
@@ -45,7 +46,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import chain, islice, product, repeat
 from operator import or_
 
@@ -64,15 +65,7 @@ from .rules import (
     format_cell,
 )
 
-# Cells just outside a row's active window may be evaluated (they must come
-# out default); anything non-default there is a rule or window bug.
-GROWTH_MARGIN = 2
-
 DEFAULT_TICK_CAP = 10_000_000
-
-
-class WindowViolationError(RuntimeError):
-    """A non-default state was produced outside the row's active window."""
 
 
 class NonContiguousRowError(RuntimeError):
@@ -92,24 +85,10 @@ class Grid:
     bottom: list[Row]
     top: list[Row] | None  # parity layer, base-3 automaton only
     row0_hi: int
-    check_windows: bool = False
     ticks: int = 0
 
-    def active_window(self, i: int) -> tuple[int, int]:
-        """Inclusive column bounds that can hold non-default cells in row i.
 
-        The base-3 automaton keeps its left edge and extends right one column
-        per odd row; the other two keep their right edge and drift left, by at
-        most one (base 4) or two (base 2) columns per row.
-        """
-        if self.variant is CAVariant.CA1:
-            return (-i - GROWTH_MARGIN, self.row0_hi + GROWTH_MARGIN)
-        if self.variant is CAVariant.CA2:
-            return (-GROWTH_MARGIN, self.row0_hi + i + GROWTH_MARGIN)
-        return (-GROWTH_MARGIN, self.row0_hi + 2 * i + GROWTH_MARGIN)
-
-
-def init_grid(n: int, variant: CAVariant, check_windows: bool = False) -> Grid:
+def init_grid(n: int, variant: CAVariant) -> Grid:
     """Place the digits of n as row 0, decoded once from the packed codes
     that `RowKernel.start` builds from n's bits.
 
@@ -118,16 +97,16 @@ def init_grid(n: int, variant: CAVariant, check_windows: bool = False) -> Grid:
     zero digits, so its row 0 holds n with every factor of four divided out.
     Parity attributes tag the value actually stored in the row.
     """
-    return start_grid(n, variant, check_windows)[0]
+    return start_grid(n, variant)[0]
 
 
-def start_grid(n: int, variant: CAVariant, check_windows: bool = False) -> tuple[Grid, int]:
+def start_grid(n: int, variant: CAVariant) -> tuple[Grid, int]:
     """`init_grid`'s grid, and row 0's value, both from `RowKernel.start`."""
     kernel = KERNELS[variant]
     codes, value = kernel.start(n)
     row0 = Row(0, kernel.decode(codes))
     top = [Row()] if variant is CAVariant.CA1 else None
-    return Grid(variant, [row0], top, row0.hi, check_windows), value
+    return Grid(variant, [row0], top, row0.hi), value
 
 
 def initial_row(n: int, variant: CAVariant) -> DigitString:
@@ -307,6 +286,7 @@ def _compile_cell(tv: TableVariant) -> dict[str, str]:
     }
     if table[EMPTY * len(reads)] != EMPTY:
         raise AssertionError(f"{tv.value} maps an empty neighborhood to a cell")
+    _check_growth(tv, table)
     return table
 
 
@@ -314,6 +294,47 @@ def _key_order(tv: TableVariant) -> list[int]:
     """Indexes into `NEIGHBORHOODS[tv]` in the order of a `_compile_cell` key."""
     reads = NEIGHBORHOODS[tv]
     return sorted(range(len(reads)), key=lambda k: (-reads[k][1], reads[k][2]))
+
+
+# Per rule table: a new cell needs a cell in every read of one group (`_check_growth`).
+_GROWTH = {
+    TableVariant.CA3: (((0, -1, -2),), ((0, -1, -1), (0, -1, 0))),
+    TableVariant.CA2: (((0, -1, 0),), ((0, -1, -1),)),
+    TableVariant.CA1_BOTTOM: (((1, -1, 0),),),
+    TableVariant.CA1_TOP: (((0, 0, 0),),),
+}
+
+
+def _check_growth(tv: TableVariant, table: dict[str, str]) -> None:
+    """Raise AssertionError unless `table` makes a cell only where one of its
+    `_GROWTH` groups holds a cell in every read, or, the one exception, makes
+    the marker where no digit is under it from an odd parity (not the
+    marker) one column left.
+
+    So how far a row grows is a property of the tables.  Row 0 spans columns
+    0..H, every other cell starts empty, and a tick computes every cell by
+    these tables from the states before it; by induction on ticks and rows,
+    row i lies, at every tick, within:
+
+    * base 2: [i, H + 2i], as a cell needs the cell above at j - 2, or both
+      cells above at j - 1 and j;
+    * base 4: [0, H + i], as a cell needs the cell above at j or at j - 1;
+    * base 3: its digits within [-i, H], as a digit needs the parity cell
+      above it, and its parity layer within [-i - 1, H], as a parity cell
+      needs the digit under it, or an odd parity at j + 1, which needs a
+      digit there.
+
+    Frontier rows are the tables' fixpoints, so they lie there too."""
+    reads = [NEIGHBORHOODS[tv][k] for k in _key_order(tv)]  # in key order
+    grows = {  # the keys that can make a cell, as `_OCCUPIED` writes them
+        "".join(p)
+        for p in product("01", repeat=len(reads))
+        if any(all(p[reads.index(read)] == "1" for read in group) for group in _GROWTH[tv])
+    }
+    marker = (TableVariant.CA1_TOP, EMPTY + _CHAR[ODD_NORMAL], _CHAR[ODD_SPECIAL])
+    for key, cell in table.items():
+        if cell != EMPTY and key.translate(_OCCUPIED) not in grows and (tv, key, cell) != marker:
+            raise AssertionError(f"{tv.value} makes the cell {cell} from {key!r}, outside its growth bound")
 
 
 # Per automaton, the cells a kept row can start and end with, in sweep order:
@@ -718,24 +739,6 @@ def neighborhood_keys(
 # --- frontier engine ---------------------------------------------------------
 
 
-def _check_window(g: Grid, i: int, cells: int, origin: int) -> None:
-    """Raise WindowViolationError if row i has a non-default cell outside its
-    active window; bit k of `cells` marks a cell at column origin + k."""
-    w_lo, w_hi = g.active_window(i)
-    outside = cells & ~((1 << max(w_hi + 1 - origin, 0)) - (1 << max(w_lo - origin, 0)))
-    if outside:
-        j = origin + (outside & -outside).bit_length() - 1
-        raise WindowViolationError(
-            f"{g.variant.value} row {i}: non-default cell at column {j} "
-            f"outside window [{w_lo}, {w_hi}]"
-        )
-
-
-def _cells(row: Row) -> int:
-    """The mask of a row's non-default cells, bit k for column row.lo + k."""
-    return int(row.s.translate(_OCCUPIED)[::-1] or "0", 2)
-
-
 def _parity_layer(g: Grid, i: int) -> Row:
     """The parity layer over base-3 row i, by its single-cell table swept
     from the top nonzero digit down to one column past the units digit; the
@@ -747,10 +750,7 @@ def _parity_layer(g: Grid, i: int) -> Row:
     for c in reversed(EMPTY + row.s.rstrip("0")):
         p = top[c + p]
         out.append(p)
-    new = Row(row.lo - 1, "".join(reversed(out)).ljust(len(row.s) + 1, _CHAR[EVEN]))
-    if g.check_windows:
-        _check_window(g, i, _cells(new), new.lo)
-    return new
+    return Row(row.lo - 1, "".join(reversed(out)).ljust(len(row.s) + 1, _CHAR[EVEN]))
 
 
 def extend_frontier(g: Grid, values: list, stop: int) -> None:
@@ -775,10 +775,7 @@ def extend_frontier(g: Grid, values: list, stop: int) -> None:
         row = kernel.decode(codes)
         if ca1:
             row = row.ljust(g.row0_hi + 1 - lo, "0")
-        new = Row(lo, row)
-        if g.check_windows:
-            _check_window(g, i, _cells(new), new.lo)
-        g.bottom.append(new)
+        g.bottom.append(Row(lo, row))
         if ca1:
             if not g.top[i - 1]:
                 g.top[i - 1] = _parity_layer(g, i - 1)
@@ -1100,17 +1097,15 @@ def _lift(hist: list, shift: int) -> list:
     return out
 
 
-def _tick_row(make, above: list, state: tuple, ticks: int, check=None) -> tuple:
+def _tick_row(make, above: list, state: tuple, ticks: int) -> tuple:
     """The tick loop: a row's states from `state` on, one per tick, under
     `above`, the row above's state at each tick (constant past its end).  The
     row function `make` builds the row's `settle` once per state of the row
     above (a state is one object from tick to tick until it changes), and a
     tick is one `settle(state, 1)` call, made only if its inputs changed.
     The loop stops at the first tick that changes nothing under the above's
-    last state (the row is stable: the states end at the tick before), after
-    `ticks` ticks, or at the first new state `check` refuses (the states end
-    at the tick before).  Returns the states, every cell they hold, and the
-    error `check` raised or None."""
+    last state (the row is stable: the states end at the tick before), or
+    after `ticks` ticks.  Returns the states and every cell they hold."""
     hist, seen, moved, prev, tail = [state], reduce(or_, state), True, None, above[-1]
     for a in islice(chain(above, repeat(tail)), ticks):
         if a is not prev:
@@ -1118,26 +1113,12 @@ def _tick_row(make, above: list, state: tuple, ticks: int, check=None) -> tuple:
         if moved:
             new, moved, cells = settle(state, 1)
             if moved:
-                if check is not None:
-                    try:
-                        check(new, state)
-                    except WindowViolationError as error:
-                        return hist, seen, error
                 state = new
                 seen |= cells
         if not moved and a is tail:
             break
         hist.append(state)
-    return hist, seen, None
-
-
-def _check_layers(g: Grid, layers: tuple, i: int, origin: int, new: tuple, old: tuple) -> None:
-    """Raise WindowViolationError if a layer of row i that changed from `old`
-    to `new` holds a cell outside the row's active window."""
-    for layer in layers:
-        planes = new[layer.at : layer.at + layer.count]
-        if planes != old[layer.at : layer.at + layer.count]:
-            _check_window(g, i, reduce(or_, planes), origin)
+    return hist, seen
 
 
 def _stats(layers: tuple, out: list, last: int, tick: int) -> StepStats:
@@ -1163,10 +1144,9 @@ def _synchronous(
     first.  One pass takes the rows top down, each through all its ticks in
     one `_tick_row` call: rows 0..m until they are stable, the rows below up
     to the stop tick, one past the latest tick that changed one of rows 0..m.
-    The tick cap or the earliest window violation of `g` (the earliest tick,
-    then the lowest row) cuts every row at the last full tick.  If `g` is
-    given, each row that changed is written back to it and its tick count
-    set, also before a raise.
+    The tick cap cuts every row at the last full tick.  If `g` is given,
+    each row that changed is written back to it and its tick count set, also
+    before a raise.
 
     Given `values`, `rows` ends at row m, a new row, and row m's last state
     goes on to the per-row loop `_row_by_row`, which appends the values from
@@ -1183,7 +1163,7 @@ def _synchronous(
     step, first = _ROW_FUNCTIONS[variant]
     empty = (0,) * sum(layer.count for layer in layers)
     end, hist, seen, origin = t + ticks, None, 0, 0
-    horizon, settled, last, error, out = ticks, True, 1, None, []
+    settled, last, out = True, 1, []
     for k, row in enumerate(rows):
         # an origin that holds every cell the row starts with or reads
         lows = [r.lo for r in row if r.s] if row else []
@@ -1195,23 +1175,12 @@ def _synchronous(
         state = empty
         if row:
             state = tuple(p for layer, r in zip(layers, row) for p in layer.planes(r, origin))
-        check = None
-        if g is not None and g.check_windows:
-            check = partial(_check_layers, g, layers, k, origin)
         above = hist if k else [state]  # row 0's function is curried on itself: nothing is above it
-        hist, seen, cut = _tick_row(
-            step if k else first, above, state, horizon if k <= m else min(horizon, last), check
-        )
-        if cut is not None:
-            horizon, error, settled = len(hist) - 1, cut, False
-        elif k <= m and len(hist) > horizon:
-            settled = False  # still changing when the ticks ran out
+        hist, seen = _tick_row(step if k else first, above, state, ticks if k <= m else last)
         if k <= m:  # the stop tick: one past the latest change of rows 0..m
-            last = max(last, len(hist)) if settled else horizon
+            settled = settled and len(hist) <= ticks  # else still changing when the ticks ran out
+            last = max(last, len(hist)) if settled else ticks
         out.append((hist, origin))
-    if error is None and not settled:
-        error = RuntimeError(f"rows 0..{m} did not stabilize within {ticks} ticks")
-    last = min(horizon, last)
     t += last
     if g is not None:
         for k, (states, at) in enumerate(out):
@@ -1223,8 +1192,8 @@ def _synchronous(
                     else:
                         held.append(layer.row(state, at))
         g.ticks = t
-    if error is not None:
-        raise error
+    if not settled:
+        raise RuntimeError(f"rows 0..{m} did not stabilize within {ticks} ticks")
     if values is None:
         return _stats(layers, out, last, t)
     return _row_by_row(variant, hist[-1], origin, m, t, end, ticks, values, stop, g)
@@ -1240,8 +1209,7 @@ def _row_by_row(
     nothing, in one `settle(None, ticks left)` call, and so on, until `values`
     holds `stop` values or one past the first 1.  The tick cap `cap` ends at
     tick `end`.  If `g` is given, each new row is appended to it and its tick
-    count set, also before a raise, and if it checks windows, `_tick_row` ticks
-    each row and checks every tick that changes it.  Returns the tick reached.
+    count set, also before a raise.  Returns the tick reached.
 
     Only row m is checked: its value comes from `RowKernel.value`, which raises
     `check`'s refusal.  Every later value is read from the planes
@@ -1253,7 +1221,7 @@ def _row_by_row(
     least 1, so no base-3 row becomes all zeros."""
     layers = _sync_layers(variant)
     make, read = _ROW_FUNCTIONS[variant][0], _PLANE_VALUES[variant]
-    check, cells = g is not None and g.check_windows, reduce(or_, state)
+    cells = reduce(or_, state)
     value = KERNELS[variant].value(layers[0].row(state, origin).s)
     while True:
         values.append(value)
@@ -1270,22 +1238,15 @@ def _row_by_row(
         if cells and not 2 <= low < 4 * _MARGIN:
             [state] = _lift([state], _MARGIN - low)
             origin -= _MARGIN - low
-        if check:
-            window = partial(_check_layers, g, layers, m, origin)
-            hist, _, error = _tick_row(make, [state], (0,) * len(state), limit, window)
-            row, changed, cells = hist[-1], len(hist) - 1, reduce(or_, hist[-1])
-        else:
-            (row, changed, cells), error = make(state)(None, limit), None
-        if error is None and changed == limit:
-            error = RuntimeError(f"rows 0..{m} did not stabilize within {limit} ticks")
-        t += changed + (error is None)  # and the tick that changed nothing
+        state, changed, cells = make(state)(None, limit)
+        stable = changed < limit
+        t += changed + stable  # and the tick that changed nothing
         if g is not None:
             for held, layer in zip((g.bottom, g.top), layers):
-                held.append(layer.row(row, origin))
+                held.append(layer.row(state, origin))
             g.ticks = t
-        if error is not None:
-            raise error
-        state = row
+        if not stable:
+            raise RuntimeError(f"rows 0..{m} did not stabilize within {limit} ticks")
         value = read(state)
 
 

@@ -84,7 +84,7 @@ def test_run_single_wide_inputs_match_oracle(n, variant):
 
 def frontier_grid(n, variant):
     rows = oracle_rows(n, variant, extra_rows=2)
-    g = init_grid(n, variant, check_windows=True)
+    g = init_grid(n, variant)
     for _ in range(len(rows) - 1):
         step_frontier(g)
     return g, rows

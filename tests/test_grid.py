@@ -1,6 +1,5 @@
 """Grids and engines: row placement, oracle agreement, engine equivalence."""
 
-import hashlib
 import random
 import re
 from functools import reduce
@@ -18,14 +17,12 @@ from collatz_ca.grid import (
     _PLANE_BITS,
     CELL_TABLES,
     EMPTY,
-    GROWTH_MARGIN,
     KERNELS,
     Grid,
     NonContiguousRowError,
     Row,
     RowKernel,
     StepStats,
-    WindowViolationError,
     _key_order,
     _sync_layers,
     ca1_top_states,
@@ -186,7 +183,7 @@ def test_row_oracle_chains_match_reference_map(n, variant):
 def test_frontier_matches_oracle_cells(variant):
     for n in range(2, 200):
         rows = oracle_rows(n, variant, extra_rows=2)
-        g = init_grid(n, variant, check_windows=True)
+        g = init_grid(n, variant)
         for _ in range(len(rows) - 1):
             step_frontier(g)
         for i, r in enumerate(rows):
@@ -242,7 +239,7 @@ def test_ca1_frontier_sweeps_each_row_once(monkeypatch):
     # the parity layer is complete after every step, not one step late
     for n in (5, 7, 26, 27, 80):
         rows = oracle_rows(n, CAVariant.CA1, extra_rows=3)
-        g = init_grid(n, CAVariant.CA1, check_windows=True)
+        g = init_grid(n, CAVariant.CA1)
         for i in range(1, len(rows)):
             step_frontier(g)
             assert g.bottom[i] == row_cells(rows[i], CAVariant.CA1), (n, i)
@@ -262,14 +259,21 @@ def test_extract_row_and_stats():
 # --- synchronous engine ------------------------------------------------------
 
 
+def sweep(*rows):
+    """The columns a naive tick evaluates for a cell that reads `rows`: their
+    hull, widened by the widest column offset (2) on each side.  Every other
+    column reads an all-empty neighborhood, which maps to empty."""
+    cols = [j for row in rows for j in row]
+    return range(min(cols) - 2, max(cols) + 3) if cols else range(0)
+
+
 def naive_tick(g: Grid, bottom, top):
     """Full-sweep synchronous reference: every cell from pre-tick state."""
     new_bottom = [dict(bottom[0])]
     for i in range(1, len(bottom)):
-        w_lo, w_hi = g.active_window(i)
         row = {}
-        for j in range(w_lo - GROWTH_MARGIN, w_hi + GROWTH_MARGIN + 1):
-            prev = bottom[i - 1]
+        prev = bottom[i - 1]
+        for j in sweep(prev, bottom[i], top[i - 1] if top is not None else {}):
             if g.variant is CAVariant.CA3:
                 st = transition_ca3(
                     (prev.get(j), prev.get(j - 1), prev.get(j - 2), bottom[i].get(j - 1))
@@ -293,9 +297,8 @@ def naive_tick(g: Grid, bottom, top):
         return new_bottom, None
     new_top = []
     for i in range(len(top)):
-        w_lo, w_hi = g.active_window(i)
         row = {}
-        for j in range(w_lo - GROWTH_MARGIN, w_hi + GROWTH_MARGIN + 1):
+        for j in sweep(bottom[i], top[i]):
             st = transition_ca1_top((bottom[i].get(j), top[i].get(j + 1)))
             if st is not None:
                 row[j] = st
@@ -479,18 +482,6 @@ def test_synchronous_raise_leaves_the_last_full_tick():
     ensure_rows(expected, 41)
     assert (g.bottom, g.ticks) == (naive_run(expected, 3)[0], 3)
     assert_next_tick_is_naive(g)
-    # a window violation on tick 5: the parity sweep reaches the units digit
-    # of a row 0 placed two columns right of its window late
-    g = init_grid(27, CAVariant.CA1, check_windows=True)
-    g.bottom[0] = Row(-2, g.bottom[0].s)
-    ensure_rows(g, 3)
-    bottom, top = naive_run(g, 4)
-    message = r"^ca1 row 0: non-default cell at column -3 outside window \[-2, 5\]$"
-    with pytest.raises(WindowViolationError, match=message):
-        run_until_rows_stable(g, 2)
-    assert (g.bottom, g.top, g.ticks) == (bottom, top, 4)
-    g.check_windows = False  # the same tick again, which would raise again
-    assert_next_tick_is_naive(g)
 
 
 def test_synchronous_origin_shift_equals_naive_sweep(monkeypatch):
@@ -514,35 +505,6 @@ def test_synchronous_origin_shift_equals_naive_sweep(monkeypatch):
     assert len(lifts) == 1 and lifts[0] > 0  # once, to a lower origin
 
 
-@pytest.mark.parametrize(
-    "variant, column, window, values, ticks, digest",
-    [
-        (CAVariant.CA1, -2, "[-5, -3]", [27, 41, 62], 12, "f2e30b8a9dfb61fa"),
-        (CAVariant.CA2, 2, "[-2, 0]", [27, 82, 41], 9, "885a72ad8166c9bb"),
-        (CAVariant.CA3, 4, "[-2, 0]", [27, 41, 31], 11, "b10a91eb89570ead"),
-    ],
-)
-def test_window_violation_while_a_row_ticks_alone(
-    monkeypatch, variant, column, window, values, ticks, digest
-):
-    # the window narrows to three columns from row 3, which outgrows it while
-    # it ticks alone under row 2: the grid keeps row 3 at the tick before
-    g = init_grid(27, variant, check_windows=True)
-    wide = g.active_window
-
-    def narrow(i: int) -> tuple[int, int]:
-        lo, hi = wide(i)
-        return (lo, lo + 2) if i >= 3 else (lo, hi)
-
-    monkeypatch.setattr(g, "active_window", narrow)
-    got = [27]
-    message = f"{variant.value} row 3: non-default cell at column {column} outside window {window}"
-    with pytest.raises(WindowViolationError, match=f"^{re.escape(message)}$"):
-        extend_synchronous(g, got, 20)
-    assert (got, g.ticks, len(g.bottom)) == (values, ticks, 4)
-    assert hashlib.sha256(snapshot(g).encode()).hexdigest()[:16] == digest
-
-
 def planted_row(draw, tv: TableVariant, hi: int) -> Row:
     """A row of up to 8 random cells over `tv`'s alphabet in columns -3..hi."""
     states = st.sampled_from(ALPHABETS[tv][1:])
@@ -555,7 +517,7 @@ def planted_row(draw, tv: TableVariant, hi: int) -> Row:
 def planted_grids(draw):
     """A grid of random cells over each layer's alphabet, with gaps, far-apart
     and negative columns, mixed base-4 tags and base-3 parity cells below the
-    digits; every cell lies in the columns `naive_tick` sweeps."""
+    digits."""
     variant = draw(st.sampled_from(VARIANTS))
     hi = draw(st.integers(0, 40))
     bottom_tv, *top_tv = LAYERS[variant]
@@ -865,37 +827,56 @@ def test_synchronous_values_refusal_and_empty_rows():
         assert values == [None] * 4, variant
 
 
-# --- windows and extraction --------------------------------------------------
+# --- growth bounds and extraction --------------------------------------------
 
 
-def test_active_window_shapes():
-    g = init_grid(7, CAVariant.CA1)  # row 0 spans columns 0..1
-    assert g.active_window(0) == (-GROWTH_MARGIN, 1 + GROWTH_MARGIN)
-    assert g.active_window(3) == (-3 - GROWTH_MARGIN, 1 + GROWTH_MARGIN)
-    g = init_grid(7, CAVariant.CA2)
-    assert g.active_window(3) == (-GROWTH_MARGIN, 1 + 3 + GROWTH_MARGIN)
-    g = init_grid(7, CAVariant.CA3)  # row 0 spans columns 0..2
-    assert g.active_window(3) == (-GROWTH_MARGIN, 2 + 6 + GROWTH_MARGIN)
+@pytest.mark.parametrize(
+    "tv, key",
+    [
+        (TableVariant.CA3, "0..."),  # only the cell on the right
+        (TableVariant.CA2, "0.."),
+        (TableVariant.CA1_BOTTOM, "0...."),
+        (TableVariant.CA1_TOP, ".0"),  # an even parity on the left, no digit under it
+        (TableVariant.CA1_TOP, ".1"),  # an odd parity there leaves the marker, and nothing else
+    ],
+)
+def test_growth_check_refuses_a_cell_outside_its_reads(monkeypatch, tv, key):
+    monkeypatch.setitem(CELL_TABLES[tv], key, "1")
+    message = f"^{tv.value} makes the cell 1 from {re.escape(repr(key))}, outside its growth bound$"
+    with pytest.raises(AssertionError, match=message):
+        grid._check_growth(tv, CELL_TABLES[tv])
 
 
-def test_window_violation_detected():
-    g = init_grid(7, CAVariant.CA3, check_windows=True)
+def assert_within_growth_bounds(g: Grid, tag) -> None:
+    """Every row of g lies in the columns `_check_growth` proves for it."""
+    h = g.row0_hi
+    # columns per row that each edge can move: [i, h + 2i], [0, h + i] and [-i, h]
+    low, high = {CAVariant.CA3: (1, 2), CAVariant.CA2: (0, 1), CAVariant.CA1: (-1, 0)}[g.variant]
+    for i, row in enumerate(g.bottom):
+        assert not row or low * i <= row.lo and row.hi <= h + high * i, (tag, i, row)
+    for i, row in enumerate(g.top or []):  # the base-3 parity layer
+        assert not row or -i - 1 <= row.lo and row.hi <= h, (tag, i, row)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rows_stay_within_their_growth_bounds(variant):
+    rng = random.Random(f"growth-{variant.value}")
+    for n in [*range(1, 400), *(rng.getrandbits(64) | 1 for _ in range(2))]:
+        assert_within_growth_bounds(run_grid(n, RunConfig(variant))[0], n)
+    # on every synchronous tick, transient ticks included; a tick costs a
+    # sweep of the whole grid, so fewer and narrower inputs
+    for n in [*range(1, 64), *rng.sample(range(64, 400), 8), rng.getrandbits(24) | 1]:
+        g = init_grid(n, variant)
+        ensure_rows(g, len(oracle_rows(n, variant, extra_rows=2)))
+        while step_synchronous(g).cells_changed:
+            assert_within_growth_bounds(g, (n, g.ticks))
+
+
+def test_frontier_refuses_a_far_away_cell():
+    g = init_grid(7, CAVariant.CA3)
     g.bottom[0] = Row(0, "111" + EMPTY * 37 + "1")  # a far-away cell: a gap the step refuses
     with pytest.raises(NonContiguousRowError, match="has an empty cell"):
         step_frontier(g)
-    g = init_grid(7, CAVariant.CA3, check_windows=True)
-    g.bottom[0] = Row(0, "111" + "0" * 37 + "1")  # contiguous, but growth there breaks the window
-    with pytest.raises(WindowViolationError):
-        for _ in range(3):
-            step_frontier(g)
-
-
-def test_synchronous_window_violation_detected():
-    g = init_grid(7, CAVariant.CA3, check_windows=True)  # row 0 spans columns 0..2
-    # outside the window, inside the evaluated columns
-    g.bottom[0] = Row(0, "111" + EMPTY * GROWTH_MARGIN + "1")
-    with pytest.raises(WindowViolationError, match="ca3 row 1: non-default cell at column 7"):
-        run_until_rows_stable(g, 4)
 
 
 def test_row_reads_like_its_dict():
