@@ -29,7 +29,8 @@ closed-form rules:
   (`_row_by_row`) that holds only those two rows.  No state outlives a call.
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
-  per automaton (`KERNELS`) steps a row as one int of cell codes, and a run
+  per automaton (`KERNELS`) steps a row as one int (base 4 and base 2: the
+  row's value, marked above its top; base 3: its cell codes), and a run
   (`RowKernel.run`) and a grid (`extend_frontier`) come from the same loop;
   the base-3 kernel advances two rows per table lookup.  A grid decodes each
   new row once, puts back the leading zeros the base-3 kernel drops, and
@@ -89,7 +90,7 @@ class Grid:
 
 
 def init_grid(n: int, variant: CAVariant) -> Grid:
-    """Place the digits of n as row 0, decoded once from the packed codes
+    """Place the digits of n as row 0, decoded once from the packed row
     that `RowKernel.start` builds from n's bits.
 
     The base-2 automaton stores the odd part of n (trailing zero bits are one
@@ -103,8 +104,8 @@ def init_grid(n: int, variant: CAVariant) -> Grid:
 def start_grid(n: int, variant: CAVariant) -> tuple[Grid, int]:
     """`init_grid`'s grid, and row 0's value, both from `RowKernel.start`."""
     kernel = KERNELS[variant]
-    codes, value = kernel.start(n)
-    row0 = Row(0, kernel.decode(codes))
+    packed, value = kernel.start(n)
+    row0 = Row(0, kernel.decode(packed))
     top = [Row()] if variant is CAVariant.CA1 else None
     return Grid(variant, [row0], top, row0.hi), value
 
@@ -210,13 +211,13 @@ def oracle_rows(
 # the decimal digit of any other state.  A string row is paired with the
 # column of its first character wherever columns matter; on a grid, that
 # pair is a `Row`.  Only the row kernels hold a row otherwise: packed into
-# one int of cell codes while they step it (`RowKernel`).
+# one int while they step it (`RowKernel`).
 
 EMPTY = "."
 _CHAR = {None: EMPTY, **{s: str(s) for s in range(2 * ATTR_ODD)}}  # every state is below 8
 _STATE = {c: s for s, c in _CHAR.items()}
 CA2_DIGITS = str.maketrans("4567", "0123")  # drop the parity attribute
-# A packed cell's code is its state + 1, and 0 for EMPTY (see `RowKernel`).
+# A cell's code is its state + 1, and 0 for EMPTY (see `RowKernel`).
 _CODE_CHAR = {0 if s is None else s + 1: c for s, c in _CHAR.items()}
 _CODE_DIGIT = str.maketrans({c: str(code) for code, c in _CODE_CHAR.items()})
 _OCCUPIED = str.maketrans({c: "0" if c == EMPTY else "1" for c in _STATE})
@@ -345,16 +346,10 @@ _KEPT_ENDS = {
 }
 
 
-# Row 0's packed codes from the input (`RowKernel.start`).  Base 3: the codes
+# Row 0's packed codes from the input (`RowKernel.start`), base 3: the codes
 # of the six digits of each value below 3**6, lowest digit in the lowest bits.
 _TRITS = [d0 | d1 << 2 | d2 << 4 for d2 in (1, 2, 3) for d1 in (1, 2, 3) for d0 in (1, 2, 3)]
 _CA1_BLOCKS = [low | high << 6 for high in _TRITS for low in _TRITS]
-# Base 4, per parity tag: a hex digit of the input -> the hex codes of its two
-# base-4 digits, the higher first.
-_CA2_CODES = [
-    str.maketrans({f"{h:x}": f"{(h >> 2) + 1 + tag:x}{(h & 3) + 1 + tag:x}" for h in range(16)})
-    for tag in (0, ATTR_ODD)
-]
 
 
 def _compile_ca1() -> dict[str, str]:
@@ -386,28 +381,38 @@ class RowKernel:
     (`compose`).  A base-3 entry advances two rows: its key also holds the
     cell carried into the second row, which is composed under the first
     row's digits.  The tables are memos of pure functions, so every run can
-    share them; they saturate at about 4.0k (base 3), 10.7k (base 4) and
-    3.5k (base 2) keys, about 2.1 MiB together.
+    share them.  Kept rows make at most 4452 (base 3), 11515 (base 4) and
+    3648 (base 2) keys (`tests/test_kernels.py` derives each bound); random
+    inputs fill about 4.0k, 10.8k and 3.6k, 2.1 MiB together (tracemalloc).
 
-    A row is packed into one int of cell codes while it is stepped: code =
-    state + 1 and 0 for EMPTY, `bits` bits per cell (4 for base 4, a digit
-    and its parity tag; 2 for bases 3 and 2), the lowest column in the
-    lowest bits.  A key is the string key re-encoded: the window's codes,
-    with the carried cells' codes above them.  An entry holds, per new row,
-    the block's digit codes and the number its digits spell (EMPTY as 0),
-    then the codes of the next carried cells, already shifted into the key's
-    carry fields.
-    Cells past either end of a row read as code 0, so windows need no
-    padding, and no string is built or parsed per row.  A run starts from
-    the codes `start` builds from the input's bits; `encode` and `decode`
-    convert at the edge, to and from row strings.
+    A row is packed into one int while it is stepped, `bits` bits per cell,
+    the lowest column in the lowest bits; a block's window starts `reach`
+    cells below the block.  Cells past either end of a row read as 0 bits,
+    so windows need no padding, and no string is built or parsed per row.
+    `encode` and `decode` convert at the edge, to and from row strings.
 
-    The base-4 and base-2 automata sweep from the lowest column up, carrying
-    the new cell on the right; a block's number is its digit bits
-    (`_descend`).  The base-3 automaton sweeps from the highest column down,
-    carrying the parity of the digits to the left, two rows per sweep, and
-    builds each new row's value by Horner's rule, one block at a time
-    (`_fall`).
+    * Base 4 and base 2 (`_descend`) hold a row as its value: the digits'
+      own bits, 2 and 1 a cell, with a 1 one cell above the top digit (the
+      mark, which keeps a base-4 row's zeros on top).  A kept row's cells
+      share one parity tag, the value's parity, so no cell holds it.  The
+      sweep goes from the lowest column up, carrying the new cell on the
+      right.  A key is the window's bits, with the carried cell's code
+      (state + 1, 0 for EMPTY) above them, then the parity of the row above
+      (taken from the units digit in the first block), the flag `_top`, set
+      in the blocks whose window holds the mark (the window's highest 1,
+      from which up the cells are empty), and the number of the window's
+      cells below the row, `reach` in the first block's carry.  An entry
+      holds the block's new digits, with the new row's mark if it falls in
+      the block, and the next carry: the new cell's code, the parity, `_top`
+      and the cells below the row, already in their fields.
+    * Base 3 (`_fall`) holds a row as cell codes (state + 1, 0 for EMPTY), 2
+      bits a cell, as it keeps leading zeros.  The sweep goes from the
+      highest column down, carrying the parity of the digits to the left,
+      two rows per sweep.  A key is the window's codes, with the codes of
+      both new rows' carried cells above them; an entry holds, per new row,
+      the block's codes and the number its digits spell, then the next
+      carried codes, already in their fields.  Each new row's value comes
+      by Horner's rule, one block at a time.
 
     The loops step only kept rows (`_read`): one contiguous run of cells
     that share one parity tag, starting and ending with the cells
@@ -426,15 +431,23 @@ class RowKernel:
         self.block = block
         self.reach = len(next(iter(cell))) - 2
         self.table: dict[int, tuple[int, ...]] = {}
-        self.bits = bits = 2 * (self.base.bit_length() - 1)
-        # each hex digit of packed codes -> the cells it holds, lowest column first
-        self._chars = {}
-        for cells in product([c for c in _CODE_CHAR if c < 1 << bits], repeat=4 // bits):
-            digit = sum(c << i * bits for i, c in enumerate(cells))
-            self._chars[ord(f"{digit:x}")] = "".join(map(_CODE_CHAR.get, cells))
+        self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct entry
+        self.bits = bits = 2 if self.falling else self.base.bit_length() - 1
         self._carry = (block + self.reach) * bits
         self._mask = (1 << self._carry) - 1  # a key's window
-        self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct entry
+        # each hex digit of a packed row -> its cells, lowest column first: one
+        # table per parity tag of the value (base 3: one, of cell codes)
+        states = [[None, 0, 1, 2]] if self.falling else [
+            [d | tag for d in range(self.base)] for tag in (0, ATTR_ODD if self.base == 4 else 0)
+        ]
+        self._chars = [
+            {ord(f"{h:x}"): "".join(_CHAR[cells[h >> i * bits & (1 << bits) - 1]] for i in range(4 // bits))
+             for h in range(16)}
+            for cells in states
+        ]
+        # a key's fields above the carried cell's code (base 4 and base 2)
+        self._odd = 1 << self._carry + (len(ALPHABETS[LAYERS[variant][0]]) - 1).bit_length()
+        self._top, self._below = self._odd << 1, self._odd << 2
         self._prove()
 
     def _read(self, state: str, c: str) -> str | None:
@@ -513,64 +526,106 @@ class RowKernel:
         return "".join(out)
 
     def _fill(self, key: int) -> tuple[int, ...]:
-        rows = 1 + self.falling  # a base-3 entry advances two rows
-        text = self.decode(key, self.block + self.reach + rows)
-        cells, entry, carry = text[:-rows], [], 0
-        for k in range(rows):
-            out = self.compose(text[k - rows] + cells)
-            # base 3 interleaves (digit, parity), highest column first; its
-            # second row is swept under the first row's digits
-            cells = out[-2::-2] if self.falling else out
-            number = int(cells[::-1].translate(CA2_DIGITS).replace(EMPTY, "0"), self.base)
-            entry += self.encode(cells), number
-            carry |= self.encode(out[-1]) << self._carry + k * self.bits
-        entry = (*entry, carry)
+        entry = self._fall_entry(key) if self.falling else self._descend_entry(key)
         # many keys share one entry, so each is stored once
         entry = self.table[key] = self._entries.setdefault(entry, entry)
         return entry
 
+    def _fall_entry(self, key: int) -> tuple[int, ...]:
+        """A base-3 entry: both new rows' codes and numbers, and the next carry."""
+        text = self.decode(key, self.block + self.reach + 2)
+        cells, entry, carry = text[:-2], [], 0
+        for k in range(2):
+            out = self.compose(text[k - 2] + cells)
+            # (digit, parity) interleaved, highest column first; the second
+            # row is swept under the first row's digits
+            cells = out[-2::-2]
+            entry += self.encode(cells), int(cells[::-1].replace(EMPTY, "0"), 3)
+            carry |= self.encode(out[-1]) << self._carry + k * self.bits
+        return (*entry, carry)
+
+    def _descend_entry(self, key: int) -> tuple[int, int]:
+        """A base-4 or base-2 entry: the new digits and mark, and the next carry."""
+        bits, width = self.bits, self.block + self.reach
+        window, top, lo = key & self._mask, key & self._top, key // self._below
+        digits = [window >> i * bits & self.base - 1 for i in range(width)]
+        hi = (window.bit_length() - 1) // bits if top else width  # the row above in lo..hi - 1
+        odd = digits[lo] & 1 if lo == self.reach else key & self._odd  # its units digit's parity
+        tag = ATTR_ODD if odd and self.base == 4 else 0
+        carried = _CODE_CHAR[(key & self._odd - 1) >> self._carry]
+        above = "".join(_CHAR[d | tag] if lo <= i < hi else EMPTY for i, d in enumerate(digits))
+        out = self.compose(carried + above)
+        new = 0
+        for i, (prev, c) in enumerate(zip(carried + out, out)):
+            if c != EMPTY:
+                new |= (_STATE[c] & self.base - 1) << i * bits
+            elif prev != EMPTY:
+                new |= 1 << i * bits  # the new row's mark
+        code = 0 if out[-1] == EMPTY else _STATE[out[-1]] + 1
+        below = max(lo - self.block, 0) * self._below
+        return new, code << self._carry | (self._odd if odd else 0) | top | below
+
     def encode(self, row: str) -> int:
-        """The packed codes of a row string."""
-        return int(row.translate(_CODE_DIGIT)[::-1] or "0", 1 << self.bits)
+        """The packed form of a row string (base 4 and base 2: a kept row)."""
+        if self.falling:
+            return int(row.translate(_CODE_DIGIT)[::-1] or "0", 4)
+        return int(("1" + row[::-1]).translate(CA2_DIGITS), self.base)
 
-    def decode(self, codes: int, cells: int = 0) -> str:
-        """The row string of packed codes, up to its top nonempty cell and
-        padded with EMPTY to at least `cells` cells."""
-        return f"{codes:x}"[::-1].translate(self._chars).rstrip(EMPTY).ljust(cells, EMPTY)
+    def decode(self, packed: int, cells: int = 0) -> str:
+        """The row string of a packed row, padded with EMPTY to at least
+        `cells` cells (base 3: its codes up to its top nonempty cell)."""
+        if self.falling:
+            return f"{packed:x}"[::-1].translate(self._chars[0]).rstrip(EMPTY).ljust(cells, EMPTY)
+        mark = packed.bit_length() - 1
+        value = packed ^ 1 << mark
+        row = f"{value:0{-(-mark // 4)}x}"[::-1].translate(self._chars[value & 1])
+        return row[: mark // self.bits].ljust(cells, EMPTY)
 
-    def _descend(self, codes: int, values: list, stop: int, rows=None) -> tuple[int, int]:
-        """Base-4 and base-2 only: step the packed kept row `codes` down,
+    def _descend(self, row: int, values: list, stop: int, rows=None) -> tuple[int, int]:
+        """Base-4 and base-2 only: step the packed kept row `row` down,
         appending each new row's value to `values` until it holds `stop`
         values or one past the first 1, and, to the list `rows` if given, its
-        lowest column minus the first row's and its codes.  Returns the last
-        row's codes and column."""
-        table, fill, mask = self.table, self._fill, self._mask
-        bits = self.bits
-        pad = self.reach * bits  # a block's window starts `reach` cells below it
+        lowest column minus the first row's and its packed form.  Returns the
+        last row's packed form and column.
+
+        A block is swept while the row's mark lies at or above its window's
+        lowest cell, and the blocks whose window holds the mark are swept
+        with `_top`.  The new row's mark falls in a swept block: a row's top
+        rises by at most `reach` columns a row (`_check_growth`), and the new
+        cells of the blocks swept reach `reach` columns above the mark."""
+        table, fill, mask, top = self.table, self._fill, self._mask, self._top
+        bits, first = self.bits, self.reach * self._below
+        pad = self.reach * bits
         step = self.block * bits
         shift = 0
-        # a cell's digit takes half its code's bits: digit shifts are code shifts halved
         while len(values) < stop:
-            above = codes << pad
-            codes = digits = carry = p = 0
-            while above:
+            above = row << pad
+            digits = p = 0
+            carry = first
+            while above > mask:
                 key = above & mask | carry
-                out, dig, carry = table.get(key) or fill(key)
-                codes |= out << p
-                digits |= dig << (p >> 1)
+                out, carry = table.get(key) or fill(key)
+                digits |= out << p
                 p += step
                 above >>= step
-            # drop the empty cells below the row
-            low = ((codes & -codes).bit_length() - 1) & -bits
-            codes >>= low
+            carry |= top
+            while above:
+                key = above | carry
+                out, carry = table.get(key) or fill(key)
+                digits |= out << p
+                p += step
+                above >>= step
+            # drop the empty cells below the row, and read the value under the mark
+            low = ((digits & -digits).bit_length() - 1) & -bits
+            row = digits >> low
             shift += low
-            v = digits >> (low >> 1)
+            v = row ^ 1 << row.bit_length() - 1
             values.append(v)
             if rows is not None:
-                rows.append((shift // bits, codes))
+                rows.append((shift // bits, row))
             if v == 1:
                 stop = min(stop, len(values) + 1)
-        return codes, shift // bits
+        return row, shift // bits
 
     def _fall(self, codes: int, values: list, stop: int, rows=None) -> tuple[int, int]:
         """Base-3 only: `_descend`'s contract, sweeping from the highest
@@ -646,13 +701,13 @@ class RowKernel:
         return _parse(msd, self.base)
 
     def start(self, n: int) -> tuple[int, int]:
-        """Row 0 of the input n: its packed codes and its value, converted
+        """Row 0 of the input n: its packed form and its value, converted
         from n's bits several digits per operation, with no row string.
 
-        Base 2 holds the odd part m of n, whose bit k becomes code bit + 1 at
-        cell k.  Base 4 holds n with its factors of four divided out; each hex
-        digit of it is two cells, tagged odd if it is odd.  Base 3 holds n,
-        one `divmod` by 3**6 per six digits, cut above its top nonzero digit.
+        Base 2 holds the odd part m of n, and base 4 holds n with its factors
+        of four divided out: m's bits, marked one cell above its top digit.
+        Base 3 holds n's codes, one `divmod` by 3**6 per six digits, cut
+        above its top nonzero digit.
 
         Every positive n gives a kept row (see `check`), so no row 0 is
         checked: base 2's m is odd, so its units and top cells are 1s; base
@@ -664,11 +719,10 @@ class RowKernel:
             raise ValueError("grid input must be a positive integer")
         if self.base == 2:
             m = n >> (n & -n).bit_length() - 1
-            return int(f"{m:b}", 4) + ((1 << 2 * m.bit_length()) - 1) // 3, m
+            return m | 1 << m.bit_length(), m
         if self.base == 4:
             m = n >> ((n & -n).bit_length() - 1 & -2)
-            codes = int(f"{m:x}".translate(_CA2_CODES[m & 1]), 16)
-            return codes & (1 << ((m.bit_length() + 1) >> 1 << 2)) - 1, m
+            return m | 1 << (m.bit_length() + 1 & -2), m
         codes, shift, m = 0, 0, n
         while m >= 729:
             m, r = divmod(m, 729)
@@ -678,14 +732,14 @@ class RowKernel:
         top = _CA1_BLOCKS[m]
         return codes | (top & (2 << (top >> 1 & 0x555).bit_length()) - 1) << shift, n
 
-    def run(self, codes: int, value: int, max_rows: int) -> list[int]:
-        """Values of the kept row `codes`, which holds `value`, and of the
-        rows below it, until one row past the first 1 or max_rows values,
-        from one loop that never builds a string.  Every row below a kept row
-        is kept (`_prove`) and holds a value of at least 1."""
+    def run(self, packed: int, value: int, max_rows: int) -> list[int]:
+        """Values of the packed kept row `packed`, which holds `value`, and
+        of the rows below it, until one row past the first 1 or max_rows
+        values, from one loop that never builds a string.  Every row below a
+        kept row is kept (`_prove`) and holds a value of at least 1."""
         values = [value]
         stop = min(max_rows, 2) if value == 1 else max_rows
-        (self._fall if self.falling else self._descend)(codes, values, stop)
+        (self._fall if self.falling else self._descend)(packed, values, stop)
         return values
 
 
@@ -702,7 +756,8 @@ def _parse(msd: str, base: int) -> int:
 # Single-cell tables of every rule table, keyed as `_compile_cell` says.
 CELL_TABLES = {tv: _compile_cell(tv) for tv in TableVariant}
 
-# Each block size lets its table saturate within a few MiB.
+# Block sizes are for speed alone: any block gives the same rows.  Each keeps
+# its table within about 1 MiB; a base-4 or base-2 block is a byte of the value.
 KERNELS = {
     CAVariant.CA1: RowKernel(CAVariant.CA1, _compile_ca1(), block=6),
     CAVariant.CA2: RowKernel(CAVariant.CA2, CELL_TABLES[TableVariant.CA2], block=4),
@@ -770,9 +825,9 @@ def extend_frontier(g: Grid, values: list, stop: int) -> None:
     kernel.check(last.s)
     loop = kernel._fall if ca1 else kernel._descend
     loop(kernel.encode(last.s.rstrip("0") if ca1 else last.s), values, stop, rows)
-    for i, (shift, codes) in enumerate(rows, len(g.bottom)):
+    for i, (shift, packed) in enumerate(rows, len(g.bottom)):
         lo = last.lo + shift
-        row = kernel.decode(codes)
+        row = kernel.decode(packed)
         if ca1:
             row = row.ljust(g.row0_hi + 1 - lo, "0")
         g.bottom.append(Row(lo, row))
@@ -1301,11 +1356,11 @@ def run_synchronous(variant: CAVariant, n: int, max_rows: int, tick_cap: int) ->
     new row's planes with no check (`_row_by_row`): row 0 is kept by
     construction, and the first new row is checked once all the same."""
     kernel = KERNELS[variant]
-    codes, value = kernel.start(n)
+    packed, value = kernel.start(n)
     values = [value]
     stop = min(max_rows, 2) if value == 1 else max_rows
     # base 3: an empty parity layer
-    first = (Row(0, kernel.decode(codes)), Row())[: len(LAYERS[variant])]
+    first = (Row(0, kernel.decode(packed)), Row())[: len(LAYERS[variant])]
     return values, _synchronous(variant, [first, None], 0, tick_cap, 1, values, stop)
 
 

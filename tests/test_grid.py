@@ -1,5 +1,6 @@
 """Grids and engines: row placement, oracle agreement, engine equivalence."""
 
+import hashlib
 import random
 import re
 from functools import reduce
@@ -747,9 +748,9 @@ def test_row_below_a_kept_row_is_the_kernel_row_and_kept(variant):
             kept += 1
             values, rows = [kernel.value(s)], []
             sweep(kernel.encode(s), values, 2, rows)
-            (shift, codes), value = rows[0], values[1]
+            (shift, packed), value = rows[0], values[1]
             zeros = "0" if kernel.falling else ""  # ca1's leading zeros may differ
-            want = Row(4 + shift, kernel.decode(codes).rstrip(zeros))
+            want = Row(4 + shift, kernel.decode(packed).rstrip(zeros))
             for origin in (-4, -37):
                 below = settle_below(variant, Row(4, s), origin)
                 got = layer.row(below, origin)
@@ -825,6 +826,39 @@ def test_synchronous_values_refusal_and_empty_rows():
         values = []
         extend_synchronous(g, values, 4, 500)
         assert values == [None] * 4, variant
+
+
+def test_ca2_rows_with_zeros_on_top():
+    # `check` admits a ca2 row whose top digits are zeros, and its zeros stay
+    # cells: a frontier grid from such a planted row, by one `extend_frontier`
+    # call and by a chain of `step_frontier` calls, holds the synchronous
+    # engine's rows, and the digest pins them to the rows of the codes kernel
+    # that preceded the value-packed one
+    rng = random.Random(27)
+    digest = hashlib.sha256()
+    zero_tops = 0
+    for _ in range(200):
+        row = kept_row(CAVariant.CA2, rng, rng.randint(1, 30))
+        row += ("4" if row[0] in "57" else "0") * rng.randint(1, 4)
+        lo, stop = rng.randrange(-5, 5), rng.choice([2, 3, 8, 10**5])
+        grids = []
+        for extend in (grid.extend_frontier, extend_synchronous):
+            g = init_grid(5, CAVariant.CA2)
+            g.bottom[0] = Row(lo, row)
+            values = [None]
+            extend(g, values, stop)
+            grids.append((values, g.bottom))
+        assert grids[0] == grids[1], row
+        values, rows = grids[0]
+        g = init_grid(5, CAVariant.CA2)
+        g.bottom[0] = Row(lo, row)
+        for _ in range(len(rows) - 1):
+            step_frontier(g)
+        assert g.bottom == rows, row
+        zero_tops += sum(r.s[-1] in "04" for r in rows[1:])
+        digest.update(repr((values, [(r.lo, r.s) for r in rows])).encode())
+    assert zero_tops > 200, zero_tops
+    assert digest.hexdigest() == "8910043047c6de9315c04ec82d6853e6abb3ac2298b5de91153a2b83c72e20d4"
 
 
 # --- growth bounds and extraction --------------------------------------------

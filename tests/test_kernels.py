@@ -6,8 +6,9 @@ import re
 from itertools import product
 
 import pytest
+from test_grid import kept_row
 
-from collatz_ca.engine import RunConfig, run_single
+from collatz_ca.engine import RunConfig, run_grid, run_single
 from collatz_ca.digits import DigitString, apply_map
 from collatz_ca.grid import (
     CELL_TABLES,
@@ -42,15 +43,14 @@ DIGITS = {
     CAVariant.CA3: [None, 0, 1],
 }
 TOPS = [None, EVEN, ODD_NORMAL, ODD_SPECIAL]
-# Macro-cell table bounds: for base 3, every key a gap-free row can produce.
-# A key is a block of the row, shifted up two cells, and the parities carried
+# Macro-cell table bounds: every key a kept row can produce.  For base 3, a
+# key is a block of the row, shifted up two cells, and the parities carried
 # into both new rows' blocks: None and None into the top block, EVEN or ODD
 # each into any other.  So 120 keys for a row of 1-4 digits in one block,
 # 1092 for top blocks of 1-6 digits, 3**6 * 4 = 2916 for full blocks below the
 # top and 3**4 * 4 = 324 for bottom blocks: 4452.  For base 4 and base 2, the
-# saturated size measured over random inputs of 8 to 200 bits (10.75k and
-# 3.56k entries), with headroom.
-MAX_ENTRIES = {CAVariant.CA1: 4452, CAVariant.CA2: 11500, CAVariant.CA3: 3800}
+# keys `kept_keys` enumerates.
+MAX_ENTRIES = {CAVariant.CA1: 4452, CAVariant.CA2: 11515, CAVariant.CA3: 3648}
 
 
 def ch(state):
@@ -143,83 +143,165 @@ def step(kernel, row):
     one new row: that row's lowest column minus `row`'s, and the row string
     (base 3: without its zeros above the top nonzero digit)."""
     loop = kernel._fall if kernel.falling else kernel._descend
-    codes, shift = loop(kernel.encode(row), [None], 2)
-    return shift, kernel.decode(codes)
+    packed, shift = loop(kernel.encode(row), [None], 2)
+    return shift, kernel.decode(packed)
+
+
+def test_macro_entries_compose_single_cells():
+    # every base-3 entry the runs filled, and every base-4 and base-2 entry
+    # of a kept row's key, filled on a fresh kernel
+    cfg = RunConfig(variant=CAVariant.CA1)
+    for n in (27, 97, 2**64 - 1, 3**40, (4**30 - 1) // 3):
+        run_single(n, cfg)
+    kernel = KERNELS[CAVariant.CA1]
+    assert kernel.table
+    width = kernel.block + kernel.reach
+    for key, entry in kernel.table.items():
+        # the window's cells, lowest column first, then each new row's carried cell on top
+        assert 0 <= key < 1 << (width + 2) * kernel.bits, key
+        cells = unpack(kernel, key, width + 2)
+        assert {st(c) for c in cells} <= set(DIGITS[CAVariant.CA1]) | set(TOPS), key
+        above = cells[:width]
+        assert len(entry) == 5, key
+        carry = 0
+        for k in range(2):  # two new rows per entry
+            text = cells[width + k] + above
+            expected = reference_entry(CAVariant.CA1, text)
+            assert kernel.compose(text) == expected, text
+            new = expected[-2::-2]  # (digit, parity) interleaved, highest column first
+            codes, digits = entry[2 * k:2 * k + 2]
+            assert 0 <= codes < 1 << kernel.block * kernel.bits, text
+            assert unpack(kernel, codes, kernel.block) == new, text
+            assert digits == digit_bits(CAVariant.CA1, new), text
+            carry |= key_carry(kernel, expected[-1], k)
+            above = new  # base 3 has reach 0: the next row's block lies under this one's
+        assert entry[-1] == carry, key
+    for v in (CAVariant.CA2, CAVariant.CA3):
+        shipped = KERNELS[v]
+        kernel = RowKernel(v, shipped.cell, shipped.block)
+        for key, (text, carry) in kept_keys(kernel).items():
+            expected = reference_entry(v, text)
+            assert kernel.compose(text) == expected, (v, text)
+            # the new digits, lowest column first, and the mark above the new row's top
+            new = 0
+            for i, (below, c) in enumerate(zip(text[0] + expected, expected)):
+                if c != EMPTY:
+                    new |= st(c) % v.base << i * kernel.bits
+                elif below != EMPTY:
+                    new |= 1 << i * kernel.bits
+            assert kernel._fill(key) == (new, carry), (v, text)
 
 
 def unpack(kernel, codes, cells):
-    """The first `cells` cells of packed codes, lowest column first: code 0 is
-    EMPTY and code c is state c - 1, `kernel.bits` bits each."""
+    """The first `cells` cells of base-3 packed codes, lowest column first:
+    code 0 is EMPTY and code c is state c - 1, `kernel.bits` bits each."""
     states = [(codes >> i * kernel.bits) & ((1 << kernel.bits) - 1) for i in range(cells)]
     return "".join(ch(None if c == 0 else c - 1) for c in states)
 
 
 def digit_bits(variant, text):
     """The number a row string's digits spell, lowest column first, EMPTY as
-    0: for base 4 and base 2, its digits packed from the lowest column up."""
-    return sum((st(c) or 0) % variant.base * variant.base**i for i, c in enumerate(text))
-
-
-def test_macro_entries_compose_single_cells():
-    cfg = {v: RunConfig(variant=v) for v in VARIANTS}
-    for n in (27, 97, 2**64 - 1, 3**40, (4**30 - 1) // 3):
-        for v in VARIANTS:
-            run_single(n, cfg[v])
-    for v in VARIANTS:
-        kernel = KERNELS[v]
-        assert kernel.table
-        width = kernel.block + kernel.reach
-        rows = 2 if v is CAVariant.CA1 else 1  # new rows per entry
-        for key, entry in kernel.table.items():
-            # the window's cells, lowest column first, then each new row's carried cell on top
-            assert 0 <= key < 1 << (width + rows) * kernel.bits, (v, key)
-            cells = unpack(kernel, key, width + rows)
-            assert {st(c) for c in cells} <= set(DIGITS[v]), (v, key)  # TOPS too, for ca1
-            above = cells[:width]
-            assert len(entry) == 2 * rows + 1, (v, key)
-            carry = 0
-            for k in range(rows):
-                text = cells[width + k] + above
-                expected = reference_entry(v, text)
-                assert kernel.compose(text) == expected, (v, text)
-                # base 3 interleaves (digit, parity), highest column first
-                new = expected[-2::-2] if v is CAVariant.CA1 else expected
-                codes, digits = entry[2 * k:2 * k + 2]
-                assert 0 <= codes < 1 << kernel.block * kernel.bits, (v, text)
-                assert unpack(kernel, codes, kernel.block) == new, (v, text)
-                assert digits == digit_bits(v, new), (v, text)
-                carry |= key_carry(kernel, expected[-1], k)
-                above = new  # base 3 has reach 0: the next row's block lies under this one's
-            assert entry[-1] == carry, (v, key)
+    0, the parity tags dropped."""
+    return int("".join(str((st(c) or 0) % variant.base) for c in reversed(text)) or "0", variant.base)
 
 
 def key_carry(kernel, char, k=0):
-    """A carried cell's code, in the carry field of a key's k-th new row."""
+    """A base-3 carried cell's code, in the carry field of a key's k-th new row."""
     code = 0 if char == EMPTY else st(char) + 1
     return code << (kernel.block + kernel.reach + k) * kernel.bits
 
 
+def kept_keys(kernel):
+    """Every key a base-4 or base-2 `_descend` can make on a kept row, mapped
+    to the string key it stands for (the carried cell, then the window's
+    cells) and to the carry its entry must give.
+
+    A search over the sweep's states at block boundaries, like `_prove`'s.
+    A packed row reads as one symbol a cell, from `reach` cells below it:
+    "P" below the row, then its cells (the language `_read` reads), "M"
+    where its mark is, and "Z" above that.  A block is swept while its
+    window starts at or below "M"; its key is the window's bits ("M" is a
+    1), the carried cell's code, the row's parity (0 in the first block),
+    `_top` if the window holds "M", and the number of "P"s in the window."""
+    bits, block, reach = kernel.bits, kernel.block, kernel.reach
+    cells = kernel.digits
+
+    def read(lang, count):
+        """Every way to read `count` more symbols from the language state
+        `lang` (`_read`'s, or "Z" past the mark): (symbols, state after)."""
+        if not count:
+            yield "", lang
+            return
+        if lang == "Z":
+            steps = [("Z", "Z")]
+        else:
+            steps = [(c, c) for c in cells if kernel._read(lang, c) is not None]
+            if lang and kernel._read(lang, EMPTY) is not None:
+                steps.append(("M", "Z"))
+        for symbol, after in steps:
+            for rest, end in read(after, count - 1):
+                yield symbol + rest, end
+
+    keys = {}
+    start = (EMPTY, "P" * reach, "", 0)  # carried cell, overlap, language, parity
+    seen, todo = {start}, [start]
+    while todo:
+        carried, overlap, lang, odd = todo.pop()
+        for symbols, after in read(lang, block):
+            window = overlap + symbols
+            if window[0] == "Z":
+                continue  # not swept
+            below, top = window.count("P"), "M" in window
+            if below == reach:  # the first block: the units digit's parity
+                odd = st(window[reach]) & 1
+            text = carried + "".join(c if c in cells else EMPTY for c in window)
+            value = sum(
+                (1 if c == "M" else st(c) % kernel.base if c in cells else 0) << i * bits
+                for i, c in enumerate(window)
+            )
+            code = 0 if carried == EMPTY else st(carried) + 1
+            key = value | code << kernel._carry | (kernel._top if top else 0) | below * kernel._below
+            if below < reach:
+                key |= kernel._odd if odd else 0
+            new = reference_entry(kernel.variant, text)[-1]
+            carry = 0 if new == EMPTY else st(new) + 1
+            carry = carry << kernel._carry | (kernel._odd if odd else 0) | (kernel._top if top else 0)
+            keys[key] = text, carry | max(below - block, 0) * kernel._below
+            state = (new, window[block:], after, odd)
+            if state not in seen:
+                seen.add(state)
+                todo.append(state)
+    return keys
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_packed_rows_round_trip(variant):
+    # base 3: any cells, leading zeros and empty cells; base 4 and base 2:
+    # any kept row, zeros on top included, as its value under a mark
     kernel = KERNELS[variant]
     rng = random.Random(f"pack-{variant.value}")
     digits = [d for d in DIGITS[variant] if d is not None]
     for _ in range(500):
         size = rng.choice([1, 2, 3, 7, 8, 9, 40, 300, 4500])
-        cells = [rng.choice(digits) for _ in range(size)]
-        if rng.random() < 0.3:  # leading zero digits, ca2 parity tags included
-            zero = rng.choice([0, ATTR_ODD]) if variant is CAVariant.CA2 else 0
-            cells += [zero] * rng.randint(1, 5)
-        if size > 2 and rng.random() < 0.2:  # an empty cell inside
-            cells[rng.randrange(1, size - 1)] = None
-        row = "".join(map(ch, cells))
-        codes = kernel.encode(row)
-        codes_of = [0 if c is None else c + 1 for c in cells]
-        assert codes == sum(c << i * kernel.bits for i, c in enumerate(codes_of))
-        assert unpack(kernel, codes, len(row)) == row
-        assert kernel.decode(codes) == row
-        assert kernel.decode(codes, len(row) + 3) == row + EMPTY * 3
-    assert kernel.encode("") == 0 and kernel.decode(0) == ""
+        if variant is CAVariant.CA1:
+            cells = [rng.choice(digits) for _ in range(size)]
+            if rng.random() < 0.3:  # leading zero digits
+                cells += [0] * rng.randint(1, 5)
+            if size > 2 and rng.random() < 0.2:  # an empty cell inside
+                cells[rng.randrange(1, size - 1)] = None
+            row = "".join(map(ch, cells))
+            packed = sum((0 if c is None else c + 1) << i * kernel.bits for i, c in enumerate(cells))
+            assert unpack(kernel, packed, len(row)) == row
+        else:
+            row = kept_row(variant, rng, size)
+            if variant is CAVariant.CA2 and rng.random() < 0.3:  # zero digits on top
+                row += ch(st(row[0]) & ATTR_ODD) * rng.randint(1, 5)
+            kernel.check(row)
+            packed = digit_bits(variant, row) | 1 << len(row) * kernel.bits
+        assert kernel.encode(row) == packed
+        assert kernel.decode(packed) == row
+        assert kernel.decode(packed, len(row) + 3) == row + EMPTY * 3
+    assert kernel.decode(kernel.encode("")) == ""
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -235,6 +317,7 @@ def test_run_rows_of_thousands_of_cells(variant):
 
 
 def test_tables_stay_within_saturation_bound():
+    # base 4 and base 2: every key the runs make is a kept row's key
     rng = random.Random(20240601)
     for v in VARIANTS:
         kernel = KERNELS[v]
@@ -243,6 +326,10 @@ def test_tables_stay_within_saturation_bound():
             for _ in range(10):
                 row = step(kernel, row)[1]
         assert len(kernel.table) <= MAX_ENTRIES[v], v
+        if not kernel.falling:
+            keys = kept_keys(kernel)
+            assert len(keys) == MAX_ENTRIES[v], v
+            assert set(kernel.table) <= set(keys), v
 
 
 def _random_row(rng, variant):
@@ -262,6 +349,42 @@ def _random_row(rng, variant):
         attr = ATTR_ODD if digits[0] & 1 else 0
         digits = [d | attr for d in digits]
     return "".join(map(str, digits))
+
+
+@pytest.mark.parametrize("variant", [CAVariant.CA2, CAVariant.CA3])
+def test_block_is_performance_only(monkeypatch, variant):
+    # kernels at other block sizes (below `reach` too) give the shipped
+    # kernel's values and rows: one `_descend` call, the loop of `run` and of
+    # `extend_frontier`, on every kept row of up to 7 cells; and `run` and
+    # `run_grid` on seeded wide inputs
+    shipped = KERNELS[variant]
+    others = [RowKernel(variant, shipped.cell, block) for block in (1, 3, shipped.block + 2)]
+    kept = 0
+    for width in range(1, 8):
+        for first in shipped.first:
+            tag = st(first) & ATTR_ODD
+            for rest in product([c for c in shipped.digits if st(c) & ATTR_ODD == tag], repeat=width - 1):
+                row = first + "".join(rest)
+                try:
+                    shipped.check(row)
+                except NonContiguousRowError:
+                    continue
+                kept += 1
+                want = [shipped.value(row)], []
+                shipped._descend(shipped.encode(row), want[0], 8, want[1])
+                for kernel in others:
+                    got = [kernel.value(row)], []
+                    kernel._descend(kernel.encode(row), got[0], 8, got[1])
+                    assert got == want, (kernel.block, row)
+    assert kept == (64 if variant is CAVariant.CA3 else 3 * (4**7 - 1) // 3), kept
+    rng = random.Random(f"block-{variant.value}")
+    inputs = [rng.getrandbits(bits) | 1 << bits - 1 for bits in (64, 128, 300) for _ in range(3)]
+    cfg = RunConfig(variant)
+    for n in inputs:
+        want = shipped.run(*shipped.start(n), 10**5), run_grid(n, cfg)[0].bottom
+        for kernel in others:
+            monkeypatch.setitem(KERNELS, variant, kernel)
+            assert (kernel.run(*kernel.start(n), 10**5), run_grid(n, cfg)[0].bottom) == want, (kernel.block, n)
 
 
 def test_row_value_rejects_inner_gap():
@@ -363,14 +486,15 @@ def start_inputs():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_start_is_the_oracle_row_0(variant):
-    # row 0 from n's bits: the codes and value of the oracle's row 0, and a
+    # row 0 from n's bits: the packed row and value of the oracle's row 0, and a
     # kept row by construction, as `start` argues
     kernel = KERNELS[variant]
     for n in start_inputs():
         row = start_row(n, variant)
-        codes, value = kernel.start(n)
-        assert codes == kernel.encode(row) and value == kernel.value(row), n
-        kernel.check(kernel.decode(codes))
+        packed, value = kernel.start(n)
+        assert packed == kernel.encode(row) and value == kernel.value(row), n
+        assert kernel.decode(packed) == row, n
+        kernel.check(row)
     for n in (0, -3):
         with pytest.raises(ValueError, match="^grid input must be a positive integer$"):
             kernel.start(n)
@@ -378,7 +502,7 @@ def test_start_is_the_oracle_row_0(variant):
 
 def run(kernel, row, max_rows):
     """A run from the row string `row`: `check` where it enters, then
-    `RowKernel.run` from its codes and value."""
+    `RowKernel.run` from its packed row and value."""
     kernel.check(row)
     return kernel.run(kernel.encode(row), kernel.value(row), max_rows)
 
