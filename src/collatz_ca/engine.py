@@ -96,7 +96,10 @@ class BatchConfig:
 
 def _record(n: int, cfg: RunConfig, iterates: list[int]) -> TrajectoryRecord:
     """The record of a run whose rows held `iterates`; one tick per row."""
-    first_one = iterates.index(1) if 1 in iterates else None
+    try:
+        first_one = iterates.index(1)
+    except ValueError:
+        first_one = None
     return TrajectoryRecord(
         input=n,
         variant=cfg.variant,

@@ -375,15 +375,23 @@ class RowKernel:
     `cell` is the single-cell table: its key is the carried cell followed by
     `reach` + 1 cells of the row above (so the key's width gives `reach`), and
     its value is the new cell (for the base-3 automaton, the new digit
-    followed by the parity layer of the row above in that column).  `table`
-    is the macro-cell table: one entry per key of the carried cell and the
-    `block` + `reach` cells above, filled on first use by composing `cell`
-    (`compose`).  A base-3 entry advances two rows: its key also holds the
-    cell carried into the second row, which is composed under the first
-    row's digits.  The tables are memos of pure functions, so every run can
-    share them.  Kept rows make at most 4452 (base 3), 11515 (base 4) and
-    3648 (base 2) keys (`tests/test_kernels.py` derives each bound); random
-    inputs fill about 4.0k, 10.8k and 3.6k, 2.1 MiB together (tracemalloc).
+    followed by the parity layer of the row above in that column).  A key
+    is the window of the `block` + `reach` cells above, with the carry
+    fields above it (each base's are listed below).  `table` is the
+    macro-cell table, a list indexed by slot, `number << _carry | window`:
+    a state number stands for one value of the carry fields, numbered on
+    first sight (`_state`, the start state 0), and each new number grows the
+    list in place by its windows' slots (the loops hold it in a local).
+    `_fill` reads a slot back as its key, composes the entry by `cell`
+    (`compose`) and stores the next carry as its state's slot base, so the
+    loops index the list directly.  A base-3 entry advances two rows: its
+    key also holds the cell carried into the second row, which is composed
+    under the first row's digits.  The tables are memos of pure functions,
+    so every run can share them.  Kept rows make at most 4452 (base 3),
+    11515 (base 4) and 3648 (base 2) keys, in at most 16, 29 and 8 states
+    (`tests/test_kernels.py` derives each bound); random inputs fill about
+    4.0k, 10.8k and 3.6k keys in 6, 30 and 8 numbered states, 1.5 MiB
+    together (tracemalloc).
 
     A row is packed into one int while it is stepped, `bits` bits per cell,
     the lowest column in the lowest bits; a block's window starts `reach`
@@ -403,15 +411,17 @@ class RowKernel:
       from which up the cells are empty), and the number of the window's
       cells below the row, `reach` in the first block's carry.  An entry
       holds the block's new digits, with the new row's mark if it falls in
-      the block, and the next carry: the new cell's code, the parity, `_top`
-      and the cells below the row, already in their fields.
+      the block, and the next carry: the slot base of the state of the new
+      cell's code, the parity, `_top` and the cells below the row.  States
+      are numbered in pairs, the `_top` one odd, so the sweep enters the
+      mark's blocks by setting one bit of the carry.
     * Base 3 (`_fall`) holds a row as cell codes (state + 1, 0 for EMPTY), 2
       bits a cell, as it keeps leading zeros.  The sweep goes from the
       highest column down, carrying the parity of the digits to the left,
       two rows per sweep.  A key is the window's codes, with the codes of
       both new rows' carried cells above them; an entry holds, per new row,
-      the block's codes and the number its digits spell, then the next
-      carried codes, already in their fields.  Each new row's value comes
+      the block's codes and the number its digits spell, then the slot base
+      of the next carried codes' state.  Each new row's value comes
       by Horner's rule, one block at a time.
 
     The loops step only kept rows (`_read`): one contiguous run of cells
@@ -430,11 +440,13 @@ class RowKernel:
         self.cell = cell
         self.block = block
         self.reach = len(next(iter(cell))) - 2
-        self.table: dict[int, tuple[int, ...]] = {}
+        self.table: list[tuple[int, ...] | None] = []
         self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct entry
+        self._numbers: dict[int, int] = {}  # a state's carry fields -> its number
+        self._states: list[int] = []  # a state's number -> its carry fields
         self.bits = bits = 2 if self.falling else self.base.bit_length() - 1
         self._carry = (block + self.reach) * bits
-        self._mask = (1 << self._carry) - 1  # a key's window
+        self._mask = (1 << self._carry) - 1  # a slot's window
         # each hex digit of a packed row -> its cells, lowest column first: one
         # table per parity tag of the value (base 3: one, of cell codes)
         states = [[None, 0, 1, 2]] if self.falling else [
@@ -448,6 +460,7 @@ class RowKernel:
         # a key's fields above the carried cell's code (base 4 and base 2)
         self._odd = 1 << self._carry + (len(ALPHABETS[LAYERS[variant][0]]) - 1).bit_length()
         self._top, self._below = self._odd << 1, self._odd << 2
+        self._state(0 if self.falling else self.reach * self._below)  # the start state is number 0
         self._prove()
 
     def _read(self, state: str, c: str) -> str | None:
@@ -525,10 +538,26 @@ class RowKernel:
             carry = new[-1]
         return "".join(out)
 
-    def _fill(self, key: int) -> tuple[int, ...]:
+    def _state(self, fields: int) -> int:
+        """The slot base of the state whose carry fields are `fields`,
+        numbering the state and growing `table` in place on first sight.
+        Base 4 and base 2 number a state and its `_top` variant as a pair,
+        the `_top` one odd."""
+        top = 0 if self.falling else fields & self._top
+        number = self._numbers.get(fields ^ top)
+        if number is None:
+            number = self._numbers[fields ^ top] = len(self._states)
+            new = [fields] if self.falling else [fields ^ top, fields | self._top]
+            self._states += new
+            self.table += [None] * (len(new) << self._carry)
+        return (number | (top > 0)) << self._carry
+
+    def _fill(self, slot: int) -> tuple[int, ...]:
+        key = slot & self._mask | self._states[slot >> self._carry]
         entry = self._fall_entry(key) if self.falling else self._descend_entry(key)
-        # many keys share one entry, so each is stored once
-        entry = self.table[key] = self._entries.setdefault(entry, entry)
+        entry = (*entry[:-1], self._state(entry[-1]))
+        # many slots share one entry, so each is stored once
+        entry = self.table[slot] = self._entries.setdefault(entry, entry)
         return entry
 
     def _fall_entry(self, key: int) -> tuple[int, ...]:
@@ -593,25 +622,24 @@ class RowKernel:
         with `_top`.  The new row's mark falls in a swept block: a row's top
         rises by at most `reach` columns a row (`_check_growth`), and the new
         cells of the blocks swept reach `reach` columns above the mark."""
-        table, fill, mask, top = self.table, self._fill, self._mask, self._top
-        bits, first = self.bits, self.reach * self._below
+        table, fill, mask, top = self.table, self._fill, self._mask, 1 << self._carry
+        bits = self.bits
         pad = self.reach * bits
         step = self.block * bits
         shift = 0
         while len(values) < stop:
             above = row << pad
-            digits = p = 0
-            carry = first
+            digits = p = carry = 0
             while above > mask:
                 key = above & mask | carry
-                out, carry = table.get(key) or fill(key)
+                out, carry = table[key] or fill(key)
                 digits |= out << p
                 p += step
                 above >>= step
             carry |= top
             while above:
                 key = above | carry
-                out, carry = table.get(key) or fill(key)
+                out, carry = table[key] or fill(key)
                 digits |= out << p
                 p += step
                 above >>= step
@@ -653,7 +681,7 @@ class RowKernel:
             codes = v = second = v2 = carry = 0
             while p >= 0:
                 key = above >> p & mask | carry
-                out, dig, out2, dig2, carry = table.get(key) or fill(key)
+                out, dig, out2, dig2, carry = table[key] or fill(key)
                 codes = codes << step | out
                 v = v * scale + dig
                 second = second << step | out2

@@ -154,9 +154,10 @@ def test_macro_entries_compose_single_cells():
     for n in (27, 97, 2**64 - 1, 3**40, (4**30 - 1) // 3):
         run_single(n, cfg)
     kernel = KERNELS[CAVariant.CA1]
-    assert kernel.table
+    entries = filled(kernel)
+    assert entries
     width = kernel.block + kernel.reach
-    for key, entry in kernel.table.items():
+    for key, entry in entries.items():
         # the window's cells, lowest column first, then each new row's carried cell on top
         assert 0 <= key < 1 << (width + 2) * kernel.bits, key
         cells = unpack(kernel, key, width + 2)
@@ -189,7 +190,32 @@ def test_macro_entries_compose_single_cells():
                     new |= st(c) % v.base << i * kernel.bits
                 elif below != EMPTY:
                     new |= 1 << i * kernel.bits
-            assert kernel._fill(key) == (new, carry), (v, text)
+            assert fill(kernel, key) == (new, carry), (v, text)
+
+
+def filled(kernel):
+    """Every filled slot of `kernel.table` as the key it stands for (the
+    window, then its state number's carry fields), mapped to its entry with
+    the next slot base read back as carry fields."""
+    return {
+        slot & kernel._mask | kernel._states[slot >> kernel._carry]: fields(kernel, entry)
+        for slot, entry in enumerate(kernel.table)
+        if entry is not None
+    }
+
+
+def fill(kernel, key):
+    """`_fill` for the key `key`, the window and carry fields: its entry, the
+    next slot base read back as carry fields."""
+    return fields(kernel, kernel._fill(key & kernel._mask | kernel._state(key & ~kernel._mask)))
+
+
+def fields(kernel, entry):
+    """An entry with its next carry, a state number's slot base, as that
+    state's carry fields."""
+    *out, base = entry
+    assert base & kernel._mask == 0, entry
+    return (*out, kernel._states[base >> kernel._carry])
 
 
 def unpack(kernel, codes, cells):
@@ -325,11 +351,58 @@ def test_tables_stay_within_saturation_bound():
             row = _random_row(rng, v)
             for _ in range(10):
                 row = step(kernel, row)[1]
-        assert len(kernel.table) <= MAX_ENTRIES[v], v
+        made = filled(kernel)
+        assert len(made) <= MAX_ENTRIES[v], v
         if not kernel.falling:
             keys = kept_keys(kernel)
             assert len(keys) == MAX_ENTRIES[v], v
-            assert set(kernel.table) <= set(keys), v
+            assert set(made) <= set(keys), v
+
+
+# States a kernel can number: a base-3 state is the two carried cells' codes;
+# for base 4 and base 2, the carry fields of the keys `kept_keys` enumerates
+# (every entry's carry is one of them), numbered in pairs with `_top`.
+MAX_STATES = {CAVariant.CA1: 16, CAVariant.CA2: 29, CAVariant.CA3: 8}
+MAX_PAIRS = {CAVariant.CA2: 15, CAVariant.CA3: 4}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_state_numbers_stay_within_the_derived_bound(variant):
+    # two fresh kernels fed the same inputs in different orders number their
+    # states differently, and give the same values and rows
+    shipped = KERNELS[variant]
+    kernels = [RowKernel(variant, shipped.cell, shipped.block) for _ in range(2)]
+    rng = random.Random(f"states-{variant.value}")
+    inputs = [rng.getrandbits(bits) | 1 << bits - 1 for bits in (8, 64, 128, 300) for _ in range(20)]
+    runs = []
+    for kernel, order in zip(kernels, (inputs, inputs[::-1])):
+        loop = kernel._fall if kernel.falling else kernel._descend
+        got = {}
+        for n in order:
+            packed, value = kernel.start(n)
+            values, rows = [value], []
+            loop(packed, values, 10**5, rows)
+            got[n] = values, rows
+        runs.append(got)
+        assert len(kernel.table) == len(kernel._states) << kernel._carry  # the slots of its states
+        assert len(kernel._numbers) == len(kernel._states) // (1 if kernel.falling else 2)
+        assert kernel._states[0] == (0 if kernel.falling else kernel.reach * kernel._below)  # start
+        if kernel.falling:
+            assert len(kernel._states) <= MAX_STATES[variant]
+            assert all(s >> kernel._carry < 1 << 2 * kernel.bits for s in kernel._states)
+        else:
+            assert len(kernel._numbers) <= MAX_PAIRS[variant]
+            assert kernel._states[1::2] == [s | kernel._top for s in kernel._states[::2]]
+            keys = kept_keys(kernel)
+            states = {key & ~kernel._mask for key in keys}
+            assert len(states) == MAX_STATES[variant]
+            assert len({s & ~kernel._top for s in states}) == MAX_PAIRS[variant]
+            made = filled(kernel)
+            assert {k & ~kernel._mask for k in made} | {e[-1] for e in made.values()} <= states
+            assert set(kernel._states) <= states | {s ^ kernel._top for s in states}
+    assert runs[0] == runs[1]
+    assert kernels[0]._states != kernels[1]._states  # two numberings
+    assert set(kernels[0]._states) == set(kernels[1]._states)
 
 
 def _random_row(rng, variant):
@@ -719,7 +792,7 @@ def test_run_changes_only_the_memo_tables(variant):
     fresh = RowKernel(variant, kernel.cell, kernel.block)
 
     def state():
-        return {k: v for k, v in vars(fresh).items() if k not in ("table", "_entries")}
+        return {k: v for k, v in vars(fresh).items() if k not in ("table", "_entries", "_numbers", "_states")}
 
     before = copy.deepcopy(state())
     for n in (2**4001 - 1, 3**3000, 27):
