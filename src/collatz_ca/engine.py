@@ -128,7 +128,8 @@ def run_grid(n: int, cfg: RunConfig) -> tuple[Grid, TrajectoryRecord]:
 def run_single(n: int, cfg: RunConfig) -> TrajectoryRecord:
     """Run one input to the stop condition without a grid: the frontier
     engine keeps one row, stepped by one `RowKernel.run` loop from the packed
-    codes and value that `RowKernel.start` builds from n's bits, and the
+    row (`ca2` and `ca3`: its value under the mark; `ca1`: its cell codes)
+    and the value that `RowKernel.start` builds from n's bits, and the
     synchronous engine the row above and the new row (`run_synchronous`)."""
     if cfg.mode == "frontier":
         kernel = KERNELS[cfg.variant]

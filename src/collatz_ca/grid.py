@@ -30,7 +30,8 @@ closed-form rules:
 * frontier stepping finalizes one full row per step in dependency order,
   touching each cell once.  It is the default engine.  A compiled row kernel
   per automaton (`KERNELS`) steps a row as one int (base 4 and base 2: the
-  row's value, marked above its top; base 3: its cell codes), and a run
+  row's value, marked above its top, a wide one swept from its bytes;
+  base 3: its cell codes), and a run
   (`RowKernel.run`) and a grid (`extend_frontier`) come from the same loop;
   the base-3 kernel advances two rows per table lookup.  A grid decodes each
   new row once, puts back the leading zeros the base-3 kernel drops, and
@@ -369,6 +370,15 @@ def _compile_ca1() -> dict[str, str]:
     return {left + b: bottom[EMPTY * 3 + b + f] + f for (b, left), f in top.items()}
 
 
+WIDE_ROW_BITS = 32
+"""Base-4 and base-2 rows wider than this many bits, mark included, are
+swept from their bytes, narrower ones as an int (`RowKernel._descend`).
+Both sweeps take the same time on rows of 33-36 bits (Python 3.11, 2-vCPU
+x86-64 VM, one step of 2000 seeded rows per width, best of 9): below
+that the int sweep is faster, 1.2x at 16 bits, and above it the bytes
+sweep, 1.2x at 48 bits and 1.6-1.9x at 128."""
+
+
 class RowKernel:
     """One automaton's frontier step over a whole row, `block` columns per lookup.
 
@@ -382,16 +392,18 @@ class RowKernel:
     a state number stands for one value of the carry fields, numbered on
     first sight (`_state`, the start state 0), and each new number grows the
     list in place by its windows' slots (the loops hold it in a local).
+    A base-3 slot's window is the key's; a base-4 or base-2 slot's is one
+    byte of the row, and its state also holds the `reach` cells below it.
     `_fill` reads a slot back as its key, composes the entry by `cell`
     (`compose`) and stores the next carry as its state's slot base, so the
     loops index the list directly.  A base-3 entry advances two rows: its
     key also holds the cell carried into the second row, which is composed
     under the first row's digits.  The tables are memos of pure functions,
     so every run can share them.  Kept rows make at most 4452 (base 3),
-    11515 (base 4) and 3648 (base 2) keys, in at most 16, 29 and 8 states
-    (`tests/test_kernels.py` derives each bound); random inputs fill about
-    4.0k, 10.8k and 3.6k keys in 6, 30 and 8 numbered states, 1.5 MiB
-    together (tracemalloc).
+    11515 (base 4) and 3648 (base 2) keys, in at most 16, 74 and 22 states
+    (40 and 12 pairs; `tests/test_kernels.py` derives each bound); random
+    inputs fill about 4.0k, 10.8k and 3.6k keys in 6, 80 and 24 numbered
+    states, 1.6 MiB together (tracemalloc).
 
     A row is packed into one int while it is stepped, `bits` bits per cell,
     the lowest column in the lowest bits; a block's window starts `reach`
@@ -402,19 +414,27 @@ class RowKernel:
     * Base 4 and base 2 (`_descend`) hold a row as its value: the digits'
       own bits, 2 and 1 a cell, with a 1 one cell above the top digit (the
       mark, which keeps a base-4 row's zeros on top).  A kept row's cells
-      share one parity tag, the value's parity, so no cell holds it.  The
-      sweep goes from the lowest column up, carrying the new cell on the
-      right.  A key is the window's bits, with the carried cell's code
-      (state + 1, 0 for EMPTY) above them, then the parity of the row above
-      (taken from the units digit in the first block), the flag `_top`, set
-      in the blocks whose window holds the mark (the window's highest 1,
-      from which up the cells are empty), and the number of the window's
-      cells below the row, `reach` in the first block's carry.  An entry
-      holds the block's new digits, with the new row's mark if it falls in
-      the block, and the next carry: the slot base of the state of the new
-      cell's code, the parity, `_top` and the cells below the row.  States
-      are numbered in pairs, the `_top` one odd, so the sweep enters the
-      mark's blocks by setting one bit of the carry.
+      share one parity tag, the value's parity, so no cell holds it.  A
+      block is one byte of the value (4 and 8 cells), and the sweep goes
+      from the lowest byte up, carrying the new cell on the right.  A key
+      is the window's bits, the byte over the `reach` cells below it (2
+      bits for both bases), with the carried cell's code (state + 1, 0 for
+      EMPTY) above them, then the parity of the row above (taken from the
+      units digit in the first block), the flag `_top`, set in the blocks
+      whose window holds the mark (the window's highest 1, from which up
+      the cells are empty), and the number of the window's cells below the
+      row, `reach` in the first block's carry.  A slot is keyed by the
+      byte alone: its state holds the rest, the bits of the `reach` cells
+      below the byte included.  An entry holds the block's new digits, with
+      the new row's mark if it falls in the block, and the next carry: the
+      slot base of the state of the new cell's code, the parity, `_top`,
+      the cells below the row and the byte's top `reach` cells.  States are
+      numbered in pairs, the `_top` one odd, so the sweep enters the mark's
+      byte by setting one bit of the carry.  A row wider than
+      `WIDE_ROW_BITS` is read with one `int.to_bytes` and its new bytes are
+      read back with one `int.from_bytes`, so its sweep is linear in its
+      width; a narrower row is swept as an int, a shift per byte, which is
+      faster while the int is small.
     * Base 3 (`_fall`) holds a row as cell codes (state + 1, 0 for EMPTY), 2
       bits a cell, as it keeps leading zeros.  The sweep goes from the
       highest column down, carrying the parity of the digits to the left,
@@ -445,8 +465,12 @@ class RowKernel:
         self._numbers: dict[int, int] = {}  # a state's carry fields -> its number
         self._states: list[int] = []  # a state's number -> its carry fields
         self.bits = bits = 2 if self.falling else self.base.bit_length() - 1
-        self._carry = (block + self.reach) * bits
-        self._mask = (1 << self._carry) - 1  # a slot's window
+        window = (block + self.reach) * bits  # a key's window
+        # base 4 and base 2 sweep a row's bytes: a slot's window is one byte
+        if not self.falling and block * bits != 8:
+            raise ValueError(f"a {variant.value} block is one byte, {8 // bits} cells")
+        self._carry = window if self.falling else 8
+        self._mask = (1 << self._carry) - 1
         # each hex digit of a packed row -> its cells, lowest column first: one
         # table per parity tag of the value (base 3: one, of cell codes)
         states = [[None, 0, 1, 2]] if self.falling else [
@@ -458,7 +482,7 @@ class RowKernel:
             for cells in states
         ]
         # a key's fields above the carried cell's code (base 4 and base 2)
-        self._odd = 1 << self._carry + (len(ALPHABETS[LAYERS[variant][0]]) - 1).bit_length()
+        self._odd = 1 << window + (len(ALPHABETS[LAYERS[variant][0]]) - 1).bit_length()
         self._top, self._below = self._odd << 1, self._odd << 2
         self._state(0 if self.falling else self.reach * self._below)  # the start state is number 0
         self._prove()
@@ -553,9 +577,16 @@ class RowKernel:
         return (number | (top > 0)) << self._carry
 
     def _fill(self, slot: int) -> tuple[int, ...]:
-        key = slot & self._mask | self._states[slot >> self._carry]
-        entry = self._fall_entry(key) if self.falling else self._descend_entry(key)
-        entry = (*entry[:-1], self._state(entry[-1]))
+        window, fields = slot & self._mask, self._states[slot >> self._carry]
+        if self.falling:
+            *entry, carry = self._fall_entry(window | fields)
+        else:
+            # the key's window is the byte over the `reach` cells below it, which
+            # the state holds; the next state holds the byte's top `reach` cells
+            pad = self.reach * self.bits
+            *entry, carry = self._descend_entry(fields | window << pad)
+            carry |= window >> 8 - pad
+        entry = (*entry, self._state(carry))
         # many slots share one entry, so each is stored once
         entry = self.table[slot] = self._entries.setdefault(entry, entry)
         return entry
@@ -576,12 +607,13 @@ class RowKernel:
     def _descend_entry(self, key: int) -> tuple[int, int]:
         """A base-4 or base-2 entry: the new digits and mark, and the next carry."""
         bits, width = self.bits, self.block + self.reach
-        window, top, lo = key & self._mask, key & self._top, key // self._below
+        size = width * bits  # the window's bits, below the carry fields
+        window, top, lo = key & (1 << size) - 1, key & self._top, key // self._below
         digits = [window >> i * bits & self.base - 1 for i in range(width)]
         hi = (window.bit_length() - 1) // bits if top else width  # the row above in lo..hi - 1
         odd = digits[lo] & 1 if lo == self.reach else key & self._odd  # its units digit's parity
         tag = ATTR_ODD if odd and self.base == 4 else 0
-        carried = _CODE_CHAR[(key & self._odd - 1) >> self._carry]
+        carried = _CODE_CHAR[(key & self._odd - 1) >> size]
         above = "".join(_CHAR[d | tag] if lo <= i < hi else EMPTY for i, d in enumerate(digits))
         out = self.compose(carried + above)
         new = 0
@@ -592,7 +624,7 @@ class RowKernel:
                 new |= 1 << i * bits  # the new row's mark
         code = 0 if out[-1] == EMPTY else _STATE[out[-1]] + 1
         below = max(lo - self.block, 0) * self._below
-        return new, code << self._carry | (self._odd if odd else 0) | top | below
+        return new, code << size | (self._odd if odd else 0) | top | below
 
     def encode(self, row: str) -> int:
         """The packed form of a row string (base 4 and base 2: a kept row)."""
@@ -617,32 +649,47 @@ class RowKernel:
         lowest column minus the first row's and its packed form.  Returns the
         last row's packed form and column.
 
-        A block is swept while the row's mark lies at or above its window's
-        lowest cell, and the blocks whose window holds the mark are swept
-        with `_top`.  The new row's mark falls in a swept block: a row's top
-        rises by at most `reach` columns a row (`_check_growth`), and the new
-        cells of the blocks swept reach `reach` columns above the mark."""
-        table, fill, mask, top = self.table, self._fill, self._mask, 1 << self._carry
+        Every byte up to the mark's is swept, the mark's with `_top`, and so
+        is one more, a 0 byte with `_top`, if the mark's byte holds a 1 in
+        its top `reach` cells: that byte's window holds the mark below it.
+        The new row's mark falls in a swept block: a row's top rises by at
+        most `reach` columns a row (`_check_growth`), and the new cells of
+        the blocks swept reach `reach` columns above the mark."""
+        table, fill, top = self.table, self._fill, 1 << self._carry
         bits = self.bits
-        pad = self.reach * bits
-        step = self.block * bits
+        hi = 8 - self.reach * bits  # a byte's bits from `hi` up are the next window's reach
+        wide = 1 << WIDE_ROW_BITS
         shift = 0
         while len(values) < stop:
-            above = row << pad
-            digits = p = carry = 0
-            while above > mask:
-                key = above & mask | carry
+            if row < wide:
+                above, p, digits, carry = row, 0, 0, 0
+                while above > 255:
+                    key = above & 255 | carry
+                    out, carry = table[key] or fill(key)
+                    digits |= out << p
+                    p += 8
+                    above >>= 8
+                key = above | carry | top
                 out, carry = table[key] or fill(key)
                 digits |= out << p
-                p += step
-                above >>= step
-            carry |= top
-            while above:
-                key = above | carry
+                if above >> hi:
+                    out, carry = table[carry] or fill(carry)
+                    digits |= out << p + 8
+            else:
+                data = row.to_bytes(row.bit_length() + 7 >> 3, "little")
+                new = []
+                carry = 0
+                for byte in data[:-1]:
+                    key = byte | carry
+                    out, carry = table[key] or fill(key)
+                    new.append(out)
+                byte = data[-1]
+                key = byte | carry | top
                 out, carry = table[key] or fill(key)
-                digits |= out << p
-                p += step
-                above >>= step
+                new.append(out)
+                if byte >> hi:
+                    new.append((table[carry] or fill(carry))[0])
+                digits = int.from_bytes(new, "little")
             # drop the empty cells below the row, and read the value under the mark
             low = ((digits & -digits).bit_length() - 1) & -bits
             row = digits >> low
@@ -784,8 +831,8 @@ def _parse(msd: str, base: int) -> int:
 # Single-cell tables of every rule table, keyed as `_compile_cell` says.
 CELL_TABLES = {tv: _compile_cell(tv) for tv in TableVariant}
 
-# Block sizes are for speed alone: any block gives the same rows.  Each keeps
-# its table within about 1 MiB; a base-4 or base-2 block is a byte of the value.
+# A base-4 or base-2 block is a byte of the value.  The base-3 block is for
+# speed alone, and keeps its table within about 1 MiB.
 KERNELS = {
     CAVariant.CA1: RowKernel(CAVariant.CA1, _compile_ca1(), block=6),
     CAVariant.CA2: RowKernel(CAVariant.CA2, CELL_TABLES[TableVariant.CA2], block=4),

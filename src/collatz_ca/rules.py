@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from typing import Optional
 
 from .digits import MapVariant
@@ -330,12 +331,19 @@ def check_rule_consistency(table: RuleTable) -> ConsistencyReport:
 def learn_rule_table(variant: TableVariant, n_max: int = 4096) -> RuleTable:
     """Rebuild a rule table by observing row-level arithmetic.
 
-    Lays out consecutive oracle rows for every input in [2, n_max] (plus two
-    rows beyond the first 1 to expose the terminal cycle) and records the
-    realized (neighborhood -> successor) pairs at every column whose
-    neighborhood (`NEIGHBORHOODS`) holds a cell, scanned by
-    `grid.neighborhood_keys`.  The distinct pairs are recorded once
-    each, in sorted order.  Conflicting observations raise RuleConflictError,
+    Lays out consecutive oracle rows (`grid.row_oracle`) for every input in
+    [2, n_max] (plus two rows beyond the first 1 to expose the terminal
+    cycle) and records the realized (neighborhood -> successor) pairs at
+    every column whose neighborhood (`NEIGHBORHOODS`) holds a cell, scanned
+    by `grid.neighborhood_keys`.  A neighborhood reads only a row and the
+    row above, so two consecutive rows, their digits (with a base-3 row's
+    leading zeros) and the column step between them, always give the same
+    observations, and so do the rows that follow them.  Trajectories merge,
+    so a trajectory stops at its first such row pair before its first 1
+    that an earlier input reached before its own first 1: every row from
+    there on, to two rows past the first 1, was scanned for that input.
+    The distinct (neighborhood -> successor) pairs are recorded once each,
+    in sorted order.  Conflicting observations raise RuleConflictError,
     since they would mean the rows are not locally determined.
     """
     if n_max < 2:
@@ -349,15 +357,31 @@ def learn_rule_table(variant: TableVariant, n_max: int = 4096) -> RuleTable:
     empty = (grid.EMPTY,) * len(reads)
     state = grid._STATE.__getitem__
     seen = set()  # (key characters, successor character)
+    steps = set()  # row pairs before a first 1: (digits, digits, column step)
     for n in range(2, n_max + 1):
-        rows = grid.oracle_rows(n, ca, extra_rows=2)
-        layers = (
-            [grid.row_cells(r, ca) for r in rows],
-            [grid.ca1_top_states(r) for r in rows] if parity else None,
-        )
-        for t in range(first, len(rows)):
-            lo, hi, keys = grid.neighborhood_keys(layers, layer, t, reads)
-            seen.update(zip(keys, layers[layer][t].span(lo, hi)))
+        row = grid.initial_row(n, ca)
+        layers = ([], [] if parity else None)
+        left = None  # once a 1 is laid out, the rows still to lay out past it
+        for t in count():
+            layers[0].append(grid.row_cells(row, ca))
+            if parity:
+                layers[1].append(grid.ca1_top_states(row))
+            if t >= first:
+                lo, hi, keys = grid.neighborhood_keys(layers, layer, t, reads)
+                seen.update(zip(keys, layers[layer][t].span(lo, hi)))
+            if left is None and row.value() == 1:
+                left = 2
+            if left == 0:
+                break
+            below = grid.row_oracle(row, ca)
+            if left is None:
+                step = (tuple(row.digits), tuple(below.digits), below.offset - row.offset)
+                if step in steps:
+                    break
+                steps.add(step)
+            else:
+                left -= 1
+            row = below
     table = RuleTable(variant=variant)
     for key, new in sorted(seen):
         if key != empty:

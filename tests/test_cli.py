@@ -191,15 +191,15 @@ def test_rules_conflict_exit_code(monkeypatch, capsys):
     # the planted oracle row of test_learner_reports_a_planted_conflict
     from collatz_ca import grid
 
-    oracle_rows = grid.oracle_rows
+    row_oracle = grid.row_oracle
 
-    def planted(n, variant, *args, **kwargs):
-        rows = oracle_rows(n, variant, *args, **kwargs)
-        if n == 27:
-            rows[5] = grid.to_digits(rows[5].value() ^ 2, 2, rows[5].offset)
-        return rows
+    def planted(x, variant):
+        y = row_oracle(x, variant)
+        if x.value() == 71:
+            y = grid.to_digits(y.value() ^ 2, 2, y.offset)
+        return y
 
-    monkeypatch.setattr(grid, "oracle_rows", planted)
+    monkeypatch.setattr(grid, "row_oracle", planted)
     assert main(["rules", "--variant", "ca3", "--n-max", "64"]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -1,6 +1,7 @@
 """Compiled row kernels: single-cell tables, lazily composed macro cells, sizes."""
 
 import copy
+import hashlib
 import random
 import re
 from itertools import product
@@ -8,6 +9,7 @@ from itertools import product
 import pytest
 from test_grid import kept_row
 
+from collatz_ca import grid
 from collatz_ca.engine import RunConfig, run_grid, run_single
 from collatz_ca.digits import DigitString, apply_map
 from collatz_ca.grid import (
@@ -157,7 +159,8 @@ def test_macro_entries_compose_single_cells():
     entries = filled(kernel)
     assert entries
     width = kernel.block + kernel.reach
-    for key, entry in entries.items():
+    for (state, window), entry in entries.items():
+        key = window | state
         # the window's cells, lowest column first, then each new row's carried cell on top
         assert 0 <= key < 1 << (width + 2) * kernel.bits, key
         cells = unpack(kernel, key, width + 2)
@@ -194,20 +197,21 @@ def test_macro_entries_compose_single_cells():
 
 
 def filled(kernel):
-    """Every filled slot of `kernel.table` as the key it stands for (the
-    window, then its state number's carry fields), mapped to its entry with
-    the next slot base read back as carry fields."""
+    """Every filled slot of `kernel.table` as (its state number's carry
+    fields, its window), mapped to its entry with the next slot base read
+    back as carry fields."""
     return {
-        slot & kernel._mask | kernel._states[slot >> kernel._carry]: fields(kernel, entry)
+        (kernel._states[slot >> kernel._carry], slot & kernel._mask): fields(kernel, entry)
         for slot, entry in enumerate(kernel.table)
         if entry is not None
     }
 
 
 def fill(kernel, key):
-    """`_fill` for the key `key`, the window and carry fields: its entry, the
+    """`_fill` for the slot `key`, (carry fields, window): its entry, the
     next slot base read back as carry fields."""
-    return fields(kernel, kernel._fill(key & kernel._mask | kernel._state(key & ~kernel._mask)))
+    state, window = key
+    return fields(kernel, kernel._fill(kernel._state(state) | window))
 
 
 def fields(kernel, entry):
@@ -238,18 +242,23 @@ def key_carry(kernel, char, k=0):
 
 
 def kept_keys(kernel):
-    """Every key a base-4 or base-2 `_descend` can make on a kept row, mapped
-    to the string key it stands for (the carried cell, then the window's
-    cells) and to the carry its entry must give.
+    """Every slot a base-4 or base-2 `_descend` can fill on a kept row, as
+    (its state's carry fields, its byte), mapped to the string key it stands
+    for (the carried cell, then the window's cells) and to the carry fields
+    its entry must give.
 
     A search over the sweep's states at block boundaries, like `_prove`'s.
     A packed row reads as one symbol a cell, from `reach` cells below it:
     "P" below the row, then its cells (the language `_read` reads), "M"
     where its mark is, and "Z" above that.  A block is swept while its
-    window starts at or below "M"; its key is the window's bits ("M" is a
-    1), the carried cell's code, the row's parity (0 in the first block),
-    `_top` if the window holds "M", and the number of "P"s in the window."""
+    window starts at or below "M".  Its window is the block's byte over the
+    `reach` cells below it, and its state is the bits of those cells ("M"
+    is a 1), then, above a window's width, the carried cell's code, the
+    row's parity (0 in the first block), `_top` if the window holds "M",
+    and the number of "P"s in the window.  The next state takes the bits of
+    the block's top `reach` cells."""
     bits, block, reach = kernel.bits, kernel.block, kernel.reach
+    width, pad = (block + reach) * bits, reach * bits
     cells = kernel.digits
 
     def read(lang, count):
@@ -286,13 +295,14 @@ def kept_keys(kernel):
                 for i, c in enumerate(window)
             )
             code = 0 if carried == EMPTY else st(carried) + 1
-            key = value | code << kernel._carry | (kernel._top if top else 0) | below * kernel._below
+            held = value & (1 << pad) - 1 | code << width | (kernel._top if top else 0) | below * kernel._below
             if below < reach:
-                key |= kernel._odd if odd else 0
+                held |= kernel._odd if odd else 0
             new = reference_entry(kernel.variant, text)[-1]
             carry = 0 if new == EMPTY else st(new) + 1
-            carry = carry << kernel._carry | (kernel._odd if odd else 0) | (kernel._top if top else 0)
-            keys[key] = text, carry | max(below - block, 0) * kernel._below
+            carry = carry << width | (kernel._odd if odd else 0) | (kernel._top if top else 0)
+            carry |= max(below - block, 0) * kernel._below | value >> block * bits
+            keys[held, value >> pad] = text, carry
             state = (new, window[block:], after, odd)
             if state not in seen:
                 seen.add(state)
@@ -360,10 +370,11 @@ def test_tables_stay_within_saturation_bound():
 
 
 # States a kernel can number: a base-3 state is the two carried cells' codes;
-# for base 4 and base 2, the carry fields of the keys `kept_keys` enumerates
-# (every entry's carry is one of them), numbered in pairs with `_top`.
-MAX_STATES = {CAVariant.CA1: 16, CAVariant.CA2: 29, CAVariant.CA3: 8}
-MAX_PAIRS = {CAVariant.CA2: 15, CAVariant.CA3: 4}
+# for base 4 and base 2, the carry fields of the slots `kept_keys` enumerates
+# and of their entries' carries (the state after a row's last byte is never a
+# slot's), numbered in pairs with `_top`.
+MAX_STATES = {CAVariant.CA1: 16, CAVariant.CA2: 74, CAVariant.CA3: 22}
+MAX_PAIRS = {CAVariant.CA2: 40, CAVariant.CA3: 12}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -394,11 +405,11 @@ def test_state_numbers_stay_within_the_derived_bound(variant):
             assert len(kernel._numbers) <= MAX_PAIRS[variant]
             assert kernel._states[1::2] == [s | kernel._top for s in kernel._states[::2]]
             keys = kept_keys(kernel)
-            states = {key & ~kernel._mask for key in keys}
+            states = {state for state, _ in keys} | {carry for _, carry in keys.values()}
             assert len(states) == MAX_STATES[variant]
             assert len({s & ~kernel._top for s in states}) == MAX_PAIRS[variant]
             made = filled(kernel)
-            assert {k & ~kernel._mask for k in made} | {e[-1] for e in made.values()} <= states
+            assert {state for state, _ in made} | {e[-1] for e in made.values()} <= states
             assert set(kernel._states) <= states | {s ^ kernel._top for s in states}
     assert runs[0] == runs[1]
     assert kernels[0]._states != kernels[1]._states  # two numberings
@@ -424,40 +435,61 @@ def _random_row(rng, variant):
     return "".join(map(str, digits))
 
 
-@pytest.mark.parametrize("variant", [CAVariant.CA2, CAVariant.CA3])
-def test_block_is_performance_only(monkeypatch, variant):
-    # kernels at other block sizes (below `reach` too) give the shipped
-    # kernel's values and rows: one `_descend` call, the loop of `run` and of
-    # `extend_frontier`, on every kept row of up to 7 cells; and `run` and
-    # `run_grid` on seeded wide inputs
-    shipped = KERNELS[variant]
-    others = [RowKernel(variant, shipped.cell, block) for block in (1, 3, shipped.block + 2)]
+def loop_digest(variant):
+    """SHA-256 of a base-4 or base-2 kernel's values and rows: one `_descend`
+    call on every kept row of up to 7 cells (the `rows` sink), `run` at
+    `max_rows` 1, 2, 3, 5 and unbounded and `run_grid` at the same caps on
+    seeded 64-300-bit inputs, and `step_frontier` chains from some of them.
+    Returns the digest and the number of kept rows."""
+    kernel = KERNELS[variant]
+    digest = hashlib.sha256()
     kept = 0
     for width in range(1, 8):
-        for first in shipped.first:
+        for first in kernel.first:
             tag = st(first) & ATTR_ODD
-            for rest in product([c for c in shipped.digits if st(c) & ATTR_ODD == tag], repeat=width - 1):
+            for rest in product([c for c in kernel.digits if st(c) & ATTR_ODD == tag], repeat=width - 1):
                 row = first + "".join(rest)
                 try:
-                    shipped.check(row)
+                    kernel.check(row)
                 except NonContiguousRowError:
                     continue
                 kept += 1
-                want = [shipped.value(row)], []
-                shipped._descend(shipped.encode(row), want[0], 8, want[1])
-                for kernel in others:
-                    got = [kernel.value(row)], []
-                    kernel._descend(kernel.encode(row), got[0], 8, got[1])
-                    assert got == want, (kernel.block, row)
-    assert kept == (64 if variant is CAVariant.CA3 else 3 * (4**7 - 1) // 3), kept
+                values, rows = [kernel.value(row)], []
+                last = kernel._descend(kernel.encode(row), values, 8, rows)
+                digest.update(repr((row, values, rows, last)).encode())
     rng = random.Random(f"block-{variant.value}")
     inputs = [rng.getrandbits(bits) | 1 << bits - 1 for bits in (64, 128, 300) for _ in range(3)]
-    cfg = RunConfig(variant)
     for n in inputs:
-        want = shipped.run(*shipped.start(n), 10**5), run_grid(n, cfg)[0].bottom
-        for kernel in others:
-            monkeypatch.setitem(KERNELS, variant, kernel)
-            assert (kernel.run(*kernel.start(n), 10**5), run_grid(n, cfg)[0].bottom) == want, (kernel.block, n)
+        for max_rows in (1, 2, 3, 5, 10**5):
+            g, record = run_grid(n, RunConfig(variant, max_rows=max_rows))
+            digest.update(repr((kernel.run(*kernel.start(n), max_rows), g.bottom, record)).encode())
+    for n in inputs[::3]:
+        g = init_grid(n, variant)
+        for _ in range(40):
+            step_frontier(g)
+        digest.update(repr(g.bottom).encode())
+    return digest.hexdigest(), kept
+
+
+# `loop_digest` from the kernel that swept every row as an int
+LOOP_DIGESTS = {
+    CAVariant.CA2: "363e715f62b9172b88714823ae160759cf334a682c5a0badfb3045c3a34379ee",
+    CAVariant.CA3: "612616e2dda2091c099c90ed0b287c9783a05d519a40090e6da74b524d60a0e9",
+}
+
+
+@pytest.mark.parametrize("variant", [CAVariant.CA2, CAVariant.CA3])
+def test_loop_choice_is_performance_only(monkeypatch, variant):
+    # the width constant picks, row by row, the int loop or the bytes loop:
+    # every row from its bytes, rows crossing 9 bits and the shipped width
+    # within one trajectory, and every row as an int give the pinned digest
+    kept = 64 if variant is CAVariant.CA3 else 3 * (4**7 - 1) // 3
+    for bits in (0, 9, grid.WIDE_ROW_BITS, 10**5):
+        monkeypatch.setattr(grid, "WIDE_ROW_BITS", bits)
+        assert loop_digest(variant) == (LOOP_DIGESTS[variant], kept), bits
+    # both loops sweep bytes, so no other block exists
+    with pytest.raises(ValueError, match=f"^a {variant.value} block is one byte"):
+        RowKernel(variant, KERNELS[variant].cell, 3)
 
 
 def test_row_value_rejects_inner_gap():

@@ -242,19 +242,19 @@ def test_conflict_detection():
 
 
 def test_learner_reports_a_planted_conflict(monkeypatch):
-    # one wrong bit in one oracle row: its neighborhoods demand successors the
-    # other rows contradict
+    # one wrong bit in one oracle row, the one below 71 (27's row 4): its
+    # neighborhoods demand successors the other rows contradict
     from collatz_ca import grid
 
-    oracle_rows = grid.oracle_rows
+    row_oracle = grid.row_oracle
 
-    def planted(n, variant, *args, **kwargs):
-        rows = oracle_rows(n, variant, *args, **kwargs)
-        if n == 27:
-            rows[5] = grid.to_digits(rows[5].value() ^ 2, 2, rows[5].offset)
-        return rows
+    def planted(x, variant):
+        y = row_oracle(x, variant)
+        if x.value() == 71:
+            y = grid.to_digits(y.value() ^ 2, 2, y.offset)
+        return y
 
-    monkeypatch.setattr(grid, "oracle_rows", planted)
+    monkeypatch.setattr(grid, "row_oracle", planted)
     with pytest.raises(RuleConflictError) as err:
         learn_rule_table(TableVariant.CA3, 64)
     first, second = err.value.successors
