@@ -25,7 +25,7 @@ from .engine import (
     run_single,
     verify_against_oracle,
 )
-from .grid import CA2_DIGITS, EMPTY, Grid, init_grid, step_frontier
+from .grid import CA2_DIGITS, DEFAULT_MAX_ROWS, DEFAULT_TICK_CAP, EMPTY, Grid, step_frontier
 from .metrics import n_efficiency
 from .rules import LAYERS, CAVariant, check_rule_consistency, dump_rule_table, learn_rule_table
 from .rules import RuleConflictError
@@ -46,22 +46,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="collatz-ca", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_caps(sp):
-        sp.add_argument("--max-rows", type=int, default=100_000)
-        sp.add_argument("--tick-cap", type=int, default=10_000_000)
-
     sp = sub.add_parser("run", help="run one input on one automaton")
     sp.add_argument("n", type=int)
     sp.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
     sp.add_argument("--mode", choices=("frontier", "synchronous"), default="frontier")
     sp.add_argument("--format", choices=("jsonl", "csv", "text"), default="jsonl")
-    add_caps(sp)
+    sp.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
+    sp.add_argument("--tick-cap", type=int, default=DEFAULT_TICK_CAP)
 
     sp = sub.add_parser("verify", help="compare automaton rows against the map oracle")
     sp.add_argument("--from", dest="lo", type=int, required=True)
     sp.add_argument("--to", dest="hi", type=int, required=True)
     sp.add_argument("--variant", choices=sorted(_VARIANTS) + ["all"], default="all")
-    add_caps(sp)
+    sp.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
 
     sp = sub.add_parser("efficiency", help="ca_steps/tst ratios and their averages")
     sp.add_argument("--from", dest="lo", type=int, required=True)
@@ -73,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", choices=sorted(_VARIANTS), default="ca3")
     sp.add_argument("--mode", choices=("stacked", "shared"), default="stacked")
     sp.add_argument("--spacing", default="auto", help="'auto' or comma-separated gaps")
-    add_caps(sp)
+    sp.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
 
     sp = sub.add_parser("rules", help="dump learned rule tables and their consistency")
     sp.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
@@ -85,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
     sp.add_argument("--rows", type=int)
     sp.add_argument("--out", help="*.pgm for a P2 graymap, anything else for text")
-    add_caps(sp)
+    sp.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
 
     return p
 
@@ -128,10 +125,9 @@ def cmd_verify(args) -> int:
     if args.lo < 1 or args.lo > args.hi:
         print(f"bad range [{args.lo}, {args.hi}]", file=sys.stderr)
         return 1
-    cfg_caps = dict(max_rows=args.max_rows, tick_cap=args.tick_cap)
     checked = mismatches = capped = 0
     for variant in variants:
-        cfg = RunConfig(variant=variant, **cfg_caps)
+        cfg = RunConfig(variant=variant, max_rows=args.max_rows)
         for n in range(args.lo, args.hi + 1):
             report = verify_against_oracle(n, variant, cfg)
             checked += 1
@@ -186,9 +182,7 @@ def cmd_batch(args) -> int:
         except ValueError:
             print(f"bad --spacing {args.spacing!r}", file=sys.stderr)
             return 1
-    cfg = RunConfig(
-        variant=_VARIANTS[args.variant], max_rows=args.max_rows, tick_cap=args.tick_cap
-    )
+    cfg = RunConfig(variant=_VARIANTS[args.variant], max_rows=args.max_rows)
     try:
         batch = BatchConfig(inputs=inputs, mode=args.mode, spacings=spacings)
         records = run_batch(batch, cfg)
@@ -218,8 +212,6 @@ def cmd_rules(args) -> int:
         lines.append(f"# {tv.value}: {report.total_entries} entries; {cats}")
         verdict = "OK" if report.consistent else f"{len(report.mismatches)} mismatches"
         lines.append(f"# {tv.value} closed-form consistency: {verdict}")
-        if not report.sufficient:
-            lines.append(f"# {tv.value}: WARNING: empty table, coverage insufficient")
         bad += len(report.mismatches)
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -232,16 +224,16 @@ def cmd_rules(args) -> int:
 
 def _render_grid(args) -> tuple[Grid, int] | int:
     variant = _VARIANTS[args.variant]
-    if args.rows is not None:
-        if args.rows < 1:
-            print("--rows must be positive", file=sys.stderr)
-            return 1
-        rows = args.rows
-        g = init_grid(args.n, variant)
-    else:
-        # default: everything up to the first 1 (rows 0..max_rows are searched),
-        # plus the terminal-cycle preview
-        g, record = run_grid(args.n, RunConfig(variant, max_rows=args.max_rows + 1))
+    if args.rows is not None and args.rows < 1:
+        print("--rows must be positive", file=sys.stderr)
+        return 1
+    # one run_grid call: `--rows` rows, or by default everything up to the
+    # first 1 (rows 0..max_rows are searched) plus the terminal-cycle preview;
+    # the rows past the run's stop are stepped on
+    max_rows = args.max_rows + 1 if args.rows is None else args.rows
+    g, record = run_grid(args.n, RunConfig(variant, max_rows=max_rows))
+    rows = args.rows
+    if rows is None:
         if not record.reached_one:
             print(f"no 1 within {args.max_rows} rows", file=sys.stderr)
             return 2

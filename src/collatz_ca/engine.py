@@ -18,10 +18,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import sub
 
-from .digits import apply_map, oracle_trajectory
+from .digits import DEFAULT_STEP_CAP, apply_map, oracle_trajectory
 from .grid import (
+    DEFAULT_MAX_ROWS,
     DEFAULT_TICK_CAP,
     KERNELS,
     Grid,
@@ -32,7 +34,6 @@ from .grid import (
 )
 from .rules import NEIGHBORHOODS, CAVariant
 
-DEFAULT_MAX_ROWS = 100_000
 # Empty columns kept between neighbouring runs on a shared grid: the widest
 # column offset any rule table reads.
 GUARD_GAP = max(abs(dc) for reads in NEIGHBORHOODS.values() for _, _, dc in reads)
@@ -90,8 +91,14 @@ class BatchConfig:
     def __post_init__(self):
         if self.mode not in ("stacked", "shared"):
             raise ValueError("batch mode must be 'stacked' or 'shared'")
-        if self.spacings is not None and len(self.spacings) != max(len(self.inputs) - 1, 0):
+        if self.spacings is None:
+            return
+        if self.mode != "shared":
+            raise ValueError("spacings apply only to a shared batch")
+        if len(self.spacings) != max(len(self.inputs) - 1, 0):
             raise ValueError("need exactly one spacing per adjacent input pair")
+        if min(self.spacings, default=0) < 0:
+            raise ValueError("spacings must be nonnegative")
 
 
 def _record(n: int, cfg: RunConfig, iterates: list[int]) -> TrajectoryRecord:
@@ -181,7 +188,7 @@ class Classification:
     cycle_witness: int | None = None
 
 
-def classify_trajectory(n: int, variant: CAVariant, max_steps: int = 1_000_000) -> Classification:
+def classify_trajectory(n: int, variant: CAVariant, max_steps: int = DEFAULT_STEP_CAP) -> Classification:
     """Tortoise-and-hare over the map: 1 wins, any other cycle is a witness."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -214,11 +221,6 @@ def worker_count() -> int:
     return k if k else (os.cpu_count() or 1)
 
 
-def _stacked_worker(args: tuple[int, RunConfig]) -> TrajectoryRecord:
-    n, cfg = args
-    return run_single(n, cfg)
-
-
 def run_batch_stacked(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryRecord]:
     """Independent grids per input, fanned across a process pool when asked."""
     workers = worker_count()
@@ -226,7 +228,7 @@ def run_batch_stacked(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryReco
         return [run_single(n, cfg) for n in batch.inputs]
     chunk = max(1, len(batch.inputs) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_stacked_worker, ((n, cfg) for n in batch.inputs), chunksize=chunk))
+        return list(pool.map(partial(run_single, cfg=cfg), batch.inputs, chunksize=chunk))
 
 
 # --- shared grids ------------------------------------------------------------

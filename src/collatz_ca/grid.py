@@ -67,7 +67,11 @@ from .rules import (
     format_cell,
 )
 
+DEFAULT_MAX_ROWS = 100_000
 DEFAULT_TICK_CAP = 10_000_000
+# Base-3 cells per macro-cell lookup: for speed alone, and it keeps the
+# macro-cell table within about 1 MiB.
+CA1_BLOCK = 6
 
 
 class NonContiguousRowError(RuntimeError):
@@ -192,7 +196,7 @@ def row_oracle(x: DigitString, variant: CAVariant) -> DigitString:
 
 
 def oracle_rows(
-    n: int, variant: CAVariant, extra_rows: int = 1, max_rows: int = 100_000
+    n: int, variant: CAVariant, extra_rows: int = 1, max_rows: int = DEFAULT_MAX_ROWS
 ) -> list[DigitString]:
     """Row 0 and every oracle successor until 1, plus extra_rows beyond it."""
     rows = [initial_row(n, variant)]
@@ -380,7 +384,9 @@ sweep, 1.2x at 48 bits and 1.6-1.9x at 128."""
 
 
 class RowKernel:
-    """One automaton's frontier step over a whole row, `block` columns per lookup.
+    """One automaton's frontier step over a whole row, `block` columns per
+    lookup, which the automaton fixes: one byte of the value (4 and 8 cells)
+    for base 4 and base 2, and `CA1_BLOCK` (6) for base 3, for speed alone.
 
     `cell` is the single-cell table: its key is the carried cell followed by
     `reach` + 1 cells of the row above (so the key's width gives `reach`), and
@@ -451,24 +457,22 @@ class RowKernel:
     refuses any other row where it enters, so the loops check no row.
     """
 
-    def __init__(self, variant: CAVariant, cell: dict[str, str], block: int):
+    def __init__(self, variant: CAVariant, cell: dict[str, str]):
         self.variant = variant
         self.digits = "".join(_CHAR[s] for s in ALPHABETS[LAYERS[variant][0]] if s is not None)
         self.first, self.last = _KEPT_ENDS[variant]
         self.base = variant.base
         self.falling = variant is CAVariant.CA1
         self.cell = cell
-        self.block = block
         self.reach = len(next(iter(cell))) - 2
         self.table: list[tuple[int, ...] | None] = []
         self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct entry
         self._numbers: dict[int, int] = {}  # a state's carry fields -> its number
         self._states: list[int] = []  # a state's number -> its carry fields
         self.bits = bits = 2 if self.falling else self.base.bit_length() - 1
-        window = (block + self.reach) * bits  # a key's window
         # base 4 and base 2 sweep a row's bytes: a slot's window is one byte
-        if not self.falling and block * bits != 8:
-            raise ValueError(f"a {variant.value} block is one byte, {8 // bits} cells")
+        self.block = block = CA1_BLOCK if self.falling else 8 // bits
+        window = (block + self.reach) * bits  # a key's window
         self._carry = window if self.falling else 8
         self._mask = (1 << self._carry) - 1
         # each hex digit of a packed row -> its cells, lowest column first: one
@@ -831,12 +835,10 @@ def _parse(msd: str, base: int) -> int:
 # Single-cell tables of every rule table, keyed as `_compile_cell` says.
 CELL_TABLES = {tv: _compile_cell(tv) for tv in TableVariant}
 
-# A base-4 or base-2 block is a byte of the value.  The base-3 block is for
-# speed alone, and keeps its table within about 1 MiB.
 KERNELS = {
-    CAVariant.CA1: RowKernel(CAVariant.CA1, _compile_ca1(), block=6),
-    CAVariant.CA2: RowKernel(CAVariant.CA2, CELL_TABLES[TableVariant.CA2], block=4),
-    CAVariant.CA3: RowKernel(CAVariant.CA3, CELL_TABLES[TableVariant.CA3], block=8),
+    CAVariant.CA1: RowKernel(CAVariant.CA1, _compile_ca1()),
+    CAVariant.CA2: RowKernel(CAVariant.CA2, CELL_TABLES[TableVariant.CA2]),
+    CAVariant.CA3: RowKernel(CAVariant.CA3, CELL_TABLES[TableVariant.CA3]),
 }
 
 

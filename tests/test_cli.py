@@ -164,6 +164,40 @@ def test_batch_flag_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["verify", "batch", "render"])
+def test_tick_cap_only_on_run(tmp_path, capsys, command):
+    # only `run` reaches the synchronous engine, the one that reads a tick cap
+    path = tmp_path / "inputs.txt"
+    path.write_text("7\n9\n")
+    argv = {
+        "verify": ["verify", "--from", "1", "--to", "3"],
+        "batch": ["batch", "--inputs", str(path)],
+        "render": ["render", "7", "--variant", "ca3"],
+    }[command]
+    assert main(argv + ["--tick-cap", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("collatz-ca: error: unrecognized arguments: --tick-cap 1\n")
+
+
+def test_batch_stacked_refuses_spacings(tmp_path, capsys):
+    # a stacked batch places nothing, so it would drop the spacings
+    path = tmp_path / "inputs.txt"
+    path.write_text("7\n9\n")
+    assert main(["batch", "--inputs", str(path), "--spacing", "4"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "spacings apply only to a shared batch\n")
+
+
+def test_batch_shared_refuses_negative_spacing(tmp_path, capsys):
+    # not a collision: the spacing itself is wrong
+    path = tmp_path / "inputs.txt"
+    path.write_text("9\n5\n7\n")
+    argv = ["batch", "--inputs", str(path), "--mode", "shared", "--spacing=-3,5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "spacings must be nonnegative\n")
+
+
 def test_batch_empty_file(tmp_path, capsys):
     path = tmp_path / "inputs.txt"
     path.write_text("\n\n")

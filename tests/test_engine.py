@@ -23,7 +23,7 @@ from collatz_ca.engine import (
     verify_against_oracle,
     worker_count,
 )
-from collatz_ca.grid import init_grid, run_until_rows_stable
+from collatz_ca.grid import extend_synchronous, init_grid, run_until_rows_stable
 from collatz_ca.rules import CAVariant
 
 VARIANTS = list(CAVariant)
@@ -123,9 +123,26 @@ def test_tick_cap_synchronous(capsys):
         with pytest.raises(RuntimeError, match=rf"^rows 0\.\.3 did not stabilize within {cap} ticks$"):
             run_until_rows_stable(g, 3, tick_cap=cap)
         assert g.ticks == 0
+    # a row is still owed, and no tick is left to settle it
+    g = init_grid(7, CAVariant.CA3)
+    with pytest.raises(RuntimeError, match="^tick cap 0 exhausted at row 1$"):
+        extend_synchronous(g, [7], 5, 0)
+    assert len(g.bottom) == 1 and g.ticks == 0
     argv = ["run", "27", "--variant", "ca3", "--mode", "synchronous", "--tick-cap", "4"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "tick cap 4 exhausted at row 2\n"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_synchronous_single_row_is_the_frontier_record(variant):
+    # max_rows 1 stops at row 0, before any tick: both engines give row 0's value
+    value = 28 if variant is CAVariant.CA1 else 7  # 28 = 4 * 7 drops its factors of 2 or 4
+    cfg = RunConfig(variant=variant, max_rows=1)
+    frontier = run_single(28, cfg)
+    assert frontier.iterates == [value] and frontier.ticks_used == 0
+    sync = replace(cfg, mode="synchronous")
+    assert run_single(28, sync) == frontier
+    assert run_grid(28, sync)[1] == frontier
 
 
 def capped(run, n: int, cfg: RunConfig):
@@ -394,6 +411,12 @@ def test_shared_empty_and_validation():
         BatchConfig(inputs=[7, 9], mode="shared", spacings=[1, 2])
     with pytest.raises(ValueError):
         BatchConfig(inputs=[7], mode="carpool")
+    # a stacked batch reads no spacing; a shared one takes 0 (and collides)
+    with pytest.raises(ValueError, match="^spacings apply only to a shared batch$"):
+        BatchConfig(inputs=[7, 9], spacings=[4])
+    with pytest.raises(ValueError, match="^spacings must be nonnegative$"):
+        BatchConfig(inputs=[9, 5, 7], mode="shared", spacings=[-3, 5])
+    assert BatchConfig(inputs=[5, 9], mode="shared", spacings=[0]).spacings == [0]
 
 
 def test_run_batch_dispatch_modes():

@@ -182,7 +182,7 @@ def test_macro_entries_compose_single_cells():
         assert entry[-1] == carry, key
     for v in (CAVariant.CA2, CAVariant.CA3):
         shipped = KERNELS[v]
-        kernel = RowKernel(v, shipped.cell, shipped.block)
+        kernel = RowKernel(v, shipped.cell)
         for key, (text, carry) in kept_keys(kernel).items():
             expected = reference_entry(v, text)
             assert kernel.compose(text) == expected, (v, text)
@@ -382,7 +382,7 @@ def test_state_numbers_stay_within_the_derived_bound(variant):
     # two fresh kernels fed the same inputs in different orders number their
     # states differently, and give the same values and rows
     shipped = KERNELS[variant]
-    kernels = [RowKernel(variant, shipped.cell, shipped.block) for _ in range(2)]
+    kernels = [RowKernel(variant, shipped.cell) for _ in range(2)]
     rng = random.Random(f"states-{variant.value}")
     inputs = [rng.getrandbits(bits) | 1 << bits - 1 for bits in (8, 64, 128, 300) for _ in range(20)]
     runs = []
@@ -487,9 +487,6 @@ def test_loop_choice_is_performance_only(monkeypatch, variant):
     for bits in (0, 9, grid.WIDE_ROW_BITS, 10**5):
         monkeypatch.setattr(grid, "WIDE_ROW_BITS", bits)
         assert loop_digest(variant) == (LOOP_DIGESTS[variant], kept), bits
-    # both loops sweep bytes, so no other block exists
-    with pytest.raises(ValueError, match=f"^a {variant.value} block is one byte"):
-        RowKernel(variant, KERNELS[variant].cell, 3)
 
 
 def test_row_value_rejects_inner_gap():
@@ -800,12 +797,12 @@ def test_check_refuses_what_the_language_refuses(variant):
 )
 def test_kernel_refuses_a_table_that_leaves_the_kept_rows(variant, key, new):
     kernel = KERNELS[variant]
-    RowKernel(variant, kernel.cell, kernel.block)  # the shipped table passes
+    RowKernel(variant, kernel.cell)  # the shipped table passes
     cell = dict(kernel.cell)
     cell[key] = new
     witness = "'[0-9.]+'"  # the cells above read so far
     with pytest.raises(AssertionError, match=f"^{variant.value} steps the kept row {witness} out"):
-        RowKernel(variant, cell, kernel.block)
+        RowKernel(variant, cell)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -821,7 +818,7 @@ def test_run_refuses_an_empty_row(variant):
 def test_run_changes_only_the_memo_tables(variant):
     # a kernel holds no state but its tables, whatever the rows' widths
     kernel = KERNELS[variant]
-    fresh = RowKernel(variant, kernel.cell, kernel.block)
+    fresh = RowKernel(variant, kernel.cell)
 
     def state():
         return {k: v for k, v in vars(fresh).items() if k not in ("table", "_entries", "_numbers", "_states")}
