@@ -172,8 +172,6 @@ def cmd_batch(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return 1
-    if not inputs:
-        return 0
     if args.spacing == "auto":
         spacings = None
     else:

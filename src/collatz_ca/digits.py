@@ -72,7 +72,6 @@ class TrajectoryReport:
     iterates: list[int]
     reached_one: bool
     steps_to_one: int | None
-    classification: str  # "convergent" or "undetermined"
 
 
 def oracle_trajectory(variant: MapVariant, n: int, cap: int = DEFAULT_STEP_CAP) -> TrajectoryReport:
@@ -124,7 +123,6 @@ def oracle_trajectory(variant: MapVariant, n: int, cap: int = DEFAULT_STEP_CAP) 
         iterates=iterates,
         reached_one=reached,
         steps_to_one=len(iterates) - 1 if reached else None,
-        classification="convergent" if reached else "undetermined",
     )
 
 
@@ -144,20 +142,6 @@ def total_stopping_time(n: int, cap: int = DEFAULT_STEP_CAP) -> int | None:
             return k
         x = 3 * x + 1
         k += 1
-
-
-def stopping_time(n: int, cap: int = DEFAULT_STEP_CAP) -> int | None:
-    """Least k >= 1 with T^k(n) < n, or None (n = 1 never drops below itself)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    x = n
-    for k in range(1, cap + 1):
-        x = apply_map(MapVariant.T, x)
-        if x < n:
-            return k
-        if x == 1:  # cycling above n = 1 forever
-            return None
-    return None
 
 
 @dataclass

@@ -16,7 +16,6 @@ run's rows span; automatic spacing provably keeps the runs apart.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import sub
@@ -226,6 +225,9 @@ def run_batch_stacked(batch: BatchConfig, cfg: RunConfig) -> list[TrajectoryReco
     workers = worker_count()
     if workers <= 1 or len(batch.inputs) < 2:
         return [run_single(n, cfg) for n in batch.inputs]
+    # imported here, so that importing the library leaves multiprocessing out
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(batch.inputs) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(run_single, cfg=cfg), batch.inputs, chunksize=chunk))

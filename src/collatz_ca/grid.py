@@ -380,7 +380,26 @@ swept from their bytes, narrower ones as an int (`RowKernel._descend`).
 Both sweeps take the same time on rows of 33-36 bits (Python 3.11, 2-vCPU
 x86-64 VM, one step of 2000 seeded rows per width, best of 9): below
 that the int sweep is faster, 1.2x at 16 bits, and above it the bytes
-sweep, 1.2x at 48 bits and 1.6-1.9x at 128."""
+sweep, 1.2x at 48 bits and 1.6-1.9x at 128.  With rows below
+`NARROW_ROW_BITS` taken by the row memo, the int sweep still pays on the
+rows between: sweeping them from their bytes made `RowKernel.run` 1.26x /
+1.29x slower (base 4 / base 2) on n in [10^6, 2*10^6) and 1.31x / 1.40x on
+24-bit n (memo warm, best of 9)."""
+
+
+NARROW_ROW_BITS = 16
+"""A row packed into at most this many bits (the mark included for base 4
+and base 2; base 3 takes 2 bits a cell, so up to 8 cells) is stepped with one
+lookup in the kernel's row memo, filled on first sight by the sweep
+(`RowKernel._descend`, `_fall`).  The memo is a dict, so it costs nothing
+at import and grows only with the rows seen, never past one entry per
+narrow row.  On 6000 seeded n in [10^6, 2*10^6), memo warm (Python 3.11,
+2-vCPU x86-64 VM, best of 5), the kernel took 775 / 638 / 634 ns a row
+(base 3 / 4 / 2) with no memo, 438 / 360 / 354 at 16 bits and 421 / 333 /
+302 at 18.  Filled from the 32768 inputs of one perfbench verify-range run,
+the memos took 1.4 / 1.2 / 1.7 MiB at 16 bits and 3.7 / 4.8 / 6.2 MiB at 18
+(tracemalloc): 18 bits would add about a fifth to that run's 67 MiB peak,
+whose bound of a quarter its own timing samples also draw on."""
 
 
 class RowKernel:
@@ -450,6 +469,20 @@ class RowKernel:
       of the next carried codes' state.  Each new row's value comes
       by Horner's rule, one block at a time.
 
+    A row packed into at most `NARROW_ROW_BITS` bits is stepped with one
+    lookup in `_memo`, the row memo, keyed by the packed row: there the
+    block is the whole row, the node memo of Gosper's Hashlife (Physica D
+    10, 1984).  An entry holds what one sweep of the row gives, and the loop
+    fills it from that sweep on the row's first sight, so the memo adds no
+    rule.  A base-4 or base-2 entry holds the next packed row, its shift in
+    bits and its value.  A base-3 entry holds the pass: each new row's shift
+    in bits from the lowest cell swept (two below the row), codes and
+    value, then the second row's codes after the zero cut, which the next
+    pass sweeps; a stop between the two rows cuts the first.  A wider row
+    pays one int compare before any memo access.  Each row still costs one
+    step (one lookup, or one per base-3 pass), and no trajectory suffix is
+    memoised.
+
     The loops step only kept rows (`_read`): one contiguous run of cells
     that share one parity tag, starting and ending with the cells
     `_KEPT_ENDS` allows in sweep order.  Construction proves that the sweep
@@ -466,6 +499,7 @@ class RowKernel:
         self.cell = cell
         self.reach = len(next(iter(cell))) - 2
         self.table: list[tuple[int, ...] | None] = []
+        self._memo: dict[int, tuple[int, ...]] = {}  # a narrow row -> its step
         self._entries: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct entry
         self._numbers: dict[int, int] = {}  # a state's carry fields -> its number
         self._states: list[int] = []  # a state's number -> its carry fields
@@ -660,12 +694,17 @@ class RowKernel:
         most `reach` columns a row (`_check_growth`), and the new cells of
         the blocks swept reach `reach` columns above the mark."""
         table, fill, top = self.table, self._fill, 1 << self._carry
+        memo, narrow = self._memo, 1 << NARROW_ROW_BITS
+        recall = memo.get
         bits = self.bits
         hi = 8 - self.reach * bits  # a byte's bits from `hi` up are the next window's reach
         wide = 1 << WIDE_ROW_BITS
         shift = 0
         while len(values) < stop:
-            if row < wide:
+            entry = row < narrow and recall(row)
+            if entry:
+                row, low, v = entry
+            elif row < wide:
                 above, p, digits, carry = row, 0, 0, 0
                 while above > 255:
                     key = above & 255 | carry
@@ -694,11 +733,15 @@ class RowKernel:
                 if byte >> hi:
                     new.append((table[carry] or fill(carry))[0])
                 digits = int.from_bytes(new, "little")
-            # drop the empty cells below the row, and read the value under the mark
-            low = ((digits & -digits).bit_length() - 1) & -bits
-            row = digits >> low
+            if not entry:
+                # drop the empty cells below the row, and read the value under the mark
+                low = ((digits & -digits).bit_length() - 1) & -bits
+                digits >>= low
+                v = digits ^ 1 << digits.bit_length() - 1
+                if entry is None:  # a narrow row seen first
+                    memo[row] = digits, low, v
+                row = digits
             shift += low
-            v = row ^ 1 << row.bit_length() - 1
             values.append(v)
             if rows is not None:
                 rows.append((shift // bits, row))
@@ -721,52 +764,66 @@ class RowKernel:
         drops those zeros above its top nonzero digit (`rows` gets the rows
         before that cut)."""
         table, fill, mask = self.table, self._fill, self._mask
+        memo, narrow = self._memo, 1 << NARROW_ROW_BITS
+        recall = memo.get
         step = 2 * self.block
         scale = 3**self.block
         shift = 0
         while len(values) < stop:
-            # from two columns below the row: the appended digits of two odd rows
-            above = codes << 4
+            entry = codes < narrow and recall(codes)
+            if entry:
+                low, first, v, low2, second, v2, carried = entry
+            else:
+                # from two columns below the row: the appended digits of two odd rows
+                above = codes << 4
+                p = (above.bit_length() - 1) // step * step
+                first = v = second = v2 = carry = 0
+                while p >= 0:
+                    key = above >> p & mask | carry
+                    out, dig, out2, dig2, carry = table[key] or fill(key)
+                    first = first << step | out
+                    v = v * scale + dig
+                    second = second << step | out2
+                    v2 = v2 * scale + dig2
+                    p -= step
+                # each new row drops the empty cells below it (at least the
+                # lowest of the two swept for row i+1), which were 0s in its value
+                low = ((first & -first).bit_length() - 1) & -2
+                first >>= low
+                v //= 3 ** (low >> 1)
+                low2 = ((second & -second).bit_length() - 1) & -2
+                if low2:
+                    second >>= low2
+                    v2 //= 3 ** (low2 >> 1)
+                carried = self._cut(second)
+                if entry is None:  # a narrow row seen first
+                    memo[codes] = low, first, v, low2, second, v2, carried
+            # row i+1, then row i+2 unless the stop falls between them
             frame = shift - 4  # the shift of the lowest cell swept
-            p = (above.bit_length() - 1) // step * step
-            codes = v = second = v2 = carry = 0
-            while p >= 0:
-                key = above >> p & mask | carry
-                out, dig, out2, dig2, carry = table[key] or fill(key)
-                codes = codes << step | out
-                v = v * scale + dig
-                second = second << step | out2
-                v2 = v2 * scale + dig2
-                p -= step
-            # row i+1, then row i+2 unless the stop falls between them; each
-            # drops the empty cells below it (at least the frame's lowest for
-            # row i+1), which were 0s in `v`
-            low = ((codes & -codes).bit_length() - 1) & -2
-            codes >>= low
-            v //= 3 ** (low >> 1)
             shift = frame + low
             values.append(v)
             if rows is not None:
-                rows.append((shift >> 1, codes))
+                rows.append((shift >> 1, first))
             if v == 1:
                 stop = min(stop, len(values) + 1)
             if len(values) < stop:
-                codes, v = second, v2
-                low = ((codes & -codes).bit_length() - 1) & -2
-                if low:
-                    codes >>= low
-                    v //= 3 ** (low >> 1)
-                shift = frame + low
-                values.append(v)
+                codes, shift = carried, frame + low2
+                values.append(v2)
                 if rows is not None:
-                    rows.append((shift >> 1, codes))
-                if v == 1:
+                    rows.append((shift >> 1, second))
+                if v2 == 1:
                     stop = min(stop, len(values) + 1)
-            # cut the zeros above the top nonzero digit: the highest cell whose
-            # code has its high bit set, found through a 1 on each cell's lowest bit
-            ones = ((1 << (codes.bit_length() + 1 & -2)) - 1) // 3
-            codes &= (1 << ((codes >> 1 & ones) << 1).bit_length()) - 1
+            else:
+                codes = self._cut(first)
         return codes, shift >> 1
+
+    @staticmethod
+    def _cut(codes: int) -> int:
+        """Base-3 codes without the zeros above the top nonzero digit: the
+        highest cell whose code has its high bit set, found through a 1 on
+        each cell's lowest bit."""
+        ones = ((1 << (codes.bit_length() + 1 & -2)) - 1) // 3
+        return codes & (1 << ((codes >> 1 & ones) << 1).bit_length()) - 1
 
     def value(self, row: str) -> int | None:
         """Integer held by a row string; None for an empty row.  Any other

@@ -205,6 +205,22 @@ def test_batch_empty_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        (["--spacing", "4"], "spacings apply only to a shared batch\n"),
+        (["--mode", "shared", "--spacing", "4,5"], "need exactly one spacing per adjacent input pair\n"),
+    ],
+)
+def test_batch_empty_file_refuses_spacings(tmp_path, capsys, flags, err):
+    # the flags are refused as they are with inputs, before there is nothing to run
+    path = tmp_path / "inputs.txt"
+    path.write_text("\n\n")
+    assert main(["batch", "--inputs", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 def test_rules_dump(capsys):
     assert main(["rules", "--variant", "ca3", "--n-max", "256"]) == 0
     out = capsys.readouterr().out

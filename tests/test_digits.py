@@ -9,7 +9,6 @@ from collatz_ca.digits import (
     from_digits,
     odd_part,
     oracle_trajectory,
-    stopping_time,
     to_digits,
     total_stopping_time,
 )
@@ -47,7 +46,6 @@ def test_trajectory_t1_from_7():
     r = oracle_trajectory(MapVariant.T1, 7)
     assert r.iterates == [7, 11, 17, 26, 13, 20, 10, 5, 8, 4, 2, 1]
     assert r.reached_one and r.steps_to_one == 11
-    assert r.classification == "convergent"
 
 
 def test_trajectory_t2_from_7():
@@ -70,7 +68,6 @@ def test_trajectory_cap_marks_undetermined():
     r = oracle_trajectory(MapVariant.T, 27, cap=10)
     assert not r.reached_one
     assert r.steps_to_one is None
-    assert r.classification == "undetermined"
     assert len(r.iterates) == 10
 
 
@@ -80,13 +77,6 @@ def test_total_stopping_time_values():
     assert total_stopping_time(7) == 16
     assert total_stopping_time(27) == 111
     assert total_stopping_time(27, cap=50) is None
-
-
-def test_stopping_time_values():
-    assert stopping_time(1) is None
-    assert stopping_time(2) == 1
-    assert stopping_time(7) == 11
-    assert stopping_time(27) == 96
 
 
 def test_to_digits_examples():
@@ -164,7 +154,6 @@ def assert_matches_steps(variant, n, cap):
     assert r.input == n and r.variant is variant
     assert r.reached_one is reached
     assert r.steps_to_one == (len(expected) - 1 if reached else None)
-    assert r.classification == ("convergent" if reached else "undetermined")
 
 
 @settings(max_examples=300)

@@ -1,7 +1,11 @@
 """Trajectory runs, oracle verification, batches, and the shared grid."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +288,16 @@ def test_stacked_matches_sequential(monkeypatch, variant):
     monkeypatch.setenv("COLLATZ_CA_THREADS", "2")
     parallel = run_batch(BatchConfig(inputs=inputs), cfg)
     assert parallel == sequential
+
+
+def test_import_leaves_the_process_pool_out():
+    # the pool's import (multiprocessing, subprocess, socket, pickle) waits
+    # for the first batch that asks for workers
+    src = str(Path(engine.__file__).resolve().parents[1])
+    code = "import sys, collatz_ca; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 # --- shared grids ---------------------------------------------------------------

@@ -23,6 +23,7 @@ from collatz_ca.grid import (
     initial_row,
     row_cells,
     row_oracle,
+    snapshot,
     step_frontier,
 )
 from collatz_ca.rules import (
@@ -482,11 +483,109 @@ LOOP_DIGESTS = {
 def test_loop_choice_is_performance_only(monkeypatch, variant):
     # the width constant picks, row by row, the int loop or the bytes loop:
     # every row from its bytes, rows crossing 9 bits and the shipped width
-    # within one trajectory, and every row as an int give the pinned digest
+    # within one trajectory, and every row as an int give the pinned digest.
+    # Each setting runs on a fresh kernel, so that no narrow row is read back
+    # from a row memo filled under another setting.
     kept = 64 if variant is CAVariant.CA3 else 3 * (4**7 - 1) // 3
     for bits in (0, 9, grid.WIDE_ROW_BITS, 10**5):
         monkeypatch.setattr(grid, "WIDE_ROW_BITS", bits)
+        monkeypatch.setitem(KERNELS, variant, RowKernel(variant, KERNELS[variant].cell))
         assert loop_digest(variant) == (LOOP_DIGESTS[variant], kept), bits
+
+
+def narrow_rows(kernel):
+    """Every kept row whose packed form is below the row memo's threshold."""
+    rows = []
+    for packed in range(1, 1 << grid.NARROW_ROW_BITS):
+        if not kernel.falling and (packed.bit_length() - 1) % kernel.bits:
+            continue  # the mark is not on a cell boundary
+        try:
+            kernel.check(kernel.decode(packed))
+        except NonContiguousRowError:
+            continue
+        rows.append(packed)
+    return rows
+
+
+def swept(kernel, packed, stop):
+    """A kernel loop from `packed` with the row memo off: values, rows, return."""
+    loop = kernel._fall if kernel.falling else kernel._descend
+    values, rows = [kernel.value(kernel.decode(packed))], []
+    last = loop(packed, values, stop, rows)
+    return values, rows, last
+
+
+@pytest.mark.parametrize("variant", [CAVariant.CA2, CAVariant.CA3])
+def test_row_memo_entries_are_fresh_sweeps(monkeypatch, variant):
+    # every kept narrow row: its entry is what a sweep gives, and a hit
+    # returns what the sweep returns
+    shipped = KERNELS[variant]
+    plain, memo = RowKernel(variant, shipped.cell), RowKernel(variant, shipped.cell)
+    rows = narrow_rows(plain)
+    # up to 7 base-4 cells (3 * 4**(d - 1) rows of d cells) or 15 base-2 cells
+    assert len(rows) == {CAVariant.CA2: 4**7 - 1, CAVariant.CA3: 2**14}[variant]
+    with monkeypatch.context() as m:
+        m.setattr(grid, "NARROW_ROW_BITS", 0)
+        expected = {packed: swept(plain, packed, 2) for packed in rows}
+    assert not plain._memo
+    for packed in rows:
+        assert swept(memo, packed, 2) == expected[packed]  # filled on first sight
+    for packed, (values, [(shift, new)], last) in expected.items():
+        assert memo._memo[packed] == (new, shift * memo.bits, values[1]), packed
+        assert swept(memo, packed, 2) == (values, [(shift, new)], last)  # read back
+    assert len(memo._memo) == len(rows)
+
+
+def test_ca1_row_memo_entries_are_fresh_sweeps(monkeypatch):
+    # a seeded sample of narrow rows, with and without zeros above the top
+    # digit; each pass is cut after its first row (stop 2) and after both
+    shipped = KERNELS[CAVariant.CA1]
+    plain, memo = RowKernel(CAVariant.CA1, shipped.cell), RowKernel(CAVariant.CA1, shipped.cell)
+    cells = grid.NARROW_ROW_BITS // plain.bits
+    rng = random.Random("ca1-memo")
+    rows = set()
+    while len(rows) < 400:
+        n = rng.randrange(1, 3**cells)
+        row = _ca1_row(n)
+        rows.add(plain.encode(row + "0" * rng.randrange(cells - len(row) + 1)))
+    with monkeypatch.context() as m:
+        m.setattr(grid, "NARROW_ROW_BITS", 0)
+        expected = {(packed, stop): swept(plain, packed, stop) for packed in rows for stop in (2, 3)}
+    assert not plain._memo
+    for round in range(2):  # filled, then read back
+        for (packed, stop), want in expected.items():
+            assert swept(memo, packed, stop) == want, (round, packed, stop)
+    for packed in rows:
+        values, [(shift, first), (shift2, second)], last = expected[packed, 3]
+        entry = (2 * shift + 4, first, values[1], 2 * shift2 + 4, second, values[2], last[0])
+        assert memo._memo[packed] == entry, packed
+        assert expected[packed, 2][2] == (plain._cut(first), shift)  # a stop between the rows
+    assert len(memo._memo) == len(rows)
+
+
+# `run_grid` snapshots and records for n in [1, 1500), from the kernel before
+# the row memo
+GRID_DIGESTS = {
+    CAVariant.CA1: "f94b70d88af2976ae4fc490864f3a2f08521a22d7d330311925943bebf3d361f",
+    CAVariant.CA2: "75b1f870cd909a6d4b20b628c9b9ad44511b6e0486c701427feca4cc294f83cd",
+    CAVariant.CA3: "8f76efabac5cc199ac171332fc1c87c4974171d26ec50a8da0bc586a0cb775b2",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_row_memo_keeps_the_grids(monkeypatch, variant):
+    # a fresh kernel: the merging trajectories fill its memo and read it back.
+    # Every n here reaches 1 within 200 rows; the cap makes a wrong value fail
+    # fast instead of running to the default cap.
+    kernel = RowKernel(variant, KERNELS[variant].cell)
+    monkeypatch.setitem(KERNELS, variant, kernel)
+    digest = hashlib.sha256()
+    for n in range(1, 1500):
+        g, record = run_grid(n, RunConfig(variant, max_rows=1000))
+        digest.update(snapshot(g).encode())
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == GRID_DIGESTS[variant]
+    assert kernel._memo
 
 
 def test_row_value_rejects_inner_gap():
@@ -821,7 +920,7 @@ def test_run_changes_only_the_memo_tables(variant):
     fresh = RowKernel(variant, kernel.cell)
 
     def state():
-        return {k: v for k, v in vars(fresh).items() if k not in ("table", "_entries", "_numbers", "_states")}
+        return {k: v for k, v in vars(fresh).items() if k not in ("table", "_entries", "_numbers", "_states", "_memo")}
 
     before = copy.deepcopy(state())
     for n in (2**4001 - 1, 3**3000, 27):
